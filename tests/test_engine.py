@@ -38,6 +38,7 @@ from abctorus.engine import (
     eval_stage_map_rational,
     meets_strict_epsilon,
     run_circle_scenario,
+    run_minimal_scenario,
     stage_partition,
     verify_cyclic_permutation,
 )
@@ -50,6 +51,16 @@ F = Fraction
 @pytest.fixture(scope="module")
 def circle2() -> StageMaps:
     return run_circle_scenario(2)
+
+
+@pytest.fixture(scope="module")
+def circle3() -> StageMaps:
+    return run_circle_scenario(3)
+
+
+@pytest.fixture(scope="module")
+def minimal1() -> StageMaps:
+    return run_minimal_scenario(n=2, l=4, q=3, r=2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +385,51 @@ class TestStagePartition:
             for z in cloud:
                 w = circle2.apply_exact(z, 1)
                 assert int(w[0] * 144) == label
+
+
+# ---------------------------------------------------------------------------
+# Frozen exact images (platform independent: every value is a Fraction).
+# ---------------------------------------------------------------------------
+
+_FROZEN_POINTS = (
+    (F(1, 7), F(2, 7)), (F(5, 37), F(3, 11)), (F(0), F(0)), (F(1, 2), F(1, 3)),
+    (F(999, 1000), F(1, 1000)), (F(123457, 2**20), F(654321, 2**20)),
+    (F(3, 4), F(5, 6)), (F(1, 144), F(143, 144)), (F(2, 3), F(1, 9)),
+    (F(17, 19), F(11, 13)),
+)
+
+
+class TestFrozenImages:
+    def test_circle_stage3(self, circle3):
+        want = (
+            (F(6726861914119, 12328435187712), F(1, 28)),
+            (F(30980282056741, 65164585992192), F(3, 11)),
+            (F(599304241153, 1761205026816), F(0)),
+            (F(1479906754561, 1761205026816), F(1, 3)),
+            (F(70106408091773, 220150628352000), F(751, 1000)),
+            (F(806664593665, 1761205026816), F(654321, 1048576)),
+            (F(159002984449, 1761205026816), F(5, 6)),
+            (F(611534831617, 1761205026816), F(143, 144)),
+            (F(12235898881, 1761205026816), F(1, 9)),
+            (F(7167226871827, 33462895509504), F(31, 52)),
+        )
+        got = tuple(eval_stage_map(circle3, TorusPoint(x), "exact").coords
+                    for x in _FROZEN_POINTS)
+        assert got == want
+
+    def test_minimal_stage1(self, minimal1):
+        want = (
+            (F(1927, 4032), F(2097159, 7340032)),
+            (F(4955, 10656), F(4587509, 11534336)),
+            (F(101, 288), F(262143, 1048576)),
+            (F(481, 576), F(1048573, 3145728)),
+            (F(11839, 36000), F(63, 500)),
+            (F(4273225, 9437184), F(654321, 1048576)),
+            (F(49, 576), F(2621437, 3145728)),
+            (F(197, 576), F(9371657, 9437184)),
+            (F(1, 576), F(1048567, 9437184)),
+            (F(1229, 5472), F(101, 104)),
+        )
+        got = tuple(eval_stage_map(minimal1, TorusPoint(x), "exact").coords
+                    for x in _FROZEN_POINTS)
+        assert got == want
