@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -51,27 +51,17 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from mpmath import mp
 
+from .bounds import DEFAULT_LIP_CONSTANT
 from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
 from .exact.points import TorusPoint, mod1
 from .exact.steps import StepFunction
 from .towers import TowerReal, WORK_PREC
 
-Frac = Fraction
-
 # exp() overflows IEEE doubles just past 709.78; the envelope
 # exp(-exp(y)) is flat to <1e-300 beyond |y| = 709.
 _CLAMP = 709.0
 _TWO_PI = 2.0 * math.pi
-
-#: Constant in the Lipschitz bound on a strip; read off the derivative
-#: chain for the window products (configurable knob, see norm_bounds).
-DEFAULT_LIP_CONSTANT = 6.0 * math.pi
-
-
-def _as_fraction(x) -> Fraction:
-    """Exact rational image of x (floats convert by their binary value)."""
-    return Fraction(x)
 
 
 def _mpf_of(x) -> mp.mpf:
@@ -112,8 +102,8 @@ def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:
 def _check_profile_params(l: int, eps, delta) -> None:
     if not isinstance(l, int) or l < 2 or l % 2:
         raise ParamOutOfRange(f"cell count l must be an even integer >= 2, got {l}")
-    eps = _as_fraction(eps)
-    delta = _as_fraction(delta)
+    eps = Fraction(eps)
+    delta = Fraction(delta)
     if not (0 < eps < Fraction(1, 8)):
         raise ParamOutOfRange(f"eps must lie in (0, 1/8), got {eps}")
     if not (0 < delta < 1):
@@ -157,7 +147,7 @@ def choose_amplitude(l: int, eps=None, delta=None, *, stage: Optional[int] = Non
         sched_eps = stage_epsilon(n)
         sched_delta = stage_delta(n)
         for given, sched, name in ((eps, sched_eps, "eps"), (delta, sched_delta, "delta")):
-            if given is not None and _as_fraction(given) != sched and abs(
+            if given is not None and Fraction(given) != sched and abs(
                 float(given) - float(sched)
             ) > 1e-15:
                 raise ParamOutOfRange(
@@ -202,6 +192,40 @@ def _clamped_envelope(y: float) -> float:
     return math.exp(-math.exp(min(max(y, -_CLAMP), _CLAMP)))
 
 
+def _envelope_c(y: complex) -> complex:
+    """Complex exp(-exp(y)) with the real-axis saturation branches."""
+    if y.real > _CLAMP:
+        return 0j
+    if y.real < -_CLAMP:
+        return 1 + 0j
+    u = cmath.exp(y)
+    if -u.real > _CLAMP:
+        raise RangeOverflow(
+            "inner exponential leaves the float range "
+            "(oscillatory blow-up off the real axis)"
+        )
+    return cmath.exp(-u)
+
+
+def _window_sum(beta, A, phases, w, sin, env):
+    """The entire step of the module docstring at the reduced phase w.
+
+    phases[i] is the phase of E_i (w - i/l mod 1, reduced by the caller);
+    sin and env are the math backend (numpy, math or cmath) and its
+    saturating envelope, so the three evaluation paths share one formula.
+    """
+    windows = [env(-A * sin(_TWO_PI * p)) for p in phases]
+    windows.append(windows[0])  # E_l == E_0 (full-period shift)
+    half = len(beta) // 2
+    low = high = 0
+    for i in range(half):
+        low = low + beta[i] * (windows[i] - windows[i + 1])
+    for i in range(half, len(beta)):
+        high = high + beta[i] * (windows[i] - windows[i + 1])
+    s = sin(_TWO_PI * w)
+    return low * env(-A * s) + high * env(A * s)
+
+
 @dataclass(frozen=True)
 class EntireStep:
     """Parameter record (beta, N, eps, delta, A) of one entire step.
@@ -219,8 +243,8 @@ class EntireStep:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "eps", _as_fraction(self.eps))
-        object.__setattr__(self, "delta", _as_fraction(self.delta))
+        object.__setattr__(self, "eps", Fraction(self.eps))
+        object.__setattr__(self, "delta", Fraction(self.delta))
         _check_profile_params(len(self.beta), self.eps, self.delta)
         for b in self.beta:
             if not (0.0 <= b <= 1.0):
@@ -242,23 +266,11 @@ class EntireStep:
     def __call__(self, x):
         """Value at x (scalar or ndarray; scalars come back as float)."""
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        A = float(self.A)
         l = self.l
         w = np.mod(arr * self.N, 1.0)
-        windows = [_envelope(-A * np.sin(_TWO_PI * np.mod(w - i / l, 1.0)))
-                   for i in range(l)]
-        windows.append(windows[0])  # E_l == E_0 (full-period shift)
-        low = np.zeros(arr.shape)
-        high = np.zeros(arr.shape)
-        half = l // 2
-        for i in range(half):
-            low = low + self.beta[i] * (windows[i] - windows[i + 1])
-        for i in range(half, l):
-            high = high + self.beta[i] * (windows[i] - windows[i + 1])
-        out = low * _envelope(-A * np.sin(_TWO_PI * w)) \
-            + high * _envelope(A * np.sin(_TWO_PI * w))
-        return float(out) if scalar else out
+        phases = [np.mod(w - i / l, 1.0) for i in range(l)]
+        out = _window_sum(self.beta, float(self.A), phases, w, np.sin, _envelope)
+        return float(out) if arr.ndim == 0 else out
 
     def eval_at_rational(self, x) -> float:
         """Value at an exact rational, with every window phase reduced in
@@ -269,17 +281,10 @@ class EntireStep:
         are not polluted by slope-amplified argument rounding.
         """
         w = Fraction(x) * self.N % 1
-        A = float(self.A)
         l = self.l
         phases = [float((w - Fraction(i, l)) % 1) for i in range(l)]
-        windows = [_clamped_envelope(-A * math.sin(_TWO_PI * p)) for p in phases]
-        windows.append(windows[0])
-        half = l // 2
-        low = sum(self.beta[i] * (windows[i] - windows[i + 1]) for i in range(half))
-        high = sum(self.beta[i] * (windows[i] - windows[i + 1]) for i in range(half, l))
-        wf = float(w)
-        return low * _clamped_envelope(-A * math.sin(_TWO_PI * wf)) \
-            + high * _clamped_envelope(A * math.sin(_TWO_PI * wf))
+        return _window_sum(self.beta, float(self.A), phases, float(w),
+                           math.sin, _clamped_envelope)
 
     # -- complex evaluation -------------------------------------------------
 
@@ -310,18 +315,8 @@ class EntireStep:
             )
         l = self.l
         w = complex((self.N * z.real) % 1.0, self.N * z.imag)
-        windows = [self._envelope_c(-A * cmath.sin(_TWO_PI * (w - i / l)))
-                   for i in range(l)]
-        windows.append(windows[0])
-        low = 0j
-        high = 0j
-        half = l // 2
-        for i in range(half):
-            low += self.beta[i] * (windows[i] - windows[i + 1])
-        for i in range(half, l):
-            high += self.beta[i] * (windows[i] - windows[i + 1])
-        out = low * self._envelope_c(-A * cmath.sin(_TWO_PI * w)) \
-            + high * self._envelope_c(A * cmath.sin(_TWO_PI * w))
+        phases = [w - i / l for i in range(l)]
+        out = _window_sum(self.beta, A, phases, w, cmath.sin, _envelope_c)
         if not (math.isfinite(out.real) and math.isfinite(out.imag)):
             raise RangeOverflow(
                 f"entire step exceeds the float range at {z}; "
@@ -329,35 +324,10 @@ class EntireStep:
             )
         return out
 
-    @staticmethod
-    def _envelope_c(y: complex) -> complex:
-        """Complex exp(-exp(y)) with the real-axis saturation branches."""
-        if y.real > _CLAMP:
-            return 0j
-        if y.real < -_CLAMP:
-            return 1 + 0j
-        u = cmath.exp(y)
-        if -u.real > _CLAMP:
-            raise RangeOverflow(
-                "inner exponential leaves the float range "
-                "(oscillatory blow-up off the real axis)"
-            )
-        return cmath.exp(-u)
-
     # -- collars ------------------------------------------------------------
 
     def error_set(self) -> "ErrorSet":
         return error_set(self)
-
-
-def eval_entire_step(s: EntireStep, x):
-    """Module-level alias for s(x)."""
-    return s(x)
-
-
-def eval_entire_step_complex(s: EntireStep, z: complex) -> complex:
-    """Module-level alias for s.eval_complex(z)."""
-    return s.eval_complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +352,7 @@ class ErrorSet:
     def contains(self, x) -> bool:
         """Collar membership, exact for rational x (floats convert by
         their exact binary value)."""
-        r = _as_fraction(x) % self.spacing
+        r = Fraction(x) % self.spacing
         return r <= self.halfwidth or self.spacing - r <= self.halfwidth
 
 
@@ -647,8 +617,8 @@ def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:
     budgets only sharpen the result). Constant shears are kept exact —
     they are already entire — so rotations survive unchanged.
     """
-    eps_total = _as_fraction(eps)
-    delta_total = _as_fraction(delta)
+    eps_total = Fraction(eps)
+    delta_total = Fraction(delta)
     if eps_total <= 0:
         raise ParamOutOfRange(f"eps must be positive, got {eps}")
     if delta_total <= 0:
@@ -693,8 +663,6 @@ __all__ = [
     "approximate_blockslide",
     "choose_amplitude",
     "error_set",
-    "eval_entire_step",
-    "eval_entire_step_complex",
     "lipschitz_norm_bound",
     "norm_bounds",
     "proximity_sweep",

@@ -89,8 +89,9 @@ Number = Union[int, float, Fraction, TowerReal]
 #: two evaluation routes stay independent.
 CHECK_PREC = 200
 
-#: Lipschitz constant of one window product on a strip (same knob as the
-#: evaluation layer; a plain positive real, not a derived quantity).
+#: Lipschitz constant of one window product on a strip, read off the
+#: derivative chain for the window products (a plain positive real, not a
+#: derived quantity; the analytic layer's strip bounds use the same one).
 DEFAULT_LIP_CONSTANT = 6.0 * math.pi
 
 #: A generated Liouville recipe stores literal integer denominators only

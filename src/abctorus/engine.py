@@ -5,7 +5,8 @@ The maps under study have the form
     T_n = H_n^{-1} o phi^{alpha_n} o H_n,        H_n = h_n o H_{n-1},
 
 where phi^t rotates the first coordinate by t and each conjugation h_m is
-a block-slide map together with an entire approximation.  Because h_m
+an exact map (any `Conjugation`: a block-slide map or the O(1)
+minimality evaluator) together with an entire approximation.  Because h_m
 commutes with phi^{alpha_{m-1}} and alpha advances by
 
     p_{n+1} = s_n k_n l_n q_n p_n + 1,       q_{n+1} = s_n k_n l_n q_n^2,
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +51,10 @@ from .exact.builders import (
     build_grid_refine,
     build_minimal_combinatorics,
 )
+from .exact.oracle import _GRID_POINT_BUDGET
 from .exact.partitions import PartitionSpec
 from .exact.points import TorusPoint, mod1
-from .minimal import MinimalConjugation, minimal_stage
+from .minimal import minimal_stage
 
 ROTATION_POWER_CAP = 10**3  # |power| <= q_n * this in eval_stage_map
 
@@ -173,20 +175,46 @@ def meets_strict_epsilon(params: AbCParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class Conjugation(Protocol):
+    """An exact stage conjugation h_n: a rigid permutation of lattice
+    boxes of the 2-torus that commutes with the previous rotation.
+
+    Implemented by `BlockSlideMap` and by the O(1) minimality-stage
+    evaluator `MinimalConjugation`; the engine needs nothing else of a
+    conjugation.
+    """
+
+    dim: int
+
+    def __call__(self, x: TorusPoint) -> TorusPoint: ...
+
+    def inverse(self) -> "Conjugation": ...
+
+    def commutes_with_rotation(self, q: int) -> bool:
+        """Whether h commutes with the rotation by 1/q of the first
+        coordinate, read off the map's structure."""
+        ...
+
+    def box_grid(self) -> Tuple[int, int]:
+        """(cols, rows): pitches 1/cols on x1 and 1/rows on x2 of a box
+        lattice that h translates rigidly, box onto box."""
+        ...
+
+
 @dataclass(frozen=True)
 class StageIncrement:
     """One built conjugation plus the parameter advance it entails.
 
-    exact is anything callable on TorusPoint with an exact ``inverse()``
-    (a block-slide map, or the O(1) minimality-stage evaluator).
-    analytic may be None for stages whose entire counterpart was not
-    built (oversized realizations); exact-model workflows are unaffected.
+    exact is the stage conjugation in the exact model (a block-slide map,
+    or the O(1) minimality-stage evaluator).  analytic may be None for
+    stages whose entire counterpart was not built (oversized
+    realizations); exact-model workflows are unaffected.
     """
 
     scenario: str
     params_before: AbCParams
     params_after: AbCParams
-    exact: Union[BlockSlideMap, MinimalConjugation]
+    exact: Conjugation
     analytic: Optional[AnalyticBlockSlide]
 
 
@@ -202,8 +230,8 @@ class StageMaps:
     scenario: str
     dim: int
     records: Tuple[AbCParams, ...]
-    conjugations_exact: Tuple[BlockSlideMap, ...]
-    conjugations_analytic: Tuple[AnalyticBlockSlide, ...]
+    conjugations_exact: Tuple[Conjugation, ...]
+    conjugations_analytic: Tuple[Optional[AnalyticBlockSlide], ...]
 
     @staticmethod
     def start(scenario: str, params: AbCParams, dim: int = 2) -> "StageMaps":
@@ -245,63 +273,49 @@ class StageMaps:
         self._check_stage(stage)
         return self.records[stage].alpha
 
-    def exact_stack(self, stage: int) -> BlockSlideMap:
-        """H_stage as one exact block-slide map (h_1 runs first)."""
-        self._check_stage(stage)
-        out = BlockSlideMap.identity(self.dim)
-        for h in self.conjugations_exact[:stage]:
-            out = out.then(h)
-        return out
+    def _analytic(self, stage: int) -> AnalyticBlockSlide:
+        """h_stage in the analytic model; refused for stages built
+        without one."""
+        h = self.conjugations_analytic[self._check_stage(stage) - 1]
+        if h is None:
+            raise ParamOutOfRange(
+                f"stage {stage} carries no analytic conjugation; only the "
+                "exact model is available"
+            )
+        return h
 
-    def apply_exact(self, x: TorusPoint, stage: int, inverse: bool = False) -> TorusPoint:
-        self._check_stage(stage)
-        if inverse:
-            for h in reversed(self.conjugations_exact[:stage]):
-                x = h.inverse()(x)
-        else:
-            for h in self.conjugations_exact[:stage]:
-                x = h(x)
-        return x
-
-    def _analytic_slice(self, stage: int) -> Tuple[AnalyticBlockSlide, ...]:
-        slice_ = self.conjugations_analytic[:stage]
-        if any(h is None for h in slice_):
+    def _apply(self, conjugations, x, stage: int, inverse: bool, step):
+        """Run x through h_1, ..., h_stage of one model (or through their
+        inverses in reverse order), advancing it with step(h, x)."""
+        hs = conjugations[:self._check_stage(stage)]
+        if any(h is None for h in hs):
             raise ParamOutOfRange(
                 f"a stage in 1..{stage} carries no analytic conjugation; "
                 "only the exact model is available for this stack"
             )
-        return slice_
+        if inverse:
+            hs = [h.inverse() for h in reversed(hs)]
+        for h in hs:
+            x = step(h, x)
+        return x
+
+    def apply_exact(self, x: TorusPoint, stage: int, inverse: bool = False) -> TorusPoint:
+        return self._apply(self.conjugations_exact, x, stage, inverse, lambda h, y: h(y))
 
     def apply_analytic(
         self, pts: np.ndarray, stage: int, inverse: bool = False
     ) -> np.ndarray:
         """H_stage (or its inverse) on a (dim, n) float array."""
-        self._check_stage(stage)
-        self._analytic_slice(stage)
-        out = pts
-        if inverse:
-            for h in reversed(self.conjugations_analytic[:stage]):
-                out = h.inverse().transform(out)
-        else:
-            for h in self.conjugations_analytic[:stage]:
-                out = h.transform(out)
-        return out
+        return self._apply(self.conjugations_analytic, pts, stage, inverse,
+                           lambda h, y: h.transform(y))
 
     def apply_analytic_rational(
         self, coords: Sequence, stage: int, inverse: bool = False
     ) -> Tuple[Fraction, ...]:
         """H_stage (or its inverse) through the exact-rational analytic
         path (entire-step values frozen to their float rationals)."""
-        self._check_stage(stage)
-        self._analytic_slice(stage)
-        out = tuple(Fraction(c) for c in coords)
-        if inverse:
-            for h in reversed(self.conjugations_analytic[:stage]):
-                out = h.inverse().transform_rational(out)
-        else:
-            for h in self.conjugations_analytic[:stage]:
-                out = h.transform_rational(out)
-        return out
+        return self._apply(self.conjugations_analytic, coords, stage, inverse,
+                           lambda h, y: h.transform_rational(y))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +395,18 @@ def run_circle_scenario(
 # Translation-factor scenario.
 # ---------------------------------------------------------------------------
 
-# move-count cap under which the "auto" policy builds the entire
+# move-count cap under which a stage builder builds the entire
 # approximation of a stage conjugation (the realizations grow quickly;
 # oversized stages keep analytic=None and stay exact-only)
 AUTO_ANALYTIC_MOVE_CAP = 4096
+
+
+def _capped_analytic(realization: BlockSlideMap, n: int) -> Optional[AnalyticBlockSlide]:
+    """The stage-n entire approximation of a block-slide realization, or
+    None when the realization has more than AUTO_ANALYTIC_MOVE_CAP moves."""
+    if len(realization.moves) > AUTO_ANALYTIC_MOVE_CAP:
+        return None
+    return approximate_blockslide(realization, stage_epsilon(n), stage_delta(n))
 
 
 def _section_time(gamma: Tuple[int, int], y1: Fraction, y2: Fraction) -> Fraction:
@@ -465,11 +487,7 @@ def translation_index_function(
     return tuple((-o[i]) % q for i in range(k))
 
 
-def build_stage_translation(
-    params: AbCParams,
-    chain: TranslationParams,
-    analytic: Union[bool, str] = "auto",
-) -> StageIncrement:
+def build_stage_translation(params: AbCParams, chain: TranslationParams) -> StageIncrement:
     """One stage of the translation-factor scenario along a parameter chain.
 
     The record must match a non-final chain level by (p, q), and the
@@ -483,12 +501,10 @@ def build_stage_translation(
     scenario (k = l, trivial index function) and re-check that the
     chain's advance coincides with the circle advance.
 
-    analytic: True builds the entire approximation regardless of size,
-    False skips it, "auto" builds it only when the exact realization
-    stays within AUTO_ANALYTIC_MOVE_CAP moves.
+    The entire approximation is built only when the exact realization
+    stays within AUTO_ANALYTIC_MOVE_CAP moves; larger stages carry
+    analytic=None and stay exact-only.
     """
-    if analytic not in (True, False, "auto"):
-        raise ParamOutOfRange(f"analytic must be True, False or 'auto', got {analytic!r}")
     idx = next(
         (
             i
@@ -547,13 +563,6 @@ def build_stage_translation(
     a = translation_index_function(lv.gamma, nxt.gamma, k, q)
     before = replace(params, a=a)
     exact = build_abc_conjugation(a, k, l, q, 2)
-    built_analytic = None
-    if analytic is True or (
-        analytic == "auto" and len(exact.moves) <= AUTO_ANALYTIC_MOVE_CAP
-    ):
-        built_analytic = approximate_blockslide(
-            exact, stage_epsilon(n), stage_delta(n)
-        )
     # the multipliers carried forward are the next level's own when the
     # chain still prescribes them (so the following build can re-check
     # its record against the chain); the terminal record keeps this
@@ -572,14 +581,12 @@ def build_stage_translation(
         params_before=before,
         params_after=after,
         exact=exact,
-        analytic=built_analytic,
+        analytic=_capped_analytic(exact, n),
     )
 
 
 def run_translation_scenario(
-    chain: TranslationParams,
-    stages: Optional[int] = None,
-    analytic: Union[bool, str] = "auto",
+    chain: TranslationParams, stages: Optional[int] = None
 ) -> StageMaps:
     """Build the translation-factor scenario along a parameter chain.
 
@@ -612,9 +619,7 @@ def run_translation_scenario(
     )
     maps = StageMaps.start("translation", start)
     for _ in range(stages):
-        maps = maps.extend(
-            build_stage_translation(maps.records[-1], chain, analytic=analytic)
-        )
+        maps = maps.extend(build_stage_translation(maps.records[-1], chain))
     return maps
 
 
@@ -623,21 +628,17 @@ def run_translation_scenario(
 # ---------------------------------------------------------------------------
 
 
-def build_stage_minimal(
-    params: AbCParams, r: int, analytic: Union[bool, str] = "auto"
-) -> StageIncrement:
+def build_stage_minimal(params: AbCParams, r: int) -> StageIncrement:
     """One stage of the minimality scenario: k couples to l^2 and the
     conjugation composes the trapping shear with the stripe-squeezing
     involution (see the minimal module).
 
     The exact model is the O(1) evaluator; the entire approximation is
     built from the block-slide realization, which grows quickly with l —
-    under the "auto" policy it is attempted only for l <= 4 (True forces
-    it, False skips it).  The advance is the generic one with k = l^2,
-    i.e. q' = s l^3 q^2.
+    it is attempted only for l <= 4 (larger realizations are not even
+    assembled) and kept only within AUTO_ANALYTIC_MOVE_CAP moves.  The
+    advance is the generic one with k = l^2, i.e. q' = s l^3 q^2.
     """
-    if analytic not in (True, False, "auto"):
-        raise ParamOutOfRange(f"analytic must be True, False or 'auto', got {analytic!r}")
     n, l, q = params.n, params.l, params.q
     if params.k != l * l:
         raise ParamOutOfRange(
@@ -648,13 +649,10 @@ def build_stage_minimal(
     stage = minimal_stage(n, l, q, r)
     exact = stage.conjugation()
     built_analytic = None
-    if analytic is True or (analytic == "auto" and l <= 4):
+    if l <= 4:
         shear = BlockSlideMap(2, (BlockSlideMove(1, 0, 1, stage.kappa),))
         realization = build_minimal_combinatorics(l, q, r, 2).then(shear)
-        if analytic is True or len(realization.moves) <= AUTO_ANALYTIC_MOVE_CAP:
-            built_analytic = approximate_blockslide(
-                realization, stage_epsilon(n), stage_delta(n)
-            )
+        built_analytic = _capped_analytic(realization, n)
     return StageIncrement(
         scenario="minimal",
         params_before=params,
@@ -672,7 +670,6 @@ def run_minimal_scenario(
     p: int = 1,
     s: int = 1,
     stages: int = 1,
-    analytic: Union[bool, str] = "auto",
 ) -> StageMaps:
     """Build the minimality scenario at a prescribed toy scale.
 
@@ -690,7 +687,7 @@ def run_minimal_scenario(
     )
     maps = StageMaps.start("minimal", start)
     for _ in range(stages):
-        maps = maps.extend(build_stage_minimal(maps.records[-1], r, analytic=analytic))
+        maps = maps.extend(build_stage_minimal(maps.records[-1], r))
     return maps
 
 
@@ -710,9 +707,11 @@ def eval_stage_map(
 
     The exact model takes and returns TorusPoint (rational); the
     analytic model takes a coordinate sequence or (dim, n) array of
-    floats and returns the matching shape.  The rotation is applied as
-    one exact multiple power*alpha mod 1, so the guard on |power| only
-    protects against meaninglessly large requests.
+    floats and returns the matching shape; the rational model runs the
+    exact-rational analytic path on a coordinate sequence and returns a
+    tuple of Fractions.  The rotation is applied as one exact multiple
+    power*alpha mod 1, so the guard on |power| only protects against
+    meaninglessly large requests.
     """
     stage = maps.stage_count if stage is None else stage
     maps._check_stage(stage)
@@ -736,23 +735,20 @@ def eval_stage_map(
         out[0] = (out[0] + float(shift)) % 1.0
         out = maps.apply_analytic(out, stage, inverse=True)
         return tuple(float(v) for v in out[:, 0]) if single else out
-    raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
+    if model == "rational":
+        y = maps.apply_analytic_rational(x, stage)
+        y = (mod1(y[0] + shift),) + tuple(y[1:])
+        return maps.apply_analytic_rational(y, stage, inverse=True)
+    raise ParamOutOfRange(
+        f"model must be 'exact', 'analytic' or 'rational', got {model!r}"
+    )
 
 
 def eval_stage_map_rational(
     maps: StageMaps, coords: Sequence, power: int = 1, stage: Optional[int] = None
 ) -> Tuple[Fraction, ...]:
     """T_stage^power through the exact-rational analytic path."""
-    stage = maps.stage_count if stage is None else stage
-    maps._check_stage(stage)
-    rec = maps.records[stage]
-    if abs(power) > rec.q * ROTATION_POWER_CAP:
-        raise ParamOutOfRange(
-            f"|power| = {abs(power)} exceeds the guard q_n * {ROTATION_POWER_CAP}"
-        )
-    y = maps.apply_analytic_rational(coords, stage)
-    y = (mod1(y[0] + power * rec.alpha),) + tuple(y[1:])
-    return maps.apply_analytic_rational(y, stage, inverse=True)
+    return eval_stage_map(maps, coords, "rational", power, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -872,15 +868,9 @@ def verify_cyclic_permutation(
     """
     maps._check_stage(stage)
     if model == "exact":
-        threshold = Fraction(1)
+        threshold, evaluated = Fraction(1), "exact"
     elif model == "analytic":
-        h_an = maps.conjugations_analytic[stage - 1]
-        if h_an is None:
-            raise ParamOutOfRange(
-                f"stage {stage} carries no analytic conjugation; only the "
-                "exact model is available"
-            )
-        threshold = 1 - 2 * h_an.eps
+        threshold, evaluated = 1 - 2 * maps._analytic(stage).eps, "rational"
     else:
         raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
     rec = maps.records[stage]
@@ -903,12 +893,7 @@ def verify_cyclic_permutation(
     for (i, u, v) in pairs:
         w = TorusPoint((Fraction(i + u, q) % 1, v))
         z = maps.apply_exact(w, stage, inverse=True)
-        if model == "exact":
-            t = eval_stage_map(maps, z, "exact", 1, stage)
-        elif model == "analytic":
-            t = TorusPoint(eval_stage_map_rational(maps, z.coords, 1, stage))
-        else:
-            raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
+        t = TorusPoint(eval_stage_map(maps, z, evaluated, 1, stage))
         if _classify(maps, t, stage, q) == (i + p) % q:
             hits += 1
     return ConjugacyReport(
@@ -943,13 +928,14 @@ def check_stage_commutation(
 ) -> CommutationReport:
     """Verify the commutation h_n o phi^{alpha_{n-1}} = phi^{alpha_{n-1}} o h_n
     in all three senses: exact rational identity on random points,
-    structural periodicity of the analytic steps, and pointwise equality
-    through the rational analytic path (an exact zero, not a tolerance).
+    structural periodicity of the conjugation in both models, and
+    pointwise equality through the rational analytic path (an exact
+    zero, not a tolerance).
 
     Stages without an analytic conjugation are checked in the exact and
     structural senses only (the structural check then reads the exact
-    map's own periodicity; the analytic residual is reported as zero
-    because there is nothing to deviate)."""
+    map alone; the analytic residual is reported as zero because there
+    is nothing to deviate)."""
     maps._check_stage(stage)
     alpha = maps.records[stage - 1].alpha
     h_ex = maps.conjugations_exact[stage - 1]
@@ -975,12 +961,9 @@ def check_stage_commutation(
             d = abs(a - b)
             worst = max(worst, min(d, 1 - d))
     q_prev = maps.records[stage - 1].q
-    if h_an is not None:
-        structural = h_an.commutes_with_rotation(q_prev)
-    elif hasattr(h_ex, "commutes_with_rotation"):
-        structural = h_ex.commutes_with_rotation(q_prev)
-    else:
-        structural = exact_ok
+    structural = h_ex.commutes_with_rotation(q_prev) and (
+        h_an is None or h_an.commutes_with_rotation(q_prev)
+    )
     return CommutationReport(
         stage=stage,
         alpha=alpha,
@@ -1072,9 +1055,11 @@ def correspondence_defect(
 
     Exact model: h permutes a finite box lattice rigidly, so checking
     one interior point per box is a certificate; the defect is exactly
-    zero for the built scenarios.  Analytic model: seeded Monte Carlo
-    over the torus; each sample charges 1/samples to the source atom it
-    leaves and the image atom it wrongly enters.
+    zero for the built scenarios.  Lattices of more than the exact
+    oracle's point budget are refused.  Analytic model: seeded Monte
+    Carlo over the torus; each sample charges 1/samples to the source
+    atom it leaves and the image atom it wrongly enters; refused for
+    stages built without an analytic conjugation.
     """
     maps._check_stage(stage)
     rec = maps.records[stage - 1]
@@ -1082,27 +1067,17 @@ def correspondence_defect(
     h_ex = maps.conjugations_exact[stage - 1]
     defects = [Fraction(0)] * rec.q
     if model == "exact":
-        # Box lattice under which every move of h translates boxes rigidly:
-        # on each axis, fine enough for the breakpoints of steps *sourced*
-        # there and the shift values of steps *targeting* it.  Then a single
-        # interior point certifies its whole box, and the x1 axis resolves
-        # both the coarse blocks (pitch 1/q) and the tower columns (1/(kq)).
-        cols, rows = rec.k * rec.q, 1
-        for mv in h_ex.moves:
-            bp = mv.step.period.denominator
-            for b in mv.step.breakpoints:
-                bp = bp * b.denominator // gcd(bp, b.denominator)
-            val = 1
-            for v in mv.step.values:
-                val = val * v.denominator // gcd(val, v.denominator)
-            if mv.target == 0:
-                cols = cols * val // gcd(cols, val)
-            else:
-                rows = rows * val // gcd(rows, val)
-            if mv.source == 0:
-                cols = cols * bp // gcd(cols, bp)
-            else:
-                rows = rows * bp // gcd(rows, bp)
+        # h translates the boxes of its box grid rigidly, so a single
+        # interior point certifies its whole box; refining x1 to pitch
+        # 1/(kq) resolves both the coarse blocks (pitch 1/q) and the
+        # tower columns.
+        cols, rows = h_ex.box_grid()
+        cols = lcm(cols, rec.k * rec.q)
+        if cols * rows > _GRID_POINT_BUDGET:
+            raise ParamOutOfRange(
+                f"box lattice of {cols} x {rows} boxes is beyond the exact-"
+                f"oracle budget of {_GRID_POINT_BUDGET} points (one per box)"
+            )
         span = cols // rec.q
         box = Fraction(1, cols * rows)
         for i in range(rec.q):
@@ -1116,7 +1091,7 @@ def correspondence_defect(
                         defects[i] += box
         return CorrespondenceDefect(stage, model, tuple(defects))
     if model == "analytic":
-        h_an = maps.conjugations_analytic[stage - 1]
+        h_an = maps._analytic(stage)
         rng = np.random.default_rng(seed)
         pts = rng.random((2, samples))
         img = h_an.transform(pts)

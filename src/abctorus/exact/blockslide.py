@@ -125,6 +125,44 @@ class BlockSlideMap:
     def compiled(self, L: int) -> "CompiledMap":
         return CompiledMap.build(self, L)
 
+    def commutes_with_rotation(self, q: int) -> bool:
+        """Structural commutation with the rotation by 1/q of the first
+        coordinate: every non-constant move fed by coordinate 0 must have
+        a 1/q-periodic step (each such move then commutes with the
+        rotation on its own, and moves reading other coordinates always
+        do)."""
+        if q < 1:
+            raise ParamOutOfRange(f"q must be >= 1, got {q}")
+        period = Fraction(1, q)
+        return all(mv.step.is_periodic_with(period) for mv in self.moves if mv.source == 0)
+
+    def box_grid(self) -> Tuple[int, int]:
+        """(cols, rows) of a box lattice on which every move translates
+        boxes rigidly: pitch 1/cols on the first coordinate and 1/rows on
+        every other one.
+
+        On each axis the lattice is fine enough for the breakpoints and
+        periods of steps *sourced* there and the shift values of steps
+        *targeting* it, so a single interior point certifies its whole box.
+        """
+        cols = rows = 1
+        for mv in self.moves:
+            bp = mv.step.period.denominator
+            for b in mv.step.breakpoints:
+                bp = _lcm(bp, b.denominator)
+            val = 1
+            for v in mv.step.values:
+                val = _lcm(val, v.denominator)
+            if mv.target == 0:
+                cols = _lcm(cols, val)
+            else:
+                rows = _lcm(rows, val)
+            if mv.source == 0:
+                cols = _lcm(cols, bp)
+            else:
+                rows = _lcm(rows, bp)
+        return cols, rows
+
 
 @dataclass(frozen=True)
 class CompiledMap:

@@ -384,17 +384,28 @@ def realized_strip_permutation(
 # ---------------------------------------------------------------------------
 
 
+def minimal_cell_image(c: int, y: int, l: int, r: int) -> Tuple[int, int]:
+    """Image (c', y') of the strip class (c, y) under the stripe-squeezing
+    involution, with column class c < l^2 and row y < l*r.
+
+    For c = v < l (full-height stripes): (v, J*r + rho) <-> (J, v*r + rho)
+    — the stripe squeezes into the horizontal band [v/l, (v+1)/l) of the
+    first l columns. For c = u*l + v with u >= 1 (band-internal columns):
+    within each band t the digit pair transposes, (u*l + v, t*l + w) <->
+    (u*l + w, t*l + v).
+    """
+    if c < l:
+        J, rho = divmod(y, r)
+        return J, c * r + rho
+    u, v = divmod(c, l)
+    t, w = divmod(y, l)
+    return u * l + w, t * l + v
+
+
 def minimal_quotient_perm(l: int, r: int) -> "np.ndarray":
     """The involution of the l^2 x (l r) strip classes behind the
-    minimality construction.
-
-    Classes are (c, y) with column class c < l^2 and row y < l*r,
-    indexed c*(l*r) + y. For c = v < l (full-height stripes):
-    (v, J*r + rho) <-> (J, v*r + rho) — the stripe squeezes into the
-    horizontal band [v/l, (v+1)/l) of the first l columns. For
-    c = u*l + v with u >= 1 (band-internal columns): within each band
-    t the digit pair transposes, (u*l + v, t*l + w) <-> (u*l + w,
-    t*l + v).
+    minimality construction (`minimal_cell_image`), with class (c, y)
+    indexed c*(l*r) + y.
     """
     if l < 2 or r < 1:
         raise ParamOutOfRange("need l >= 2 and r >= 1")
@@ -403,14 +414,7 @@ def minimal_quotient_perm(l: int, r: int) -> "np.ndarray":
     perm = np.empty(n, dtype=np.int64)
     for c in range(l * l):
         for y in range(lr):
-            if c < l:
-                v = c
-                J, rho = divmod(y, r)
-                c2, y2 = J, v * r + rho
-            else:
-                u, v = divmod(c, l)
-                t, w = divmod(y, l)
-                c2, y2 = u * l + w, t * l + v
+            c2, y2 = minimal_cell_image(c, y, l, r)
             perm[c * lr + y] = c2 * lr + y2
     return perm
 

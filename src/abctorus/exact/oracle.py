@@ -122,13 +122,7 @@ def commutes_with_rotation(
     compositions pointwise at a pitch where all maps are exact; for
     rigid maps equality on cell corners is equality everywhere.
     """
-    if q < 1:
-        raise ParamOutOfRange("q must be >= 1")
-    structural = all(
-        mv.step.is_periodic_with(Fraction(1, q))
-        for mv in m.moves
-        if mv.source == 0
-    )
+    structural = m.commutes_with_rotation(q)
     phi = rotation_map(Fraction(1, q), m.dim)
     L = _lcm(m.denominator_lcm(), q)
     M = L if L**m.dim > _GRID_POINT_BUDGET else 4 * L

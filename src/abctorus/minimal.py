@@ -40,9 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple, Union
 
 from .errors import ParamOutOfRange
+from .exact.builders import minimal_cell_image
 from .exact.points import TorusPoint
 from .exact.steps import StepFunction, build_trapping_step
 
@@ -97,13 +99,7 @@ class MinimalCombinatorics:
                 f"cell ({col}, {row}) outside the {self.cols} x {self.rows} grid"
             )
         s, c = divmod(col, l * l)
-        if c < l:
-            J, rho = divmod(row, r)
-            c2, row2 = J, c * r + rho
-        else:
-            u, v = divmod(c, l)
-            t, w = divmod(row, l)
-            c2, row2 = u * l + w, t * l + v
+        c2, row2 = minimal_cell_image(c, row, l, r)
         return s * l * l + c2, row2
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
@@ -136,12 +132,13 @@ class MinimalCombinatorics:
 class MinimalConjugation:
     """One minimality-stage conjugation, h = h1 o h2 with h2 first.
 
-    Callable on TorusPoint with an exact rational result and an exact
-    ``inverse()``, so it drops into stage stacks wherever a block-slide
-    conjugation would — at O(1) cost per evaluation instead of one term
-    per gadget move.
+    Implements the engine's `Conjugation` protocol: callable on
+    TorusPoint with an exact rational result, an exact ``inverse()``, a
+    structural commutation test and a rigid box lattice — at O(1) cost
+    per evaluation instead of one term per gadget move.
     """
 
+    dim = 2
     comb: MinimalCombinatorics
     kappa: StepFunction
     inverted: bool = False
@@ -158,17 +155,31 @@ class MinimalConjugation:
     def inverse(self) -> "MinimalConjugation":
         return replace(self, inverted=not self.inverted)
 
-    def commutes_with_rotation(self, q_rot: int) -> bool:
-        """Structural commutation with the rotation by 1/q_rot of x1.
+    def commutes_with_rotation(self, q: int) -> bool:
+        """Structural commutation with the rotation by 1/q of x1.
 
-        Both layers are 1/(l q)-periodic in x1 (the staircase is even
-        1/(l^3 q)-periodic), so h commutes with the rotation whenever
-        q_rot divides l q — in particular with every rotation number of
-        denominator q.
+        Both layers are 1/(l q_s)-periodic in x1, with q_s = comb.q the
+        stage denominator (the staircase is even 1/(l^3 q_s)-periodic),
+        so h commutes with the rotation whenever q divides l q_s — in
+        particular with every rotation number of denominator q_s.
         """
-        if q_rot < 1:
-            raise ParamOutOfRange(f"q_rot must be >= 1, got {q_rot}")
-        return (self.comb.l * self.comb.q) % q_rot == 0
+        if q < 1:
+            raise ParamOutOfRange(f"q must be >= 1, got {q}")
+        return (self.comb.l * self.comb.q) % q == 0
+
+    def box_grid(self) -> Tuple[int, int]:
+        """(cols, rows) of a box lattice that h translates rigidly.
+
+        h2 moves whole cells of its l^3 q x l r grid by multiples of the
+        cell pitch, and the shear h1 reads x1 (kappa's breakpoints and
+        period refine the columns) and shifts x2 by kappa's values (which
+        refine the rows); the same lattice serves the inverse.
+        """
+        k = self.kappa
+        cols = lcm(self.comb.cols, k.period.denominator,
+                   *(b.denominator for b in k.breakpoints))
+        rows = lcm(self.comb.rows, *(v.denominator for v in k.values))
+        return cols, rows
 
 
 # ---------------------------------------------------------------------------

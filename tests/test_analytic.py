@@ -15,8 +15,6 @@ from abctorus.analytic import (
     approximate_blockslide,
     choose_amplitude,
     error_set,
-    eval_entire_step,
-    eval_entire_step_complex,
     lipschitz_norm_bound,
     norm_bounds,
     proximity_sweep,
@@ -119,7 +117,7 @@ def test_zero_profile_evaluates_to_zero():
     s = EntireStep((0.0, 0.0), 1, EPS_DEMO, DELTA_DEMO, 32)
     xs = np.linspace(0.0, 1.0, 257)
     assert np.max(np.abs(s(xs))) == 0.0
-    assert eval_entire_step(s, 0.123) == 0.0
+    assert s(0.123) == 0.0
 
 
 def test_scalar_matches_vector_evaluation():
@@ -238,29 +236,29 @@ def test_derivative_small_off_collars():
 def test_complex_real_axis_agrees():
     s = demo_step()
     for x in (0.1, 0.25, 0.5, 0.75, 0.9):
-        z = eval_entire_step_complex(s, complex(x, 0.0))
+        z = s.eval_complex(complex(x, 0.0))
         assert z == complex(s(x), 0.0)
         assert abs(z.imag) <= 1e-12
 
 
 def test_complex_guard_frozen():
     s = EntireStep((0.0, 0.5), 1, stage_epsilon(1), stage_delta(1), 2048)
-    value = eval_entire_step_complex(s, 0.3 + 0.01j)
+    value = s.eval_complex(0.3 + 0.01j)
     assert abs(value) < 1e300  # finite
     with pytest.raises(RangeOverflow):
-        eval_entire_step_complex(s, 0.3 + 1j)
+        s.eval_complex(0.3 + 1j)
 
 
 def test_complex_moderate_strip():
     s = demo_step()  # A = 32
-    value = eval_entire_step_complex(s, 0.75 + 0.001j)
+    value = s.eval_complex(0.75 + 0.001j)
     assert abs(value - 0.5) < 0.01
 
 
 def test_complex_never_exceeds_sup_bound():
     s = demo_step()
     for z in (0.75 + 0.001j, 0.3 + 0.01j, 0.1 + 0.005j):
-        v = abs(eval_entire_step_complex(s, z))
+        v = abs(s.eval_complex(z))
         bound = sup_norm_bound(s.A, s.N, abs(z.imag))
         if v > 0:
             assert TowerReal.from_number(v) < bound

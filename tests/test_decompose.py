@@ -73,6 +73,7 @@ def test_decomposition_realizes_quotient_exactly(k, q, l, seed):
     assert list(got) == list(lift_quotient(quot, k, q, l))
     if q > 1:
         assert commutes_with_rotation(m, q)
+        assert m.commutes_with_rotation(q)
 
 
 def test_decomposition_accepts_full_equivariant_input():

@@ -1,5 +1,7 @@
 """Stage-assembly engine: parameter recursion, circle-scenario builds,
-finite conjugacy verification, commutation, correspondences, defects.
+finite conjugacy verification, commutation, correspondences, defects,
+the translation and minimality runners end to end, the conjugations'
+box lattices and frozen exact stage-map images.
 
 Frozen values were computed independently before implementation:
   * advance of (p, q) = (1, 3) with k = 2, l = 4, s = 1:
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from abctorus.analytic import stage_delta, stage_epsilon
+from abctorus.bounds import translation_params
 from abctorus.engine import (
     ROTATION_POWER_CAP,
     AbCParams,
@@ -39,11 +42,16 @@ from abctorus.engine import (
     meets_strict_epsilon,
     run_circle_scenario,
     run_minimal_scenario,
+    run_translation_scenario,
     stage_partition,
     verify_cyclic_permutation,
 )
 from abctorus.errors import ParamOutOfRange
+from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
+from abctorus.exact.builders import build_abc_conjugation, build_grid_refine
 from abctorus.exact.points import TorusPoint
+from abctorus.exact.steps import sigma1_interchange
+from abctorus.minimal import minimal_stage
 
 F = Fraction
 
@@ -61,6 +69,21 @@ def circle3() -> StageMaps:
 @pytest.fixture(scope="module")
 def minimal1() -> StageMaps:
     return run_minimal_scenario(n=2, l=4, q=3, r=2)
+
+
+@pytest.fixture(scope="module")
+def translation_small() -> StageMaps:
+    # from q = 1 the index function is trivial: three shears, analytic built
+    chain = translation_params(h=2, levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2)
+    return run_translation_scenario(chain)
+
+
+@pytest.fixture(scope="module")
+def translation_oversized() -> StageMaps:
+    # from q = 2 the index function is non-trivial: 34,688 shears, above
+    # AUTO_ANALYTIC_MOVE_CAP, so the stage stays exact-only
+    chain = translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
+    return run_translation_scenario(chain, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,7 @@ class TestStageMap:
     def test_exact_orbit_visits_cycle(self, circle2):
         # the atom track of the orbit steps by p mod q
         x = TorusPoint((F(1, 7), F(2, 7)))
-        h = circle2.exact_stack(1)
+        h = BlockSlideMap.compose(circle2.conjugations_exact[:1])
         start = int(h(x)[0] * 144)
         for j in (1, 2, 5):
             y = eval_stage_map(circle2, x, "exact", j, 1)
@@ -274,6 +297,7 @@ class TestStageMap:
                  F(int(rng.integers(0, 2**20)), 2**20))
             ys = eval_stage_map(circle2, [float(c) for c in x], "analytic", 1, 1)
             yr = eval_stage_map_rational(circle2, x, 1, 1)
+            assert eval_stage_map(circle2, x, "rational", 1, 1) == yr
             for a, b in zip(ys, yr):
                 d = abs(a - float(b))
                 assert min(d, 1 - d) < 1e-9
@@ -355,6 +379,21 @@ class TestCorrespondence:
         with pytest.raises(ParamOutOfRange):
             correspondence_defect(circle2, 1, "other")
 
+    def test_exact_defect_on_minimal_stack_is_refused(self, minimal1):
+        # 768 x 1048576 boxes: beyond the budget, and a typed refusal
+        with pytest.raises(ParamOutOfRange):
+            correspondence_defect(minimal1, 1, "exact")
+
+    def test_exact_defect_beyond_budget_is_refused(self, circle3):
+        # 5308416 x 4 boxes; refused before any box is visited
+        with pytest.raises(ParamOutOfRange):
+            correspondence_defect(circle3, 3, "exact")
+
+    def test_analytic_defect_needs_an_analytic_model(self, translation_oversized):
+        assert translation_oversized.conjugations_analytic[0] is None
+        with pytest.raises(ParamOutOfRange):
+            correspondence_defect(translation_oversized, 1, "analytic")
+
 
 # ---------------------------------------------------------------------------
 # Stage partitions.
@@ -433,3 +472,65 @@ class TestFrozenImages:
         got = tuple(eval_stage_map(minimal1, TorusPoint(x), "exact").coords
                     for x in _FROZEN_POINTS)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Translation and minimality scenarios end to end.
+# ---------------------------------------------------------------------------
+
+
+class TestScenarioRunners:
+    def test_translation_end_to_end(self, translation_small):
+        maps = translation_small
+        assert maps.scenario == "translation" and maps.stage_count == 1
+        assert (maps.records[1].p, maps.records[1].q) == (101, 100)
+        rep = verify_cyclic_permutation(maps, 1, "exact", samples=8, seed=1)
+        assert rep.hits == rep.samples == 8
+        assert check_stage_commutation(maps, 1, samples=8, seed=1).passed
+        part = stage_partition(maps, 1, atoms=(0, 99))
+        assert part.atoms == (0, 99) and all(len(c) == 9 for c in part.samples)
+
+    def test_translation_exact_only_stage(self, translation_oversized):
+        maps = translation_oversized
+        h, q = maps.conjugations_exact[0], maps.records[0].q
+        assert len(h.moves) == 34688 and q == 2
+        # with no analytic model, the structural verdict is the exact map's
+        assert h.commutes_with_rotation(q)
+        rep = check_stage_commutation(maps, 1, samples=1, seed=1)
+        assert rep.passed and rep.analytic_residual == 0
+
+    def test_minimal_end_to_end(self, minimal1):
+        maps = minimal1
+        assert maps.scenario == "minimal"
+        assert (maps.records[1].p, maps.records[1].q) == (193, 576)
+        rep = verify_cyclic_permutation(maps, 1, "exact", samples=4, seed=3)
+        assert rep.hits == rep.samples == 4
+        assert check_stage_commutation(maps, 1, samples=2, seed=3).passed
+        part = stage_partition(maps, 1, atoms=(0, 7, 575))
+        for label, cloud in zip(part.atoms, part.samples):
+            assert all(int(maps.apply_exact(z, 1)[0] * 576) == label for z in cloud)
+
+
+# ---------------------------------------------------------------------------
+# The conjugation protocol's box lattice.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("h", [
+    build_grid_refine(4, 3),
+    build_abc_conjugation((1, 0), 2, 2, 2),
+    # one shear read off x2 alone: its breakpoints set the row pitch
+    BlockSlideMap(2, (BlockSlideMove(0, 1, 1, sigma1_interchange(3, 4)),)),
+    minimal_stage(n=2, l=2, q=3, r=2).conjugation(),
+], ids=["grid_refine", "abc_conjugation", "single_shear", "minimal"])
+def test_box_grid_translates_boxes_rigidly(h):
+    # a box corner and an interior point of the same box move alike
+    cols, rows = h.box_grid()
+    rng = np.random.default_rng(8)
+    for g in (h, h.inverse()):
+        for _ in range(40):
+            c, r = int(rng.integers(0, cols)), int(rng.integers(0, rows))
+            corner = TorusPoint((F(c, cols), F(r, rows)))
+            inner = TorusPoint((F(4 * c + 3, 4 * cols), F(4 * r + 3, 4 * rows)))
+            shift = [(b - a) % 1 for a, b in zip(corner, g(corner))]
+            assert [(b - a) % 1 for a, b in zip(inner, g(inner))] == shift

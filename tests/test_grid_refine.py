@@ -52,6 +52,7 @@ def test_refine_preserves_coarse_blocks(l, q):
 @pytest.mark.parametrize("l,q", [(2, 3), (4, 3)])
 def test_refine_commutes_with_block_rotation(l, q):
     assert commutes_with_rotation(build_grid_refine(l, q, 2), q)
+    assert build_grid_refine(l, q, 2).commutes_with_rotation(q)
 
 
 def test_single_stage_moves_one_coordinate_pair():

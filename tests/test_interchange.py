@@ -31,6 +31,7 @@ def test_interchange_swaps_leading_column_pairs(k, q):
 def test_interchange_commutes_with_block_rotation(k, q):
     m = build_interchange(k, q, 2)
     assert commutes_with_rotation(m, q)
+    assert m.commutes_with_rotation(q)
 
 
 def test_interchange_is_rigid_on_columns():

@@ -59,6 +59,7 @@ def test_realized_map_matches_quotient():
     want = lift_quotient(list(minimal_quotient_perm(l, r)), k_hat, q_hat, l_hat)
     assert list(got) == list(want)
     assert commutes_with_rotation(m, l * q)
+    assert m.commutes_with_rotation(l * q)
 
 
 def test_rejects_bad_parameters():

@@ -41,6 +41,8 @@ def test_zero_shift_is_identity():
 def test_rearrange_commutes_with_block_rotation():
     assert commutes_with_rotation(build_rearrange(2, 0, 4, 3), 3)
     assert commutes_with_rotation(build_rearrange(1, 1, 2, 2), 2)
+    assert build_rearrange(2, 0, 4, 3).commutes_with_rotation(3)
+    assert build_rearrange(1, 1, 2, 2).commutes_with_rotation(2)
 
 
 def test_rearrange_rejects_out_of_range_shift():
@@ -98,6 +100,7 @@ def test_conjugation_properties(k, l, q):
         induced_atom_permutation(h, grid, fine)
         # (iii) equivariance under the block rotation
         assert commutes_with_rotation(h, q)
+        assert h.commutes_with_rotation(q)
 
 
 def test_conjugation_rejects_bad_index_function():

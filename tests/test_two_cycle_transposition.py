@@ -25,6 +25,7 @@ def test_two_cycle_lifts_blockwise():
     p = strip_perm(m, 4, 2, 2)
     assert format_cycles(p) == "(1 3)(5 7)(9 11)(13 15)"
     assert commutes_with_rotation(m, 2)
+    assert m.commutes_with_rotation(2)
     assert format_cycles(quotient_of(list(p), 4, 2, 2)) == "(1 3)(5 7)"
 
 
@@ -68,6 +69,7 @@ def test_transposition_lifts_blockwise():
     p = strip_perm(m, 4, 2, 2)
     assert format_cycles(p) == "(1 4)(9 12)"
     assert commutes_with_rotation(m, 2)
+    assert m.commutes_with_rotation(2)
 
 
 def test_transposition_rejects_pivot_as_target():
