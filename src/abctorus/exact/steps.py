@@ -22,8 +22,6 @@ from typing import Sequence, Tuple
 from ..errors import ParamOutOfRange
 from .points import mod1
 
-Frac = Fraction
-
 
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
