@@ -143,29 +143,28 @@ class TestCheckQCondition:
 
 
 # ---------------------------------------------------------------------------
-# Norm growth bounds: tower route against the evaluation layer's route.
+# Norm growth bounds against (height, mantissa) pins, frozen from a
+# separate mpmath evaluation of the same closed forms.
 # ---------------------------------------------------------------------------
 
 
 class TestNormBounds:
     def test_sup_increment_matches_evaluation_layer(self):
         mine = sup_increment_bound(2048, 12, F(1, 10))
-        theirs = analytic.sup_norm_bound(2048, 12, F(1, 10))
-        assert mine.height == theirs.height
-        assert abs(mine.mantissa - theirs.mantissa) < 1e-12
+        assert mine.height == 5
+        assert abs(mine.mantissa - mpmath.mpf("1.0002469954128252701915927488")) < 1e-12
 
     def test_lip_increment_matches_evaluation_layer(self):
         mine = lip_increment_bound(2048, 12, 4, F(1, 10))
-        theirs = analytic.lipschitz_norm_bound(2048, 12, 4, F(1, 10))
-        assert mine.height == theirs.height
-        assert abs(mine.mantissa - theirs.mantissa) < 1e-12
+        assert mine.height == 5
+        assert abs(mine.mantissa - mpmath.mpf("1.0002469997756118355859826603")) < 1e-12
 
     def test_rho_prime_exceeds_rho_and_matches_sum(self):
         rp = rho_prime_bound(F(1, 10), 2048)
         assert rp > TowerReal(0, F(1, 10))
-        explicit = TowerReal(0, F(1, 10)) + analytic.sup_norm_bound(2048, 1, F(1, 10))
-        assert rp.height == explicit.height
-        assert abs(rp.mantissa - explicit.mantissa) < 1e-12
+        # rho + sup bound of one shear with N = 1
+        assert rp.height == 4
+        assert abs(rp.mantissa - mpmath.mpf("2.1105910756135995454942002355")) < 1e-12
 
     def test_rho_prime_accepts_deep_towers(self):
         deep = tower(5, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abctorus.errors import ParamOutOfRange
+from abctorus.errors import InvalidIndexFunction, ParamOutOfRange
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.points import TorusPoint
 
@@ -90,7 +90,10 @@ def test_grid_min_layout():
 def test_atom_box_roundtrip():
     for part in [
         PartitionSpec.blocks(5, 2),
+        PartitionSpec.circle(7),
         PartitionSpec.grid(2, 3, 2),
+        PartitionSpec.grid_stage(2, 2, 3, 3),
+        PartitionSpec.grid_stage(3, 2, 1, 3),
         PartitionSpec.strips(4, 2, 3),
         PartitionSpec.grid_min(2, 1, 2),
     ]:
@@ -115,9 +118,13 @@ def test_tower_has_no_boxes():
 def test_grid_index_matches_vectorised_indexer():
     for part in [
         PartitionSpec.blocks(3, 2),
+        PartitionSpec.circle(5),
         PartitionSpec.grid(2, 2, 2),
+        PartitionSpec.grid_stage(2, 2, 3, 3),
+        PartitionSpec.grid_stage(3, 2, 1, 3),
         PartitionSpec.tower((1, 0), 2, 2, 2),
         PartitionSpec.strips(4, 1, 2),
+        PartitionSpec.grid_min(2, 1, 2),
     ]:
         M = part.boundary_denominator_lcm() * 4
         rng = np.random.default_rng(11)
@@ -129,6 +136,33 @@ def test_grid_index_matches_vectorised_indexer():
 
 
 def test_boundary_denominator_lcm():
-    assert PartitionSpec.blocks(6, 2).boundary_denominator_lcm() % 6 == 0
-    assert PartitionSpec.grid(2, 3, 2).boundary_denominator_lcm() % 6 == 0
-    assert PartitionSpec.strips(4, 3, 5).boundary_denominator_lcm() % 60 == 0
+    assert PartitionSpec.blocks(6, 2).boundary_denominator_lcm() == 6
+    assert PartitionSpec.circle(7).boundary_denominator_lcm() == 7
+    assert PartitionSpec.grid(2, 3, 2).boundary_denominator_lcm() == 6
+    assert PartitionSpec.grid_stage(2, 2, 3, 3).boundary_denominator_lcm() == 12
+    assert PartitionSpec.tower((0, 1), 2, 3, 2).boundary_denominator_lcm() == 6
+    assert PartitionSpec.strips(4, 3, 5).boundary_denominator_lcm() == 60
+    assert PartitionSpec.grid_min(2, 1, 3).boundary_denominator_lcm() == 24  # lcm(8, 6)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: PartitionSpec.blocks(0), ParamOutOfRange),
+        (lambda: PartitionSpec.circle(0), ParamOutOfRange),
+        (lambda: PartitionSpec.grid(0, 3), ParamOutOfRange),
+        (lambda: PartitionSpec.grid(2, 0), ParamOutOfRange),
+        (lambda: PartitionSpec.grid_stage(0, 2, 3), ParamOutOfRange),
+        (lambda: PartitionSpec.grid_stage(3, 2, 3, 2), ParamOutOfRange),
+        (lambda: PartitionSpec.grid_stage(1, 0, 3), ParamOutOfRange),
+        (lambda: PartitionSpec.tower((0,), 2, 3), InvalidIndexFunction),
+        (lambda: PartitionSpec.tower((0, 3), 2, 3), InvalidIndexFunction),
+        (lambda: PartitionSpec.strips(0, 1, 1), ParamOutOfRange),
+        (lambda: PartitionSpec.strips(1, 1, 0), ParamOutOfRange),
+        (lambda: PartitionSpec.grid_min(1, 1, 1), ParamOutOfRange),
+        (lambda: PartitionSpec.grid_min(2, 1, 0), ParamOutOfRange),
+    ],
+)
+def test_constructors_refuse_bad_input(build, error):
+    with pytest.raises(error):
+        build()
