@@ -35,7 +35,8 @@ Everything here evaluates in ordinary floats with saturating envelopes:
 ``exp(-exp(y))`` is monotone in ``y``, so clamping ``y`` to the IEEE
 exponent range changes the value by less than 1e-300. Supremum and
 Lipschitz bounds on complex strips grow doubly exponentially in the
-strip width and are therefore reported as `TowerReal` values.
+strip width; they live in tower arithmetic in `bounds`
+(`bounds.sup_increment_bound`, `bounds.lip_increment_bound`).
 """
 
 from __future__ import annotations
@@ -51,23 +52,16 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from mpmath import mp
 
-from .bounds import DEFAULT_LIP_CONSTANT
 from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
 from .exact.points import TorusPoint, mod1
 from .exact.steps import StepFunction
-from .towers import TowerReal, WORK_PREC
+from .towers import WORK_PREC, exact_mpf
 
 # exp() overflows IEEE doubles just past 709.78; the envelope
 # exp(-exp(y)) is flat to <1e-300 beyond |y| = 709.
 _CLAMP = 709.0
 _TWO_PI = 2.0 * math.pi
-
-
-def _mpf_of(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +77,8 @@ def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
     """
     _check_profile_params(l, eps, delta)
     with mp.workprec(WORK_PREC):
-        e = _mpf_of(eps)
-        d = _mpf_of(delta)
+        e = exact_mpf(eps)
+        d = exact_mpf(delta)
         scale = 2 * l / (mp.pi * d)
         a1 = -scale * mp.log(-mp.log1p(-e / 8))
         a2 = scale * mp.log(-mp.log(e / (2 * l)))
@@ -95,7 +89,7 @@ def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:
     """True if A strictly satisfies both amplitude conditions."""
     a1, a2 = amplitude_lower_bounds(l, eps, delta)
     with mp.workprec(WORK_PREC):
-        a = _mpf_of(A)
+        a = exact_mpf(A)
         return a > a1 and a > a2
 
 
@@ -295,8 +289,8 @@ class EntireStep:
         of size up to A*sinh(2 pi N |Im z|) off the real axis; once that
         excursion passes the IEEE exponent range the doubly exponential
         envelopes leave the float range somewhere on the line and the
-        symbolic strip bounds (norm_bounds) must be used instead, which
-        is signalled by RangeOverflow.
+        symbolic strip bound `bounds.sup_increment_bound` must be used
+        instead, which is signalled by RangeOverflow.
         """
         z = complex(z)
         if z.imag == 0.0:
@@ -404,54 +398,6 @@ def proximity_sweep(
         x = Fraction(2 * j + 1, 2 * samples)
         rows.append((x, target(x), float(s(float(x))), int(collars.contains(x))))
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# Strip bounds (tower-valued).
-# ---------------------------------------------------------------------------
-
-
-def sup_norm_bound(A, N: int, rho) -> TowerReal:
-    """Supremum bound 2 pi N A exp(2 e^X + X + 2 pi N rho), X = A e^(2 pi N rho),
-    for the entire step on the complex strip |Im z| <= rho."""
-    if rho < 0:
-        raise ParamOutOfRange(f"strip width rho must be >= 0, got {rho}")
-    with mp.workprec(WORK_PREC):
-        b = 2 * mp.pi * N * _mpf_of(rho)
-        X = TowerReal.from_number(A) * TowerReal(1, b)
-        expo = X.exp() * 2 + X
-        if b != 0:
-            expo = expo + TowerReal.from_number(b)
-        return TowerReal.from_number(2 * mp.pi * N) * TowerReal.from_number(A) * expo.exp()
-
-
-def lipschitz_norm_bound(
-    A, N: int, l: int, rho, lip_constant: float = DEFAULT_LIP_CONSTANT
-) -> TowerReal:
-    """Lipschitz bound C A l N exp(4 e^X), X = A e^(2 pi N rho), on the
-    same strip; C defaults to 6 pi and is a configurable knob."""
-    if rho < 0:
-        raise ParamOutOfRange(f"strip width rho must be >= 0, got {rho}")
-    with mp.workprec(WORK_PREC):
-        b = 2 * mp.pi * N * _mpf_of(rho)
-        X = TowerReal.from_number(A) * TowerReal(1, b)
-        return (
-            TowerReal.from_number(lip_constant)
-            * TowerReal.from_number(A)
-            * TowerReal.from_number(l * N)
-            * (X.exp() * 4).exp()
-        )
-
-
-def norm_bounds(
-    s: EntireStep, rho, lip_constant: float = DEFAULT_LIP_CONSTANT
-) -> Tuple[TowerReal, TowerReal]:
-    """(sup bound, Lipschitz bound) of the entire step on the strip of
-    half-width rho, as tower-arithmetic values."""
-    return (
-        sup_norm_bound(s.A, s.N, rho),
-        lipschitz_norm_bound(s.A, s.N, s.l, rho, lip_constant),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +599,6 @@ def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:
 
 
 __all__ = [
-    "DEFAULT_LIP_CONSTANT",
     "AnalyticBlockSlide",
     "AnalyticMove",
     "EntireStep",
@@ -663,12 +608,9 @@ __all__ = [
     "approximate_blockslide",
     "choose_amplitude",
     "error_set",
-    "lipschitz_norm_bound",
-    "norm_bounds",
     "proximity_sweep",
     "step_to_plateau",
     "stage_delta",
     "stage_epsilon",
-    "sup_norm_bound",
     "verify_proximity",
 ]

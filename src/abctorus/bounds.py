@@ -80,7 +80,7 @@ from .errors import (
     ParamOutOfRange,
     SearchExhausted,
 )
-from .towers import TowerReal, tower_max
+from .towers import WORK_PREC, TowerReal, exact_mpf, tower_max
 
 Number = Union[int, float, Fraction, TowerReal]
 
@@ -98,19 +98,15 @@ DEFAULT_LIP_CONSTANT = 6.0 * math.pi
 #: while they have at most this many decimal digits.
 LITERAL_DIGIT_LIMIT = 10**4
 
-_TWO_PI = 2.0 * math.pi
+# 2 pi to tower precision; a float 2 pi sits 2.45e-16 below it, which
+# would pull every upper bound built from it below the true value.
+with mp.workprec(WORK_PREC):
+    _TWO_PI = TowerReal(0, 2 * mp.pi)
 
 
 # ---------------------------------------------------------------------------
 # Directed numeric helpers (200-bit, outward rounding by a safe margin).
 # ---------------------------------------------------------------------------
-
-
-def _exact_mpf(x) -> mpmath.mpf:
-    """x as an mpf at the current precision; Fractions via exact division."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 def _nudge_up(x: mpmath.mpf) -> mpmath.mpf:
@@ -210,11 +206,11 @@ def check_amplitude(A: Number, l: int, eps, delta) -> bool:
         a_val = None
     with mp.workprec(CHECK_PREC):
         if a_val is None:
-            a_val = _exact_mpf(A)
+            a_val = exact_mpf(A)
         if a_val <= 0:
             return False
-        e = _exact_mpf(eps)
-        d = _exact_mpf(delta)
+        e = exact_mpf(eps)
+        d = exact_mpf(delta)
         scale = 2 * l / (mp.pi * d)
         t1 = -scale * mp.log(-mp.log1p(-e / 8))
         t2 = scale * mp.log(-mp.log(e / (2 * l)))
@@ -260,39 +256,50 @@ def check_q_condition(q_n: Number, l_n: Number, n: int, C: float = DEFAULT_LIP_C
 # ---------------------------------------------------------------------------
 
 
+def _strip_phase(rho: Number, n_t: TowerReal) -> TowerReal:
+    """The phase 2 pi N rho of a strip of width rho >= 0 (0 for rho = 0)."""
+    r_t = TowerReal.from_number(rho)
+    if r_t.height == 0 and r_t.mantissa == 0:
+        return r_t
+    if not r_t.is_positive():
+        raise ParamOutOfRange("width must be non-negative")
+    return _product(r_t, n_t, _TWO_PI)
+
+
 def sup_increment_bound(A: Number, N: Number, rho: Number) -> TowerReal:
     """Tower bound 2 pi N A exp(2 exp(X) + X + 2 pi N rho), X = A exp(2 pi N rho).
 
     Majorates the supremum of one entire shear profile with amplitude A and
-    frequency multiplier N on the strip of width rho.  Unlike the float
+    frequency multiplier N on the strip |Im z| <= rho.  Unlike the float
     evaluation route, the inputs may be towers of any height.
     """
     a_t = TowerReal.from_number(A)
     n_t = TowerReal.from_number(N)
-    r_t = TowerReal.from_number(rho)
-    for name, t in (("amplitude", a_t), ("frequency", n_t), ("width", r_t)):
+    for name, t in (("amplitude", a_t), ("frequency", n_t)):
         if not t.is_positive():
             raise ParamOutOfRange(f"{name} must be positive")
-    phase = _product(r_t, n_t, _TWO_PI)
+    phase = _strip_phase(rho, n_t)
     x = _product(phase.exp(), a_t)
-    expo = _product(x.exp(), 2) + x + phase
+    expo = _product(x.exp(), 2) + x
+    if phase.is_positive():
+        # a zero summand next to a deep tower has no log-space form
+        expo = expo + phase
     return _product(expo.exp(), n_t, a_t, _TWO_PI)
 
 
 def lip_increment_bound(A: Number, N: Number, l: Number, rho: Number,
                         C: float = DEFAULT_LIP_CONSTANT) -> TowerReal:
-    """Tower bound C A l N exp(4 exp(X)), X = A exp(2 pi N rho)."""
+    """Tower bound C A l N exp(4 exp(X)), X = A exp(2 pi N rho), on the
+    strip |Im z| <= rho; C defaults to 6 pi and is a configurable knob."""
     a_t = TowerReal.from_number(A)
     n_t = TowerReal.from_number(N)
     l_t = TowerReal.from_number(l)
-    r_t = TowerReal.from_number(rho)
     if C <= 0:
         raise ParamOutOfRange(f"Lipschitz constant must be > 0, got {C}")
-    for name, t in (("amplitude", a_t), ("frequency", n_t),
-                    ("grid size", l_t), ("width", r_t)):
+    for name, t in (("amplitude", a_t), ("frequency", n_t), ("grid size", l_t)):
         if not t.is_positive():
             raise ParamOutOfRange(f"{name} must be positive")
-    x = _product(_product(r_t, n_t, _TWO_PI).exp(), a_t)
+    x = _product(_strip_phase(rho, n_t).exp(), a_t)
     return _product(_product(x.exp(), 4).exp(), a_t, l_t, n_t, C)
 
 
@@ -382,7 +389,7 @@ class GapBound:
         if self.neglog is not None:
             return self.neglog
         with mp.workprec(CHECK_PREC):
-            val = -mp.log(_exact_mpf(self.literal))
+            val = -mp.log(exact_mpf(self.literal))
             return TowerReal(0, _nudge_down(val))
 
     def below_exp_neg(self, threshold: Number) -> bool:
@@ -783,7 +790,7 @@ def liouville_verify(recipe: LiouvilleRecipe, k: int, level: int) -> bool:
     threshold = _k_power_upper(k, lv).exp()
     if lv.tail is not None:
         with mp.workprec(CHECK_PREC):
-            neglog = TowerReal(0, _nudge_down(-mp.log(_exact_mpf(lv.tail))))
+            neglog = TowerReal(0, _nudge_down(-mp.log(exact_mpf(lv.tail))))
     else:
         neglog = lv.tail_neglog
     return _sound_greater(neglog, threshold)

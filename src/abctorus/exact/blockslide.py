@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -23,10 +23,6 @@ import numpy as np
 from ..errors import ParamOutOfRange
 from .points import TorusPoint, mod1
 from .steps import StepFunction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass(frozen=True)
@@ -117,9 +113,9 @@ class BlockSlideMap:
         """
         L = 1
         for m in self.moves:
-            L = _lcm(L, m.step.denominator_lcm())
+            L = lcm(L, m.step.denominator_lcm())
         for e in extra:
-            L = _lcm(L, int(e))
+            L = lcm(L, int(e))
         return L
 
     def compiled(self, L: int) -> "CompiledMap":
@@ -149,18 +145,18 @@ class BlockSlideMap:
         for mv in self.moves:
             bp = mv.step.period.denominator
             for b in mv.step.breakpoints:
-                bp = _lcm(bp, b.denominator)
+                bp = lcm(bp, b.denominator)
             val = 1
             for v in mv.step.values:
-                val = _lcm(val, v.denominator)
+                val = lcm(val, v.denominator)
             if mv.target == 0:
-                cols = _lcm(cols, val)
+                cols = lcm(cols, val)
             else:
-                rows = _lcm(rows, val)
+                rows = lcm(rows, val)
             if mv.source == 0:
-                cols = _lcm(cols, bp)
+                cols = lcm(cols, bp)
             else:
-                rows = _lcm(rows, bp)
+                rows = lcm(rows, bp)
         return cols, rows
 
 

@@ -23,7 +23,7 @@ Both methods are exact integer computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -33,10 +33,6 @@ from .blockslide import BlockSlideMap, rotation_map
 from .partitions import PartitionSpec
 
 _GRID_POINT_BUDGET = 2_000_000
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def full_lattice(dim: int, M: int) -> "np.ndarray":
@@ -111,9 +107,7 @@ def induced_atom_permutation(
     return perm
 
 
-def commutes_with_rotation(
-    m: BlockSlideMap, q: int, method: str = "auto"
-) -> bool:
+def commutes_with_rotation(m: BlockSlideMap, q: int) -> bool:
     """Check m o phi^{1/q} == phi^{1/q} o m, structurally and on the lattice.
 
     The structural part verifies that every move reading the first
@@ -124,7 +118,7 @@ def commutes_with_rotation(
     """
     structural = m.commutes_with_rotation(q)
     phi = rotation_map(Fraction(1, q), m.dim)
-    L = _lcm(m.denominator_lcm(), q)
+    L = lcm(m.denominator_lcm(), q)
     M = L if L**m.dim > _GRID_POINT_BUDGET else 4 * L
     if M**m.dim > 64 * _GRID_POINT_BUDGET:
         raise ParamOutOfRange("lattice beyond the exact-oracle budget")

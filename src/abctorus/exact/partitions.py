@@ -1,35 +1,39 @@
 """Named rational partitions of the torus and exact atom indexing.
 
-Each `PartitionSpec` describes one of the partition families used by the
-constructions, provides an exact point -> atom index map (both scalar
-Fraction and vectorized integer-lattice versions) and knows the lcm of
-the denominators of its atom boundaries.
+Every partition the constructions use has one of two shapes:
 
-Index layouts (documented so permutations are reproducible):
-
-- kind "T", params (q,): vertical blocks [i/q, (i+1)/q) x T^{d-1};
-  index = i.
-- kind "C", params (q,): same cells read as a circle partition (alias
-  of "T" for dimension-1 data embedded in d >= 1).
-- kind "G", params (l, q): [i1/(lq), ...) x prod_j [i_j/l, ...);
-  index = i1 * l^(d-1) + i2 * l^(d-2) + ... + i_d.
-- kind "Gj", params (j, l, q): x1 at pitch 1/(l^j q), the next d-j
-  coordinates at pitch 1/l, the last j-1 coordinates free; mixed-radix
-  index with x1 most significant.
-- kind "R", params (a, k, q): atom m is the union over residues
-  i in [0,k) of the columns [c/(kq), (c+1)/(kq)) x T^{d-1} with
+- a product grid: `counts[c]` equal cells along coordinate c (1 means
+  the coordinate is free); atom index is mixed-radix over the axes with
+  more than one cell, x1 most significant;
+- a tower R_{a,k,q}: `counts = (k q, 1, ...)` together with the index
+  function `a` of length k; atom m is the union over residues i in [0, k)
+  of the columns [c/(kq), (c+1)/(kq)) x T^{d-1} with
   c = a(i)*k + i + m*k (mod kq); index = m.
-- kind "S", params (k, q, l): d = 2 cells [i/(kq), ...) x [j/l, ...);
+
+Each `PartitionSpec` provides an exact point -> atom index map (both
+scalar Fraction and vectorized integer-lattice versions) and knows the
+lcm of the denominators of its atom boundaries.
+
+Grid layouts of the named constructors (documented so permutations are
+reproducible):
+
+- `blocks(q, d)`: vertical blocks [i/q, (i+1)/q) x T^{d-1}; index = i.
+  `circle(q)` is the same with d = 1.
+- `grid_stage(j, l, q, d)`: x1 at pitch 1/(l^j q), the next d-j
+  coordinates at pitch 1/l, the last j-1 coordinates free.
+  `grid(l, q, d)` is stage j = 1:
+  index = i1 * l^(d-1) + i2 * l^(d-2) + ... + i_d.
+- `strips(k, q, l)`: d = 2 cells [i/(kq), ...) x [j/l, ...);
   index = i * l + j.
-- kind "GridMin", params (l, q, r): d = 2 cells at pitches 1/(l^3 q)
-  horizontally and 1/(l r) vertically; index = col * (l r) + row.
+- `grid_min(l, q, r)`: d = 2 cells at pitches 1/(l^3 q) horizontally and
+  1/(l r) vertically; index = col * (l r) + row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 from typing import Optional, Tuple
 
 import numpy as np
@@ -38,15 +42,10 @@ from ..errors import InvalidIndexFunction, ParamOutOfRange
 from .points import TorusPoint
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
-    kind: str
-    params: Tuple
-    dim: int = 2
+    counts: Tuple[int, ...]
+    a: Optional[Tuple[int, ...]] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -54,19 +53,17 @@ class PartitionSpec:
     def blocks(q: int, dim: int = 2) -> "PartitionSpec":
         if q < 1:
             raise ParamOutOfRange("q must be >= 1")
-        return PartitionSpec("T", (q,), dim)
+        if dim < 1:
+            raise ParamOutOfRange("dim must be >= 1")
+        return PartitionSpec((q,) + (1,) * (dim - 1))
 
     @staticmethod
     def circle(q: int) -> "PartitionSpec":
-        if q < 1:
-            raise ParamOutOfRange("q must be >= 1")
-        return PartitionSpec("C", (q,), 1)
+        return PartitionSpec.blocks(q, 1)
 
     @staticmethod
     def grid(l: int, q: int, dim: int = 2) -> "PartitionSpec":
-        if l < 1 or q < 1:
-            raise ParamOutOfRange("need l, q >= 1")
-        return PartitionSpec("G", (l, q), dim)
+        return PartitionSpec.grid_stage(1, l, q, dim)
 
     @staticmethod
     def grid_stage(j: int, l: int, q: int, dim: int = 2) -> "PartitionSpec":
@@ -74,7 +71,7 @@ class PartitionSpec:
             raise ParamOutOfRange("need 1 <= j <= dim")
         if l < 1 or q < 1:
             raise ParamOutOfRange("need l, q >= 1")
-        return PartitionSpec("Gj", (j, l, q), dim)
+        return PartitionSpec((l**j * q,) + (l,) * (dim - j) + (1,) * (j - 1))
 
     @staticmethod
     def tower(a: Tuple[int, ...], k: int, q: int, dim: int = 2) -> "PartitionSpec":
@@ -83,186 +80,90 @@ class PartitionSpec:
             raise InvalidIndexFunction(f"index function has length {len(a)}, expected k={k}")
         if any(not (0 <= v < q) for v in a):
             raise InvalidIndexFunction("index function values must lie in [0, q)")
-        return PartitionSpec("R", (a, k, q), dim)
+        if k < 1 or dim < 1:
+            raise ParamOutOfRange("need k, dim >= 1")
+        return PartitionSpec((k * q,) + (1,) * (dim - 1), a)
 
     @staticmethod
     def strips(k: int, q: int, l: int) -> "PartitionSpec":
         if k < 1 or q < 1 or l < 1:
             raise ParamOutOfRange("need k, q, l >= 1")
-        return PartitionSpec("S", (k, q, l), 2)
+        return PartitionSpec((k * q, l))
 
     @staticmethod
     def grid_min(l: int, q: int, r: int) -> "PartitionSpec":
         if l < 2 or q < 1 or r < 1:
             raise ParamOutOfRange("need l >= 2, q >= 1, r >= 1")
-        return PartitionSpec("GridMin", (l, q, r), 2)
+        return PartitionSpec((l**3 * q, l * r))
 
     # -- basic data ----------------------------------------------------------
 
     @property
+    def dim(self) -> int:
+        return len(self.counts)
+
+    @property
     def atom_count(self) -> int:
-        kind, p, d = self.kind, self.params, self.dim
-        if kind in ("T", "C"):
-            return p[0]
-        if kind == "G":
-            l, q = p
-            return l * q * l ** (d - 1)
-        if kind == "Gj":
-            j, l, q = p
-            return l**j * q * l ** (d - j)
-        if kind == "R":
-            return p[2]
-        if kind == "S":
-            k, q, l = p
-            return k * q * l
-        if kind == "GridMin":
-            l, q, r = p
-            return l**3 * q * l * r
-        raise ParamOutOfRange(f"unknown partition kind {kind!r}")
+        if self.a is not None:
+            return self.counts[0] // len(self.a)
+        return prod(self.counts)
 
     def boundary_denominator_lcm(self) -> int:
-        kind, p, d = self.kind, self.params, self.dim
-        if kind in ("T", "C"):
-            return p[0]
-        if kind == "G":
-            l, q = p
-            return _lcm(l * q, l)
-        if kind == "Gj":
-            j, l, q = p
-            return _lcm(l**j * q, l)
-        if kind == "R":
-            _, k, q = p
-            return k * q
-        if kind == "S":
-            k, q, l = p
-            return _lcm(k * q, l)
-        if kind == "GridMin":
-            l, q, r = p
-            return _lcm(l**3 * q, l * r)
-        raise ParamOutOfRange(f"unknown partition kind {kind!r}")
+        return lcm(*self.counts)
 
     # -- exact indexing ------------------------------------------------------
 
     def atom_index(self, x: TorusPoint) -> int:
-        kind, p, d = self.kind, self.params, self.dim
-        if x.dim != d:
-            raise ParamOutOfRange(f"point dim {x.dim} != partition dim {d}")
-        if kind in ("T", "C"):
-            (q,) = p
-            return int(x[0] * q)
-        if kind == "G":
-            l, q = p
-            idx = int(x[0] * l * q)
-            for j in range(1, d):
-                idx = idx * l + int(x[j] * l)
-            return idx
-        if kind == "Gj":
-            j, l, q = p
-            idx = int(x[0] * l**j * q)
-            for c in range(1, d - j + 1):
-                idx = idx * l + int(x[c] * l)
-            return idx
-        if kind == "R":
-            a, k, q = p
-            c = int(x[0] * k * q)
-            i, b = c % k, c // k
-            return (b - a[i]) % q
-        if kind == "S":
-            k, q, l = p
-            return int(x[0] * k * q) * l + int(x[1] * l)
-        if kind == "GridMin":
-            l, q, r = p
-            return int(x[0] * l**3 * q) * (l * r) + int(x[1] * l * r)
-        raise ParamOutOfRange(f"unknown partition kind {kind!r}")
+        counts = self.counts
+        if x.dim != len(counts):
+            raise ParamOutOfRange(f"point dim {x.dim} != partition dim {len(counts)}")
+        idx = int(x[0] * counts[0])
+        if self.a is not None:
+            k = len(self.a)
+            return (idx // k - self.a[idx % k]) % (counts[0] // k)
+        for xc, n in zip(x.coords[1:], counts[1:]):
+            if n > 1:
+                idx = idx * n + int(xc * n)
+        return idx
 
     def atom_index_grid(self, pts: "np.ndarray", M: int) -> "np.ndarray":
         """Vectorized atom indices for integer lattice points (dim, n) mod M."""
-        kind, p, d = self.kind, self.params, self.dim
-        if kind in ("T", "C"):
-            (q,) = p
-            return pts[0] * q // M
-        if kind == "G":
-            l, q = p
-            idx = pts[0] * (l * q) // M
-            for j in range(1, d):
-                idx = idx * l + pts[j] * l // M
-            return idx
-        if kind == "Gj":
-            j, l, q = p
-            idx = pts[0] * (l**j * q) // M
-            for c in range(1, d - j + 1):
-                idx = idx * l + pts[c] * l // M
-            return idx
-        if kind == "R":
-            a, k, q = p
-            c = pts[0] * (k * q) // M
-            lut = np.array(a, dtype=np.int64)
-            return (c // k - lut[c % k]) % q
-        if kind == "S":
-            k, q, l = p
-            return (pts[0] * (k * q) // M) * l + pts[1] * l // M
-        if kind == "GridMin":
-            l, q, r = p
-            return (pts[0] * (l**3 * q) // M) * (l * r) + pts[1] * (l * r) // M
-        raise ParamOutOfRange(f"unknown partition kind {kind!r}")
+        n = self.counts[0]
+        idx = pts[0] * n // M
+        if self.a is not None:
+            k = len(self.a)
+            lut = np.array(self.a, dtype=np.int64)
+            return (idx // k - lut[idx % k]) % (n // k)
+        # axes with one cell add nothing; skipping them keeps the block
+        # partitions at a single array expression on large lattices
+        for row, n in zip(pts[1:], self.counts[1:]):
+            if n > 1:
+                idx = idx * n + row * n // M
+        return idx
 
     # -- geometry helpers ----------------------------------------------------
 
     def atom_box(self, index: int) -> Tuple[Optional[Tuple[Fraction, Fraction]], ...]:
-        """Bounding box of a box-shaped atom: per coordinate either
-        (lo, hi) or None for a full free coordinate. Raises for the
-        non-box kind "R"."""
-        kind, p, d = self.kind, self.params, self.dim
+        """Bounding box of a grid atom: per coordinate either (lo, hi) or
+        None for a coordinate with a single cell. Raises for towers,
+        whose atoms are not boxes."""
+        if self.a is not None:
+            raise ParamOutOfRange("tower atoms are not boxes")
         if not (0 <= index < self.atom_count):
             raise ParamOutOfRange("atom index out of range")
-        if kind in ("T", "C"):
-            (q,) = p
-            box = [(Fraction(index, q), Fraction(index + 1, q))]
-            box += [None] * (d - 1)
-            return tuple(box)
-        if kind == "G":
-            l, q = p
-            digits = []
-            rest = index
-            for _ in range(d - 1):
-                rest, dig = divmod(rest, l)
-                digits.append(dig)
-            digits.reverse()
-            box = [(Fraction(rest, l * q), Fraction(rest + 1, l * q))]
-            box += [(Fraction(dig, l), Fraction(dig + 1, l)) for dig in digits]
-            return tuple(box)
-        if kind == "Gj":
-            j, l, q = p
-            digits = []
-            rest = index
-            for _ in range(d - j):
-                rest, dig = divmod(rest, l)
-                digits.append(dig)
-            digits.reverse()
-            box = [(Fraction(rest, l**j * q), Fraction(rest + 1, l**j * q))]
-            box += [(Fraction(dig, l), Fraction(dig + 1, l)) for dig in digits]
-            box += [None] * (j - 1)
-            return tuple(box)
-        if kind == "S":
-            k, q, l = p
-            i, jrow = divmod(index, l)
-            return (
-                (Fraction(i, k * q), Fraction(i + 1, k * q)),
-                (Fraction(jrow, l), Fraction(jrow + 1, l)),
-            )
-        if kind == "GridMin":
-            l, q, r = p
-            col, row = divmod(index, l * r)
-            return (
-                (Fraction(col, l**3 * q), Fraction(col + 1, l**3 * q)),
-                (Fraction(row, l * r), Fraction(row + 1, l * r)),
-            )
-        raise ParamOutOfRange(f"atoms of kind {self.kind!r} are not boxes")
+        box = []
+        for n in reversed(self.counts):
+            if n == 1:
+                box.append(None)
+            else:
+                index, cell = divmod(index, n)
+                box.append((Fraction(cell, n), Fraction(cell + 1, n)))
+        return tuple(reversed(box))
 
     def tower_columns(self, index: int) -> Tuple[int, ...]:
-        """For kind "R": the sorted fine-column indices (at pitch 1/(kq))
+        """For a tower: the sorted fine-column indices (at pitch 1/(kq))
         making up atom `index`."""
-        if self.kind != "R":
-            raise ParamOutOfRange("tower_columns only applies to kind 'R'")
-        a, k, q = self.params
-        return tuple(sorted((a[i] * k + i + index * k) % (k * q) for i in range(k)))
+        if self.a is None:
+            raise ParamOutOfRange("tower_columns only applies to towers")
+        k, n = len(self.a), self.counts[0]
+        return tuple(sorted((v * k + i + index * k) % n for i, v in enumerate(self.a)))

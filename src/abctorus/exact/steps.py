@@ -7,7 +7,7 @@ the only one-dimensional objects the exact maps are made of: every shear
 adds (a multiple of) a step function of one coordinate to another.
 
 The module also provides the named step functions used by the torus
-builders: the four interchange profiles, the band/transposition profiles,
+builders: the four interchange profiles, the top-band profile,
 the three grid-refinement profiles and the trapping staircase.
 """
 
@@ -16,15 +16,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence, Tuple
 
 from ..errors import ParamOutOfRange
 from .points import mod1
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,9 @@ class StepFunction:
         # denominator.
         L = self.period.denominator
         for b in self.breakpoints:
-            L = _lcm(L, b.denominator)
+            L = lcm(L, b.denominator)
         for v in self.values:
-            L = _lcm(L, v.denominator)
+            L = lcm(L, v.denominator)
         return L
 
     def is_periodic_with(self, p: Fraction) -> bool:
@@ -110,9 +106,9 @@ class StepFunction:
 # ---------------------------------------------------------------------------
 
 
-def _check_kq(k: int, q: int, k_min: int = 2):
-    if k < k_min:
-        raise ParamOutOfRange(f"k must be >= {k_min}, got {k}")
+def _check_kq(k: int, q: int):
+    if k < 2:
+        raise ParamOutOfRange(f"k must be >= 2, got {k}")
     if q < 1:
         raise ParamOutOfRange(f"q must be >= 1, got {q}")
 
@@ -165,32 +161,6 @@ def sigma4_band(k: int, q: int, l: int) -> StepFunction:
     return StepFunction.from_pieces(
         1, [(0, 0), (Fraction(l - 1, l), Fraction(2, k * q))]
     )
-
-
-def sigma5_transposition(k: int, q: int, l: int) -> StepFunction:
-    """2/(kq) on the single 1/(2l) band [(2l-2)/(2l), (2l-1)/(2l)), else 0."""
-    _check_kq(k, q)
-    if l < 1:
-        raise ParamOutOfRange(f"l must be >= 1, got {l}")
-    return StepFunction.from_pieces(
-        1,
-        [
-            (0, 0),
-            (Fraction(2 * l - 2, 2 * l), Fraction(2, k * q)),
-            (Fraction(2 * l - 1, 2 * l), 0),
-        ],
-    )
-
-
-def sigma6_transposition(k: int, q: int, l: int) -> StepFunction:
-    """1/(2l) on {t : frac(q t) in [2/k, 4/k)}, else 0; 1/q-periodic."""
-    _check_kq(k, q, k_min=4)
-    if l < 1:
-        raise ParamOutOfRange(f"l must be >= 1, got {l}")
-    pieces = [(Fraction(0), Fraction(0)), (Fraction(2, k * q), Fraction(1, 2 * l))]
-    if k > 4:
-        pieces.append((Fraction(4, k * q), Fraction(0)))
-    return StepFunction.from_pieces(Fraction(1, q), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +269,6 @@ __all__ = [
     "sigma3_interchange",
     "sigma4_rearrange",
     "sigma4_band",
-    "sigma5_transposition",
-    "sigma6_transposition",
     "psi1_refine",
     "psi2_refine",
     "psi3_refine",

@@ -46,7 +46,9 @@ _ABSORB_LOG_GAP = WORK_PREC * mpmath.log(2) + 1
 Number = Union[int, float, Fraction, "TowerReal"]
 
 
-def _to_mpf(x) -> mpmath.mpf:
+def exact_mpf(x) -> mpmath.mpf:
+    """x as an mpf at the current precision; Fractions via one rounded
+    division of their exact numerator and denominator."""
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
@@ -62,7 +64,7 @@ class TowerReal:
             raise ParamOutOfRange("tower height must be non-negative")
         with mp.workprec(WORK_PREC):
             h = int(height)
-            m = _to_mpf(mantissa)
+            m = exact_mpf(mantissa)
             if mpmath.isnan(m) or mpmath.isinf(m):
                 raise ParamOutOfRange("tower mantissa must be finite")
             # climb up while the mantissa is at or above e
@@ -165,12 +167,6 @@ class TowerReal:
             raise ParamOutOfRange("ln of a non-positive tower value")
         with mp.workprec(WORK_PREC):
             return TowerReal(0, mpmath.ln(self.mantissa))
-
-    def iterated_ln(self, depth: int) -> "TowerReal":
-        t = self
-        for _ in range(depth):
-            t = t.ln()
-        return t
 
     # -- addition -----------------------------------------------------------
 
@@ -278,6 +274,7 @@ def tower_max(a: Number, b: Number) -> TowerReal:
 __all__ = [
     "TowerReal",
     "WORK_PREC",
+    "exact_mpf",
     "tower",
     "tower_compare",
     "tower_max",

@@ -7,7 +7,6 @@ import pytest
 from mpmath import mp
 
 from abctorus.analytic import (
-    DEFAULT_LIP_CONSTANT,
     AnalyticMove,
     EntireStep,
     amplitude_conditions_hold,
@@ -15,15 +14,13 @@ from abctorus.analytic import (
     approximate_blockslide,
     choose_amplitude,
     error_set,
-    lipschitz_norm_bound,
-    norm_bounds,
     proximity_sweep,
     step_to_plateau,
     stage_delta,
     stage_epsilon,
-    sup_norm_bound,
     verify_proximity,
 )
+from abctorus.bounds import DEFAULT_LIP_CONSTANT, lip_increment_bound, sup_increment_bound
 from abctorus.errors import ParamOutOfRange, RangeOverflow
 from abctorus.exact.blockslide import BlockSlideMap, rotation_map
 from abctorus.exact.builders import build_interchange
@@ -259,7 +256,7 @@ def test_complex_never_exceeds_sup_bound():
     s = demo_step()
     for z in (0.75 + 0.001j, 0.3 + 0.01j, 0.1 + 0.005j):
         v = abs(s.eval_complex(z))
-        bound = sup_norm_bound(s.A, s.N, abs(z.imag))
+        bound = sup_increment_bound(s.A, s.N, abs(z.imag))
         if v > 0:
             assert TowerReal.from_number(v) < bound
 
@@ -343,14 +340,14 @@ def test_proximity_sweep_rows():
 
 
 def test_sup_bound_frozen_unit_parameters():
-    bound = sup_norm_bound(1, 1, 0)
+    bound = sup_increment_bound(1, 1, 0)
     with mp.workprec(120):
         ref = 2 * mp.pi * mp.e ** (2 * mp.e + 1)
         assert abs(bound.to_mpf() - ref) / ref < mp.mpf(2) ** -100
 
 
 def test_lipschitz_bound_frozen_unit_parameters():
-    bound = lipschitz_norm_bound(1, 1, 2, 0)
+    bound = lip_increment_bound(1, 1, 2, 0)
     with mp.workprec(120):
         # the default prefactor is the double closest to 6*pi (it is a knob,
         # not a derived constant)
@@ -359,13 +356,13 @@ def test_lipschitz_bound_frozen_unit_parameters():
 
 
 def test_norm_bounds_monotone_in_strip_width():
-    assert sup_norm_bound(2, 1, 1.0) > sup_norm_bound(2, 1, 0.5)
-    assert lipschitz_norm_bound(2, 1, 2, 1.0) > lipschitz_norm_bound(2, 1, 2, 0.5)
+    assert sup_increment_bound(2, 1, 1.0) > sup_increment_bound(2, 1, 0.5)
+    assert lip_increment_bound(2, 1, 2, 1.0) > lip_increment_bound(2, 1, 2, 0.5)
 
 
 def test_norm_bounds_stage_parameters_comparable():
-    sup = sup_norm_bound(2048, 1, 1.0)
-    lip = lipschitz_norm_bound(2048, 1, 4, 1.0)
+    sup = sup_increment_bound(2048, 1, 1.0)
+    lip = lip_increment_bound(2048, 1, 4, 1.0)
     assert sup > TowerReal.from_number(10**300)
     assert lip > TowerReal.from_number(10**300)
     # the evaluator never materializes these as floats
@@ -375,11 +372,16 @@ def test_norm_bounds_stage_parameters_comparable():
 
 def test_norm_bounds_of_step():
     s = demo_step()
-    sup, lip = norm_bounds(s, Fraction(1, 2))
-    assert sup == sup_norm_bound(s.A, s.N, Fraction(1, 2))
-    assert lip == lipschitz_norm_bound(s.A, s.N, s.l, Fraction(1, 2))
+    sup = sup_increment_bound(s.A, s.N, Fraction(1, 2))
+    lip = lip_increment_bound(s.A, s.N, s.l, Fraction(1, 2))
+    # bit-exact pins, frozen from a separate mpmath evaluation
+    with mp.workprec(160):
+        assert sup == TowerReal(4, mp.mpf("1.888321012529619628086482901325446566599136833290394"))
+        assert lip == TowerReal(4, mp.mpf("1.888462452350156533040375535684365882287124302892109"))
     with pytest.raises(ParamOutOfRange):
-        norm_bounds(s, -1)
+        sup_increment_bound(s.A, s.N, -1)
+    with pytest.raises(ParamOutOfRange):
+        lip_increment_bound(s.A, s.N, s.l, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,13 @@ def test_atom_box_roundtrip():
             assert part.atom_index(TorusPoint(tuple(centre))) == idx
 
 
+def test_single_cell_axes_are_free():
+    # an axis with one cell is the whole circle, whatever built it
+    assert PartitionSpec.blocks(7, 1) == PartitionSpec.circle(7)
+    assert PartitionSpec.grid(1, 3, 2).atom_box(2) == ((F(2, 3), F(1)), None)
+    assert PartitionSpec.blocks(1, 2).atom_box(0) == (None, None)
+
+
 def test_tower_has_no_boxes():
     part = PartitionSpec.tower((0, 1), 2, 2, 2)
     with pytest.raises(ParamOutOfRange):
@@ -148,19 +155,21 @@ def test_boundary_denominator_lcm():
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: PartitionSpec.blocks(0), ParamOutOfRange),
-        (lambda: PartitionSpec.circle(0), ParamOutOfRange),
-        (lambda: PartitionSpec.grid(0, 3), ParamOutOfRange),
-        (lambda: PartitionSpec.grid(2, 0), ParamOutOfRange),
-        (lambda: PartitionSpec.grid_stage(0, 2, 3), ParamOutOfRange),
-        (lambda: PartitionSpec.grid_stage(3, 2, 3, 2), ParamOutOfRange),
-        (lambda: PartitionSpec.grid_stage(1, 0, 3), ParamOutOfRange),
-        (lambda: PartitionSpec.tower((0,), 2, 3), InvalidIndexFunction),
-        (lambda: PartitionSpec.tower((0, 3), 2, 3), InvalidIndexFunction),
-        (lambda: PartitionSpec.strips(0, 1, 1), ParamOutOfRange),
-        (lambda: PartitionSpec.strips(1, 1, 0), ParamOutOfRange),
-        (lambda: PartitionSpec.grid_min(1, 1, 1), ParamOutOfRange),
-        (lambda: PartitionSpec.grid_min(2, 1, 0), ParamOutOfRange),
+        pytest.param(lambda: PartitionSpec.blocks(0), ParamOutOfRange, id="blocks-q0"),
+        pytest.param(lambda: PartitionSpec.blocks(2, 0), ParamOutOfRange, id="blocks-dim0"),
+        pytest.param(lambda: PartitionSpec.circle(0), ParamOutOfRange, id="circle-q0"),
+        pytest.param(lambda: PartitionSpec.grid(0, 3), ParamOutOfRange, id="grid-l0"),
+        pytest.param(lambda: PartitionSpec.grid(2, 0), ParamOutOfRange, id="grid-q0"),
+        pytest.param(lambda: PartitionSpec.grid_stage(0, 2, 3), ParamOutOfRange, id="grid_stage-j0"),
+        pytest.param(lambda: PartitionSpec.grid_stage(3, 2, 3, 2), ParamOutOfRange, id="grid_stage-j-above-dim"),
+        pytest.param(lambda: PartitionSpec.grid_stage(1, 0, 3), ParamOutOfRange, id="grid_stage-l0"),
+        pytest.param(lambda: PartitionSpec.tower((0,), 2, 3), InvalidIndexFunction, id="tower-short-a"),
+        pytest.param(lambda: PartitionSpec.tower((0, 3), 2, 3), InvalidIndexFunction, id="tower-a-out-of-range"),
+        pytest.param(lambda: PartitionSpec.tower((), 0, 3), ParamOutOfRange, id="tower-k0"),
+        pytest.param(lambda: PartitionSpec.strips(0, 1, 1), ParamOutOfRange, id="strips-k0"),
+        pytest.param(lambda: PartitionSpec.strips(1, 1, 0), ParamOutOfRange, id="strips-l0"),
+        pytest.param(lambda: PartitionSpec.grid_min(1, 1, 1), ParamOutOfRange, id="grid_min-l1"),
+        pytest.param(lambda: PartitionSpec.grid_min(2, 1, 0), ParamOutOfRange, id="grid_min-r0"),
     ],
 )
 def test_constructors_refuse_bad_input(build, error):
