@@ -560,9 +560,6 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
         raise ParamOutOfRange(
             f"k q = {k * q} does not divide the next denominator {nxt.q}"
         )
-    a = translation_index_function(lv.gamma, nxt.gamma, k, q)
-    before = replace(params, a=a)
-    exact = build_abc_conjugation(a, k, l, q, 2)
     # the multipliers carried forward are the next level's own when the
     # chain still prescribes them (so the following build can re-check
     # its record against the chain); the terminal record keeps this
@@ -572,6 +569,14 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
         l_fwd, s_fwd = nxt.l, nxt.s
     else:
         k_fwd, l_fwd, s_fwd = k, l, s
+    if k_fwd > _GRID_POINT_BUDGET:
+        raise ParamOutOfRange(
+            f"the next record's index function has k = {k_fwd} entries, beyond "
+            f"the budget of {_GRID_POINT_BUDGET}"
+        )
+    a = translation_index_function(lv.gamma, nxt.gamma, k, q)
+    before = replace(params, a=a)
+    exact = build_abc_conjugation(a, k, l, q, 2)
     after = AbCParams(
         n=n + 1, p=nxt.p, q=nxt.q, k=k_fwd, l=l_fwd, s=s_fwd,
         eps=stage_epsilon(n + 1), a=(0,) * k_fwd,
@@ -858,8 +863,9 @@ def verify_cyclic_permutation(
 ) -> ConjugacyReport:
     """Check that T_stage permutes F_{q} cyclically with step p.
 
-    With samples=None every atom is visited with a 3x3 interior cloud
-    (feasible for small q); otherwise the given number of seeded random
+    With samples=None every atom is visited with a 3x3 interior cloud,
+    which is refused with ParamOutOfRange above `_GRID_POINT_BUDGET`
+    points (9 q); otherwise the given number of seeded random
     (atom, interior point) pairs is drawn.  Exact model: membership must
     be perfect.  Analytic model: the fraction must reach 1 - 2 eps_n,
     the rest being attributable to the collar sets; sample points are
@@ -877,6 +883,12 @@ def verify_cyclic_permutation(
     q, p = rec.q, rec.p
     pairs = []
     if samples is None:
+        points = q * len(_CLOUD_OFFSETS)
+        if points > _GRID_POINT_BUDGET:
+            raise ParamOutOfRange(
+                f"visiting every atom takes {q} x {len(_CLOUD_OFFSETS)} = {points} "
+                f"points, beyond the budget of {_GRID_POINT_BUDGET}; pass samples"
+            )
         for i in range(q):
             for (u, v) in _CLOUD_OFFSETS:
                 pairs.append((i, u, v))

@@ -9,12 +9,32 @@ its inverse is the reversed list with flipped signs.
 Rigid rotations of the first coordinate embed as moves with a constant
 step function, so conjugations like phi^t o f o phi^{-t} stay inside the
 same algebra.
+
+`BlockSlideMove.apply` is the reference definition of a move, in
+`Fraction` arithmetic. A map evaluates through an integer program
+instead, compiled once on first use at the map's `denominator_lcm()` L:
+per move the target t, the source s and the step as integers on the
+1/L lattice (period P, breakpoints B, shifts V = sign * value * L mod
+L), with equal step data stored once. At a modulus M = c L a coordinate
+j stands for j/M, and one move is
+
+    x[t] = (x[t] + V[search(B, (x[s] // c) % P) - 1] * c) % M
+
+which is exact because every step is constant on the cells of the 1/L
+lattice. `BlockSlideMap.__call__` runs this rule on Python ints with
+`bisect_right` (M = lcm of L and the point's denominators) and
+`CompiledMap` on int64 arrays with `np.searchsorted`; the results are
+bit-identical to chaining `BlockSlideMove.apply`.
 """
 
 from __future__ import annotations
 
+import weakref
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import lcm
 from typing import Iterable, Sequence, Tuple
 
@@ -73,12 +93,29 @@ class BlockSlideMap:
     def __call__(self, x: TorusPoint) -> TorusPoint:
         if x.dim != self.dim:
             raise ParamOutOfRange(f"point has dim {x.dim}, map has dim {self.dim}")
-        for m in self.moves:
-            x = m.apply(x)
-        return x
+        prog = self._program
+        M = lcm(prog.L, *(c.denominator for c in x))
+        ys = [c.numerator * (M // c.denominator) for c in x]
+        _advance(ys, prog.moves(), M // prog.L, M, bisect_right)
+        return TorusPoint(Fraction(y, M) for y in ys)
 
     def inverse(self) -> "BlockSlideMap":
-        return BlockSlideMap(self.dim, tuple(m.inverse() for m in reversed(self.moves)))
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            inv = BlockSlideMap(self.dim, tuple(m.inverse() for m in reversed(self.moves)))
+            # kept here for the next call; the inverse reaches back only
+            # through a weak reference, so the two never form a cycle
+            object.__setattr__(inv, "_inverse_of", weakref.ref(self))
+            object.__setattr__(self, "_inverse", inv)
+        return inv
+
+    @cached_property
+    def _program(self) -> "_Program":
+        """The integer program, built on first use; an inverse derives
+        it from its forward map's program while that map is alive."""
+        ref = self.__dict__.get("_inverse_of")
+        forward = ref() if ref is not None else None
+        return forward._program.inverse() if forward is not None else _Program.build(self)
 
     def then(self, other: "BlockSlideMap") -> "BlockSlideMap":
         """The composition other o self (this map runs first)."""
@@ -160,47 +197,106 @@ class BlockSlideMap:
         return cols, rows
 
 
+def _advance(x, moves, c: int, M: int, search):
+    """The move rule on coordinates x (a list of ints or an int64 array of
+    rows) at modulus M = c L; `search` is `bisect_right` or its numpy
+    counterpart, so both evaluation paths share one formula."""
+    for t, s, (P, B, V) in moves:
+        x[t] = (x[t] + V[search(B, x[s] // c % P) - 1] * c) % M
+    return x
+
+
+_searchsorted_right = partial(np.searchsorted, side="right")
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A block-slide map as integers on its 1/L lattice.
+
+    Move i reads coordinate source[i], shifts coordinate target[i] and
+    uses step entry step[i]; an entry is (P, B, V): the period, the
+    breakpoints and the signed shifts in units of 1/L. Moves sharing
+    step data and sign share an entry (translation stage 1: 34,688 moves, 185
+    entries).
+    """
+
+    L: int
+    target: array
+    source: array
+    step: array
+    entries: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+
+    @staticmethod
+    def build(m: BlockSlideMap) -> "_Program":
+        distinct = {}  # id(step) -> step, over the steps the map holds
+        for mv in m.moves:
+            distinct.setdefault(id(mv.step), mv.step)
+        L = lcm(*(st.denominator_lcm() for st in distinct.values()))
+
+        def on_lattice(f: Fraction) -> int:
+            return f.numerator * (L // f.denominator)
+
+        by_value, by_object = {}, {}  # entry -> its index; (id(step), sign) -> index
+        target, source, step = array("i"), array("i"), array("i")
+        for mv in m.moves:
+            key = (id(mv.step), mv.sign)
+            if key not in by_object:
+                st = mv.step
+                entry = (on_lattice(st.period), tuple(map(on_lattice, st.breakpoints)),
+                         tuple(mv.sign * on_lattice(v) % L for v in st.values))
+                by_object[key] = by_value.setdefault(entry, len(by_value))
+            target.append(mv.target)
+            source.append(mv.source)
+            step.append(by_object[key])
+        return _Program(L, target, source, step, tuple(by_value))
+
+    def inverse(self) -> "_Program":
+        """The inverse map's program: moves reversed, shifts negated."""
+        L = self.L
+        negated = tuple((P, B, tuple(-v % L for v in V)) for P, B, V in self.entries)
+        return _Program(L, self.target[::-1], self.source[::-1], self.step[::-1], negated)
+
+    def moves(self, entries=None):
+        """(target, source, entry) per move, first to last; `entries`
+        replaces the stored ones (the array path passes numpy copies)."""
+        table = self.entries if entries is None else entries
+        return zip(self.target, self.source, map(table.__getitem__, self.step))
+
+
 @dataclass(frozen=True)
 class CompiledMap:
-    """Integer-lattice compilation of a block-slide map.
+    """A block-slide map's integer program on int64 point clouds.
 
-    Points are integer vectors modulo M (coordinate j representing j/M).
-    Each move becomes a length-M lookup table of integer shifts, so a
-    whole point cloud advances through one move with a single fancy-index
-    add. Exactness requires M to be a multiple of the map's denominator
-    lcm; the constructor enforces this.
+    Points are integer vectors modulo M (coordinate j representing j/M),
+    given as an array of shape (dim, n). Each move advances the whole
+    cloud with one `np.searchsorted` of the source row over the step's
+    breakpoints and one gather from its shifts: no length-M table is
+    built, so memory is the program plus O(n) per move. Exactness
+    requires M to be a multiple of the map's denominator lcm, and int64
+    headroom requires M < 2^62; `build` enforces both.
     """
 
     dim: int
     M: int
-    tables: Tuple[Tuple[int, int, "np.ndarray"], ...]  # (target, source, delta[M])
+    program: _Program
+    entries: Tuple[Tuple[int, "np.ndarray", "np.ndarray"], ...]
 
     @staticmethod
     def build(m: BlockSlideMap, M: int) -> "CompiledMap":
-        L = m.denominator_lcm()
-        if M % L != 0:
-            raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {L}")
-        tables = []
-        for mv in m.moves:
-            # step is constant on each piece; walk pieces instead of points
-            period = mv.step.period
-            pts_per_period = period * M
-            assert pts_per_period.denominator == 1
-            base = np.empty(int(pts_per_period), dtype=np.int64)
-            for left, right, val in mv.step.table():
-                lo, hi, shift = left * M, right * M, val * M
-                assert lo.denominator == hi.denominator == shift.denominator == 1
-                base[int(lo) : int(hi)] = mv.sign * int(shift) % M
-            delta = np.tile(base, M // int(pts_per_period))
-            tables.append((mv.target, mv.source, delta))
-        return CompiledMap(m.dim, M, tuple(tables))
+        prog = m._program
+        if M % prog.L != 0:
+            raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")
+        if not 1 <= M < 2**62:
+            raise ParamOutOfRange(f"grid modulus {M} is outside [1, 2^62), the int64 range")
+        entries = tuple((P, np.array(B, dtype=np.int64), np.array(V, dtype=np.int64))
+                        for P, B, V in prog.entries)
+        return CompiledMap(m.dim, M, prog, entries)
 
     def apply(self, pts: "np.ndarray") -> "np.ndarray":
         """Apply to an array of shape (dim, n) of int64 lattice points."""
-        out = pts % self.M
-        for target, source, delta in self.tables:
-            out[target] = (out[target] + delta[out[source]]) % self.M
-        return out
+        out = np.asarray(pts, dtype=np.int64) % self.M
+        return _advance(out, self.program.moves(self.entries), self.M // self.program.L,
+                        self.M, _searchsorted_right)
 
 
 def rotation_map(t, dim: int = 2) -> BlockSlideMap:

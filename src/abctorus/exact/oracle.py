@@ -17,7 +17,11 @@ partition's atoms:
   points would be slow; results agree with "grid" (cross-checked in the
   test suite).
 
-Both methods are exact integer computations.
+Both methods are exact integer computations. The lattice is walked in
+chunks of `_CHUNK_POINTS` consecutive flat indices, each pushed through
+the map's `CompiledMap`, so memory stays O(chunk * dim + atoms) however
+large the lattice; `_GRID_POINT_BUDGET` bounds the lattice, and with it
+the time.
 """
 
 from __future__ import annotations
@@ -33,13 +37,23 @@ from .blockslide import BlockSlideMap, rotation_map
 from .partitions import PartitionSpec
 
 _GRID_POINT_BUDGET = 2_000_000
+_CHUNK_POINTS = 1 << 16
 
 
-def full_lattice(dim: int, M: int) -> "np.ndarray":
-    """All integer lattice points of [0, M)^dim as an array (dim, M^dim)."""
-    axes = [np.arange(M, dtype=np.int64)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh])
+def full_lattice(dim: int, M: int, start: int = 0, stop: Optional[int] = None) -> "np.ndarray":
+    """Integer lattice points of [0, M)^dim as an array (dim, n), in
+    row-major order (last coordinate fastest); `start` and `stop` select
+    the flat indices [start, stop) of that order (default: all M^dim)."""
+    stop = M**dim if stop is None else stop
+    flat = np.arange(start, stop, dtype=np.int64)
+    return np.stack(np.unravel_index(flat, (M,) * dim)).astype(np.int64, copy=False)
+
+
+def _chunks(dim: int, M: int):
+    """The lattice of `full_lattice(dim, M)`, `_CHUNK_POINTS` at a time."""
+    n = M**dim
+    for start in range(0, n, _CHUNK_POINTS):
+        yield full_lattice(dim, M, start, min(start + _CHUNK_POINTS, n))
 
 
 def _lattice_modulus(m: BlockSlideMap, parts, factor: int) -> int:
@@ -79,28 +93,21 @@ def induced_atom_permutation(
         raise ParamOutOfRange(
             f"lattice of {M}^{m.dim} points is beyond the exact-oracle budget"
         )
-    pts = full_lattice(m.dim, M)
-    src = part.atom_index_grid(pts, M)
-    img = m.compiled(M).apply(pts)
-    dst = target.atom_index_grid(img, M)
-
+    cm = m.compiled(M)
     n = part.atom_count
-    perm = np.full(n, -1, dtype=np.int64)
-    # first-seen target per source atom, then consistency check in bulk
-    order = np.argsort(src, kind="stable")
-    s_sorted = src[order]
-    d_sorted = dst[order]
-    first = np.searchsorted(s_sorted, np.arange(n), side="left")
-    last = np.searchsorted(s_sorted, np.arange(n), side="right")
-    if np.any(first == last):
-        missing = int(np.argmax(first == last))
-        raise NotAtomPermutation(f"atom {missing} received no samples")
-    perm = d_sorted[first]
-    expanded = perm[s_sorted]
-    if not np.array_equal(expanded, d_sorted):
-        bad = int(s_sorted[np.argmax(expanded != d_sorted)])
+    perm = np.full(n, -1, dtype=np.int64)  # first target seen per source atom
+    split = np.zeros(n, dtype=bool)
+    for pts in _chunks(m.dim, M):
+        src = part.atom_index_grid(pts, M)
+        dst = target.atom_index_grid(cm.apply(pts), M)
+        fresh = perm[src] < 0
+        perm[src[fresh]] = dst[fresh]
+        split[src[perm[src] != dst]] = True
+    if np.any(perm < 0):
+        raise NotAtomPermutation(f"atom {int(np.argmax(perm < 0))} received no samples")
+    if np.any(split):
         raise NotAtomPermutation(
-            f"atom {bad} is split across several target atoms"
+            f"atom {int(np.argmax(split))} is split across several target atoms"
         )
     if np.unique(perm).size != n:
         raise NotAtomPermutation("two atoms map into the same target atom")
@@ -122,8 +129,6 @@ def commutes_with_rotation(m: BlockSlideMap, q: int) -> bool:
     M = L if L**m.dim > _GRID_POINT_BUDGET else 4 * L
     if M**m.dim > 64 * _GRID_POINT_BUDGET:
         raise ParamOutOfRange("lattice beyond the exact-oracle budget")
-    pts = full_lattice(m.dim, M)
-    a = m.then(phi).compiled(M).apply(pts)
-    b = phi.then(m).compiled(M).apply(pts)
-    lattice_ok = bool(np.array_equal(a, b))
+    a, b = m.then(phi).compiled(M), phi.then(m).compiled(M)
+    lattice_ok = all(np.array_equal(a.apply(pts), b.apply(pts)) for pts in _chunks(m.dim, M))
     return structural and lattice_ok

@@ -30,12 +30,6 @@ def chain(first: "np.ndarray", then_: "np.ndarray") -> "np.ndarray":
     return then_[first]
 
 
-def invert(p: "np.ndarray") -> "np.ndarray":
-    out = np.empty_like(p)
-    out[p] = np.arange(len(p), dtype=p.dtype)
-    return out
-
-
 def is_permutation(p: "np.ndarray") -> bool:
     p = np.asarray(p)
     return p.ndim == 1 and np.array_equal(np.sort(p), np.arange(len(p)))

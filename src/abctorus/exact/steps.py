@@ -92,11 +92,6 @@ class StepFunction:
         ratio = p / self.period
         return ratio.denominator == 1
 
-    def table(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-        """(left, right, value) triples covering one period."""
-        rights = self.breakpoints[1:] + (self.period,)
-        return tuple(zip(self.breakpoints, rights, self.values))
-
 
 # ---------------------------------------------------------------------------
 # Named profiles for the interchange map (colliding historical names are

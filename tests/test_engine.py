@@ -19,6 +19,7 @@ Frozen values were computed independently before implementation:
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -251,6 +252,14 @@ class TestConjugacy:
         assert rep.threshold == 1 - 2 * F(1, 24) == F(11, 12)
         assert rep.passed
         assert rep.hits == 297
+
+    def test_every_atom_has_a_point_budget(self, circle2):
+        # stage 2 would visit 331,776 x 9 points; stage 1's 144 x 9 run in
+        # test_exact_stage1_every_atom
+        t = time.perf_counter()
+        with pytest.raises(ParamOutOfRange, match="budget of 2000000"):
+            verify_cyclic_permutation(circle2, 2, "exact")
+        assert time.perf_counter() - t < 0.1
 
     def test_rejections(self, circle2):
         with pytest.raises(ParamOutOfRange):
@@ -498,6 +507,22 @@ class TestScenarioRunners:
         assert h.commutes_with_rotation(q)
         rep = check_stage_commutation(maps, 1, samples=1, seed=1)
         assert rep.passed and rep.analytic_residual == 0
+
+    def test_translation_end_to_end_on_the_full_stack(self, translation_oversized):
+        # the 34,688-shear stage through every exact verifier
+        maps = translation_oversized
+        rep = verify_cyclic_permutation(maps, 1, "exact", samples=2, seed=1)
+        assert rep.hits == rep.samples == 2
+        assert check_stage_commutation(maps, 1, samples=2, seed=1).passed
+        part = stage_partition(maps, 1, atoms=(1,))
+        assert part.atoms == (1,) and all(len(c) == 9 for c in part.samples)
+
+    def test_translation_index_function_beyond_budget_is_refused(self):
+        # the record after stage 1 would carry an index function of
+        # 384,041 x 11,521,230 entries
+        chain = translation_params(h=2, levels=3, gamma1=(1, 6), l_base=2)
+        with pytest.raises(ParamOutOfRange, match="budget"):
+            run_translation_scenario(chain, 1)
 
     def test_minimal_end_to_end(self, minimal1):
         maps = minimal1

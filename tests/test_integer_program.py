@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abctorus.engine import run_circle_scenario
+from abctorus.errors import ParamOutOfRange
 from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove, CompiledMap
 from abctorus.exact.builders import build_abc_conjugation, build_interchange
 from abctorus.exact.points import TorusPoint
@@ -142,3 +143,17 @@ def test_point_denominators_coprime_to_the_map():
     assert y == fraction_chain(m, x)
     assert y == TorusPoint((F(23, 30), F(20, 21)))
     assert m.inverse()(y) == x
+
+
+def test_compiled_map_refuses_moduli_beyond_int64_headroom():
+    m = NAMED_MAPS["interchange"]
+    L = m.denominator_lcm()
+    top = L * ((2**62 - 1) // L)  # the largest accepted modulus
+    pts = np.array([[0, 1, top - 1, top // 2 + 5], [top - 1, 7, 0, top // 3]], dtype=np.int64)
+    out = CompiledMap.build(m, top).apply(pts)
+    for col, img in zip(pts.T, out.T):
+        x = TorusPoint(F(int(v), top) for v in col)
+        assert fraction_chain(m, x) == TorusPoint(F(int(v), top) for v in img)
+    for M in (top + L, L * 2**62):
+        with pytest.raises(ParamOutOfRange, match="2\\^62"):
+            CompiledMap.build(m, M)
