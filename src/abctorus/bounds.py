@@ -753,24 +753,33 @@ class LiouvilleRecipe:
         return self.levels[index - 1]
 
 
-def _k_power_upper(k: int, lv: LiouvilleLevel) -> TowerReal:
-    """Certified upper bound for k^(q_j) as a tower (k >= 1).
+def _k_power_upper(k: int, q: Optional[int] = None,
+                   q_log2: Optional[TowerReal] = None) -> TowerReal:
+    """A certified upper bound X >= k^q (k >= 1) as a tower, for a literal
+    denominator `q` or a symbolic one q = 2^`q_log2`.
 
-    At numeric heights the bound is the directed evaluation of
-    exp(q ln k).  For a deep symbolic denominator, multiplying by ln k
-    would be absorbed (an *under*-estimate, the unsound direction for a
-    threshold), so a whole extra height is taken instead:
-    k^q <= exp(exp(q_ub)) whenever ln k <= exp(q_ub)/q_ub, which holds
-    for every integer k below a tower beyond any honest input.
+    - Exact, k**q, while (k - 1).bit_length() * q <= 64: k is at most
+      2^bit_length(k - 1), so k^q stays within 2^64, and the test needs no
+      float for a literal q of any size.
+    - Otherwise exp(q * max(1, ln k)), rounded up; for a symbolic q the
+      factor q is replaced by e^M >= 2^M.
+    - Once e^M is a tower too deep to multiply soundly by ln k, exp(e^M):
+      2^M ln k <= e^M for every k below exp((e/2)^M), astronomically
+      beyond any honest k.
+
+    `liouville_generate` and `liouville_verify` both call this bound, so
+    a generated level is checked against the bound it was built from.
     """
-    if k == 1:
-        return TowerReal(0, 1)
-    q_ub = lv.q_value_upper()
-    if q_ub.height <= 3:
-        with mp.workprec(CHECK_PREC):
-            lnk = _nudge_up(mp.log(k))
-            return TowerReal(0, _nudge_up(q_ub.to_mpf() * lnk)).exp()
-    return q_ub.exp()
+    if q is None:
+        e_m = q_log2.exp()  # 2^M <= e^M
+        if e_m.height > 3:
+            return e_m.exp()
+        q = e_m.to_mpf()
+    elif (k - 1).bit_length() * q <= 64:
+        return TowerReal(0, k**q)
+    with mp.workprec(CHECK_PREC):
+        lnk = max(mp.mpf(1), _nudge_up(mp.log(k)))
+        return TowerReal(0, _nudge_up(mp.mpf(q) * lnk)).exp()
 
 
 def liouville_verify(recipe: LiouvilleRecipe, k: int, level: int) -> bool:
@@ -787,7 +796,7 @@ def liouville_verify(recipe: LiouvilleRecipe, k: int, level: int) -> bool:
     if lv.tail is not None and lv.tail == 0:
         return True
     # threshold: exp(k^q), from an upper bound of k^q
-    threshold = _k_power_upper(k, lv).exp()
+    threshold = _k_power_upper(k, lv.q, lv.q_log2).exp()
     if lv.tail is not None:
         with mp.workprec(CHECK_PREC):
             neglog = TowerReal(0, _nudge_down(-mp.log(exact_mpf(lv.tail))))
@@ -800,7 +809,10 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
     """Build a recipe whose level j certifies every k <= k_target.
 
     Literal regime: denominators follow q_{j+1} = b_j q_j^2 with the
-    smallest multiplier b_j making q_{j+1} >= 2 exp(exp(k_target^{q_j})),
+    smallest multiplier b_j making
+
+        q_{j+1} >= 2 exp((1 + 2^-128) exp(k_target^{q_j})),
+
     and numerators p_{j+1} = b_j q_j p_j + 1 (automatically coprime).  The
     remaining tail alpha - p_j/q_j = sum_{m>j} 1/q_m is at most 2/q_{j+1}
     because the denominators at least double.  Once a denominator would
@@ -808,6 +820,7 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
 
         M_j = exp(exp(exp(X_j))),   X_j >= k_target^{q_j},
 
+    with X_j from `_k_power_upper`, the bound `liouville_verify` uses,
     and stores the tail certificate exp(exp(X_j)), which is a valid lower
     bound for (M_j - 1) ln 2 = -ln(2 / 2^{M_j}) with room to spare.  The
     whole-height margins keep every verification comparison strict at any
@@ -823,10 +836,12 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
     for j in range(1, levels + 1):
         if q_log2 is None:
             # current level is literal; decide the next denominator
-            x_int = _literal_k_power(k_target, q)
-            if x_int is not None and x_int <= 10:
+            x = _k_power_upper(k_target, q)
+            if x <= 10:
                 with mp.workprec(CHECK_PREC):
-                    need = _nudge_up(2 * mp.exp(mp.exp(x_int)))
+                    # ln(q_next / 2) clears exp(x) by a relative 2^-128, far
+                    # above the verifier's outward rounding
+                    need = _nudge_up(2 * mp.exp(mp.exp(x.to_mpf()) * (1 + mp.mpf(2) ** -128)))
                     n_min = int(mpmath.floor(need)) + 1
                 b = max(1, -(-n_min // (q * q)))  # ceil division
                 q_next = b * q * q
@@ -838,20 +853,13 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
                     p, q = p_next, q_next
                     continue
             # switch to symbolic: tail of the current literal level
-            x_j = _symbolic_k_power_upper(k_target, literal_q=q)
-            m_j = x_j.exp().exp().exp()
-            out.append(LiouvilleLevel(
-                index=j, p=p, q=q, tail_neglog=x_j.exp().exp(),
-            ))
-            q_log2 = m_j
+            out.append(LiouvilleLevel(index=j, p=p, q=q, tail_neglog=x.exp().exp()))
         else:
-            x_j = _symbolic_k_power_upper(k_target, q_log2=q_log2)
-            m_next = x_j.exp().exp().exp()
+            x = _k_power_upper(k_target, q_log2=q_log2)
             out.append(LiouvilleLevel(
-                index=j, p=None, q=None, q_log2=q_log2,
-                tail_neglog=x_j.exp().exp(),
+                index=j, p=None, q=None, q_log2=q_log2, tail_neglog=x.exp().exp(),
             ))
-            q_log2 = m_next
+        q_log2 = x.exp().exp().exp()
     return LiouvilleRecipe(
         levels=tuple(out),
         note=f"generated for k <= {k_target}; permissive membership form "
@@ -867,35 +875,6 @@ def _decimal_digits(n: int) -> int:
     policy.
     """
     return int(n.bit_length() * 0.30102999566398120) + 1
-
-
-def _literal_k_power(k: int, q: int) -> Optional[int]:
-    """k**q as an int when modest, else None."""
-    if k == 1:
-        return 1
-    if q * math.log2(k) > 64:
-        return None
-    return k ** q
-
-
-def _symbolic_k_power_upper(k_target: int, literal_q: Optional[int] = None,
-                            q_log2: Optional[TowerReal] = None) -> TowerReal:
-    """An upper bound X >= k_target^{q_j}, as a tower.
-
-    For a literal denominator this is exp(q * max(1, ln k)) rounded up.
-    For a symbolic denominator 2^M it is exp(e^M): since 2^M ln(k) <= e^M
-    for every k below exp((e/2)^M) — astronomically beyond any honest k —
-    the bound k^{2^M} = exp(2^M ln k) <= exp(e^M) holds with huge slack.
-    """
-    if (literal_q is None) == (q_log2 is None):
-        raise ParamOutOfRange("exactly one denominator form expected")
-    if literal_q is not None:
-        with mp.workprec(CHECK_PREC):
-            lnk = _nudge_up(mp.log(k_target)) if k_target > 1 else mp.mpf(1)
-            if lnk < 1:
-                lnk = mp.mpf(1)
-            return TowerReal(0, _nudge_up(mp.mpf(literal_q) * lnk)).exp()
-    return q_log2.exp().exp()
 
 
 def liouville_from_rational(alpha, denominators: Sequence[int]) -> LiouvilleRecipe:

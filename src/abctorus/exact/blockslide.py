@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -139,21 +139,12 @@ class BlockSlideMap:
 
     # -- exact lattice machinery ------------------------------------------
 
-    def denominator_lcm(self, extra: Iterable[int] = ()) -> int:
+    def denominator_lcm(self) -> int:
         """Smallest L such that every move's step data (breakpoints,
-        values, period) lies on the 1/L lattice, merged with any `extra`
-        denominators (e.g. partition boundaries).
-
-        Every move then maps the 1/L coordinate lattice bijectively to
-        itself, and does so rigidly on each 1/L cell, which is what makes
-        cell-corner tracking an exact computation of the induced action.
-        """
-        L = 1
-        for m in self.moves:
-            L = lcm(L, m.step.denominator_lcm())
-        for e in extra:
-            L = lcm(L, int(e))
-        return L
+        values, period) lies on the 1/L lattice: the modulus of the
+        map's integer program. Every move maps the 1/L coordinate lattice
+        bijectively to itself."""
+        return self._program.L
 
     def compiled(self, L: int) -> "CompiledMap":
         return CompiledMap.build(self, L)

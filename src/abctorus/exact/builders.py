@@ -365,7 +365,7 @@ def realized_strip_permutation(
 ) -> "np.ndarray":
     """Predicted full strip permutation of a pivot-transposition product,
     computed by verifying each distinct transposition once with the exact
-    cell oracle and composing the induced permutations (valid because
+    box oracle and composing the induced permutations (valid because
     every gadget maps strip atoms rigidly onto strip atoms)."""
     strips = PartitionSpec.strips(k, q, l)
     cache: Dict[Tuple[int, int], "np.ndarray"] = {}
@@ -374,7 +374,7 @@ def realized_strip_permutation(
         t = (int(t[0]), int(t[1]))
         if t not in cache:
             gadget = build_transposition(t[0], t[1], k, q, l, d)
-            cache[t] = induced_atom_permutation(gadget, strips, method="cells")
+            cache[t] = induced_atom_permutation(gadget, strips)
         out = chain(out, cache[t])
     return out
 

@@ -1,34 +1,35 @@
 """Exact verification oracles for block-slide maps.
 
-Two interchangeable methods compute the permutation a map induces on a
-partition's atoms:
+Both oracles walk one lattice of boxes. `BlockSlideMap.box_grid()` gives
+(cols, rows), pitches 1/cols on the first coordinate and 1/rows on every
+other one, fine enough that each move's step is constant across every
+box (its breakpoints and period lie on the source axis's pitch) and
+shifts by a whole number of pitches of the target axis. So each move,
+and with it the whole map, translates every box rigidly onto a box.
+Refining the lattice by the partitions' cell counts makes every atom a
+union of boxes as well. A rigid translation of a box is fixed by the
+image of any one of its points, so pushing one point per box, its
+lower-left corner, through the map is a certificate, not a sample:
 
-- "grid": every lattice point at pitch 1/(4L) is pushed through the map
-  (L = lcm of all step and partition denominators, so at least four
-  samples per piece and per atom per axis, and images stay on the
-  lattice). If any atom's samples scatter over several target atoms, or
-  two atoms collide, `NotAtomPermutation` is raised.
+- `induced_atom_permutation` reads off, box by box, the source atom the
+  box lies in and the target atom its image lies in;
+- `commutes_with_rotation` compares m o phi^{1/q} with phi^{1/q} o m on
+  the boxes of `m.then(phi).box_grid()`. Both compositions are made of
+  the same moves, so both translate those boxes rigidly, and they agree
+  on a box as soon as they agree on its corner.
 
-- "cells": the same computation on the pitch-1/L lattice of cell
-  corners. Because every breakpoint, value and period of every move is
-  a multiple of 1/L, each move translates each 1/L cell rigidly onto
-  another cell, so corner tracking covers every point of the torus, not
-  just samples. This is the method of choice when (4L)^dim lattice
-  points would be slow; results agree with "grid" (cross-checked in the
-  test suite).
-
-Both methods are exact integer computations. The lattice is walked in
-chunks of `_CHUNK_POINTS` consecutive flat indices, each pushed through
-the map's `CompiledMap`, so memory stays O(chunk * dim + atoms) however
-large the lattice; `_GRID_POINT_BUDGET` bounds the lattice, and with it
-the time.
+The corners are integers at the modulus M = lcm(L, box counts), where L
+is the map's denominator lcm, and they go through the map's
+`CompiledMap` `_CHUNK_POINTS` at a time, so memory stays
+O(chunk * dim + atoms) however many boxes there are. More than
+64 * `_GRID_POINT_BUDGET` boxes are refused, which bounds the time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Optional
+from math import lcm, prod
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,32 +41,45 @@ _GRID_POINT_BUDGET = 2_000_000
 _CHUNK_POINTS = 1 << 16
 
 
-def full_lattice(dim: int, M: int, start: int = 0, stop: Optional[int] = None) -> "np.ndarray":
-    """Integer lattice points of [0, M)^dim as an array (dim, n), in
-    row-major order (last coordinate fastest); `start` and `stop` select
-    the flat indices [start, stop) of that order (default: all M^dim)."""
-    stop = M**dim if stop is None else stop
+def full_lattice(counts: Sequence[int], start: int = 0,
+                 stop: Optional[int] = None) -> "np.ndarray":
+    """Indices of the cells of a grid with counts[c] cells along axis c,
+    as an array (dim, n) in row-major order (last coordinate fastest);
+    `start` and `stop` select the flat indices [start, stop) of that
+    order (default: every cell)."""
+    stop = prod(counts) if stop is None else stop
     flat = np.arange(start, stop, dtype=np.int64)
-    return np.stack(np.unravel_index(flat, (M,) * dim)).astype(np.int64, copy=False)
+    return np.stack(np.unravel_index(flat, tuple(counts))).astype(np.int64, copy=False)
 
 
-def _chunks(dim: int, M: int):
-    """The lattice of `full_lattice(dim, M)`, `_CHUNK_POINTS` at a time."""
-    n = M**dim
+def _box_lattice(m: BlockSlideMap,
+                 parts: Iterable[PartitionSpec] = ()) -> Tuple[int, Tuple[int, ...]]:
+    """(M, counts): boxes per axis of `m`'s box grid refined by the cell
+    counts of `parts`, and the modulus at which their corners are
+    integers and `m`'s program runs."""
+    cols, rows = m.box_grid()
+    counts = (cols,) + (rows,) * (m.dim - 1)
+    for p in parts:
+        counts = tuple(lcm(n, c) for n, c in zip(counts, p.counts))
+    if prod(counts) > 64 * _GRID_POINT_BUDGET:
+        raise ParamOutOfRange(
+            f"box lattice {' x '.join(map(str, counts))} is beyond the exact-oracle budget"
+        )
+    return lcm(m.denominator_lcm(), *counts), counts
+
+
+def _corners(M: int, counts: Tuple[int, ...]):
+    """The lower-left box corners at modulus M, `_CHUNK_POINTS` boxes at a time."""
+    pitch = np.array([M // n for n in counts], dtype=np.int64)[:, None]
+    n = prod(counts)
     for start in range(0, n, _CHUNK_POINTS):
-        yield full_lattice(dim, M, start, min(start + _CHUNK_POINTS, n))
-
-
-def _lattice_modulus(m: BlockSlideMap, parts, factor: int) -> int:
-    L = m.denominator_lcm(extra=[p.boundary_denominator_lcm() for p in parts])
-    return factor * L
+        yield full_lattice(counts, start, min(start + _CHUNK_POINTS, n)) * pitch
 
 
 def induced_atom_permutation(
     m: BlockSlideMap,
     part: PartitionSpec,
     target: Optional[PartitionSpec] = None,
-    method: str = "auto",
 ) -> "np.ndarray":
     """The permutation `m` induces from `part`'s atoms to `target`'s.
 
@@ -82,22 +96,12 @@ def induced_atom_permutation(
         raise NotAtomPermutation(
             f"atom counts differ: {part.atom_count} vs {target.atom_count}"
         )
-    if method not in ("auto", "grid", "cells"):
-        raise ParamOutOfRange(f"unknown method {method!r}")
-    if method == "auto":
-        M4 = _lattice_modulus(m, (part, target), 4)
-        method = "grid" if M4**m.dim <= _GRID_POINT_BUDGET else "cells"
-    factor = 4 if method == "grid" else 1
-    M = _lattice_modulus(m, (part, target), factor)
-    if M**m.dim > 64 * _GRID_POINT_BUDGET:
-        raise ParamOutOfRange(
-            f"lattice of {M}^{m.dim} points is beyond the exact-oracle budget"
-        )
+    M, counts = _box_lattice(m, (part, target))
     cm = m.compiled(M)
     n = part.atom_count
     perm = np.full(n, -1, dtype=np.int64)  # first target seen per source atom
     split = np.zeros(n, dtype=bool)
-    for pts in _chunks(m.dim, M):
+    for pts in _corners(M, counts):
         src = part.atom_index_grid(pts, M)
         dst = target.atom_index_grid(cm.apply(pts), M)
         fresh = perm[src] < 0
@@ -115,20 +119,17 @@ def induced_atom_permutation(
 
 
 def commutes_with_rotation(m: BlockSlideMap, q: int) -> bool:
-    """Check m o phi^{1/q} == phi^{1/q} o m, structurally and on the lattice.
+    """Check m o phi^{1/q} == phi^{1/q} o m, structurally and on the boxes.
 
     The structural part verifies that every move reading the first
     coordinate has a 1/q-periodic step (each such move then commutes with
-    the rotation individually). The lattice part compares both
-    compositions pointwise at a pitch where all maps are exact; for
-    rigid maps equality on cell corners is equality everywhere.
+    the rotation individually). The box part compares both compositions
+    on one corner per box, which decides equality everywhere.
     """
     structural = m.commutes_with_rotation(q)
     phi = rotation_map(Fraction(1, q), m.dim)
-    L = lcm(m.denominator_lcm(), q)
-    M = L if L**m.dim > _GRID_POINT_BUDGET else 4 * L
-    if M**m.dim > 64 * _GRID_POINT_BUDGET:
-        raise ParamOutOfRange("lattice beyond the exact-oracle budget")
-    a, b = m.then(phi).compiled(M), phi.then(m).compiled(M)
-    lattice_ok = all(np.array_equal(a.apply(pts), b.apply(pts)) for pts in _chunks(m.dim, M))
-    return structural and lattice_ok
+    m_phi = m.then(phi)
+    M, counts = _box_lattice(m_phi)
+    a, b = m_phi.compiled(M), phi.then(m).compiled(M)
+    boxes_ok = all(np.array_equal(a.apply(pts), b.apply(pts)) for pts in _corners(M, counts))
+    return structural and boxes_ok

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
+from ..errors import ParamOutOfRange
+
 Rat = Union[Fraction, int, str]
 
 
@@ -32,7 +34,7 @@ class TorusPoint:
     def __init__(self, coords: Iterable[Rat]):
         cs = tuple(mod1(Fraction(c)) for c in coords)
         if not cs:
-            raise ValueError("a torus point needs at least one coordinate")
+            raise ParamOutOfRange("a torus point needs at least one coordinate")
         object.__setattr__(self, "coords", cs)
 
     @property

@@ -383,6 +383,44 @@ class TestLiouvilleGenerate:
         for lvl in (1, len(r.levels) // 2, len(r.levels)):
             assert liouville_verify(r, 1, lvl) is True
 
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("k_target", [1, 2, 3, 4, 5, 6])
+    def test_every_level_verifies_up_to_k_target(self, levels, k_target):
+        # k_target = 3 reaches a literal denominator of 3,520 digits at
+        # level 2 (its k^q bound once overflowed a float), and level 1's
+        # literal tail must clear its threshold by more than the
+        # verifier's rounding
+        r = liouville_generate(levels, k_target)
+        for lvl in range(1, levels + 1):
+            for k in range(1, k_target + 1):
+                assert liouville_verify(r, k, lvl) is True
+
+    # (index, p, q, q_log2, tail, tail_neglog) per level, towers as
+    # (height, mantissa.man, mantissa.exp)
+    _LEDGER_RECIPES = {
+        1: [(1, 1, 2, None, F(1, 16), None),
+            (2, 17, 32, None, F(1, 512), None),
+            (3, 545, 1024, None, F(1, 524288), None)],
+        2: [(1, 1, 2, None, F(1, 514843556263457213182266), None),
+            (2, 514843556263457213182267, 1029687112526914426364532, None, None,
+             (6, 1015336813317858642550727508407108362669579479827, -159)),
+            (3, None, None, (7, 1015336813317858642550727508407108362669579479827, -159),
+             None, (11, 1015336813317858642550727508407108362669579479827, -159))],
+        5: [(1, 1, 2, None, None, (4, 854271219575720163961640975995468374450778345281, -159)),
+            (2, None, None, (5, 854271219575720163961640975995468374450778345281, -159),
+             None, (9, 854271219575720163961640975995468374450778345281, -159)),
+            (3, None, None, (10, 854271219575720163961640975995468374450778345281, -159),
+             None, (14, 854271219575720163961640975995468374450778345281, -159))],
+    }
+
+    @pytest.mark.parametrize("k_target", sorted(_LEDGER_RECIPES))
+    def test_benchmark_recipes_are_pinned(self, k_target):
+        def tower_key(t):
+            return None if t is None else (t.height, int(t.mantissa.man), int(t.mantissa.exp))
+        got = [(lv.index, lv.p, lv.q, tower_key(lv.q_log2), lv.tail, tower_key(lv.tail_neglog))
+               for lv in liouville_generate(3, k_target).levels]
+        assert got == self._LEDGER_RECIPES[k_target]
+
     def test_domain_errors(self):
         with pytest.raises(ParamOutOfRange):
             liouville_generate(0, 2)
@@ -410,6 +448,16 @@ class TestLiouvilleVerify:
         failing = LiouvilleRecipe(levels=(LiouvilleLevel(1, 1, 2, tail=F(1, 15)),))
         assert liouville_verify(passing, 1, 1) is True
         assert liouville_verify(failing, 1, 1) is False
+
+    def test_shallow_symbolic_denominator(self):
+        # q = 2^8: the bound multiplies e^8 >= 2^8 by ln 3, so the
+        # threshold is exp(exp(e^8 ln 3)) = exp(exp(3274.9...))
+        def recipe(neglog):
+            return LiouvilleRecipe(levels=(
+                LiouvilleLevel(1, None, None, q_log2=tower(0, 8), tail_neglog=neglog),))
+        assert liouville_verify(recipe(tower(2, 3300)), 3, 1) is True
+        assert liouville_verify(recipe(tower(2, 3270)), 3, 1) is False
+        assert liouville_verify(recipe(tower(0, 10**6)), 3, 1) is False
 
     def test_verify_input_validation(self):
         r = liouville_generate(2, 1)

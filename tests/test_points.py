@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from abctorus.errors import ParamOutOfRange
 from abctorus.exact.points import TorusPoint, mod1, rotate
 
 
@@ -36,6 +37,11 @@ def test_shifted_single_axis():
     p = TorusPoint((Fraction(0), Fraction(1, 2), Fraction(1, 3)))
     q = p.shifted(2, Fraction(5, 6))
     assert q == TorusPoint((Fraction(0), Fraction(1, 2), Fraction(1, 6)))
+
+
+def test_empty_point_is_refused_with_a_typed_error():
+    with pytest.raises(ParamOutOfRange, match="at least one coordinate"):
+        TorusPoint(())
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=64)
