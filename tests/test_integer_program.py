@@ -82,26 +82,29 @@ def test_compiled_map_matches_fraction_chain(name, factor):
 # -- random maps: negative signs, constant steps, periods below 1 ----------
 
 @st.composite
-def step_functions(draw):
-    """Steps of period 1/p (p <= 4) with up to 4 pieces on a 1/(p n)
-    grid and values of either sign, some of them above 1 in size."""
-    p = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
+def step_functions(draw, max_period=4, max_cells=6, max_denominator=12):
+    """Steps of period 1/p (p <= max_period) with up to 4 pieces on a
+    1/(p n) grid (n <= max_cells) and values of either sign, some of them
+    above 1 in size."""
+    p = draw(st.integers(1, max_period))
+    n = draw(st.integers(1, max_cells))
     cuts = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True)) if n > 1 else []
     bps = [F(0)] + [F(c, p * n) for c in sorted(cuts)]
     vals = draw(st.lists(
-        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+        st.fractions(min_value=-2, max_value=2, max_denominator=max_denominator),
         min_size=len(bps), max_size=len(bps)))
     return StepFunction(F(1, p), tuple(bps), tuple(vals))
 
 
 @st.composite
-def block_slide_maps(draw):
+def block_slide_maps(draw, max_moves=6, **step_caps):
+    """Maps on the 2- or 3-torus of up to `max_moves` moves; `step_caps`
+    go to `step_functions`."""
     dim = draw(st.integers(2, 3))
     moves = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, max_moves))):
         target = draw(st.integers(0, dim - 1))
-        step = draw(step_functions())
+        step = draw(step_functions(**step_caps))
         if draw(st.booleans()):
             step = StepFunction.constant(step.values[-1], step.period)
         sources = [s for s in range(dim) if s != target or len(step.values) == 1]

@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abctorus.engine import run_circle_scenario
 from abctorus.errors import NotAtomPermutation
@@ -115,13 +115,18 @@ def divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def reference_cost(m: BlockSlideMap, q: int = 1) -> int:
+    """Fraction moves the reference makes when the partitions divide L."""
+    return (4 * lcm(m.denominator_lcm(), q)) ** m.dim * max(1, len(m.moves))
+
+
 @st.composite
 def oracle_inputs(draw):
-    """A small random map with partitions and a q whose cell counts divide
-    the map's own L, so the reference lattice stays at most (4L)^dim with
-    (4L)^dim * moves <= 4,000 Fraction moves; q is sometimes not a divisor."""
-    m = draw(block_slide_maps().filter(
-        lambda m: (4 * m.denominator_lcm()) ** m.dim * max(1, len(m.moves)) <= 4_000))
+    """A small random map with partitions whose cell counts divide the
+    map's own L and a q that mostly does, so that the reference makes at
+    most 12,000 Fraction moves."""
+    maps = block_slide_maps(max_moves=4, max_period=2, max_cells=4, max_denominator=4)
+    m = draw(maps.filter(lambda m: reference_cost(m) <= 12_000))
     ds = divisors(m.denominator_lcm())
 
     def partition():
@@ -135,6 +140,7 @@ def oracle_inputs(draw):
     part = partition()
     target = draw(st.sampled_from([part, partition(), PartitionSpec(part.counts[::-1])]))
     q = draw(st.sampled_from(ds) | st.integers(1, 3))
+    assume(reference_cost(m, q) <= 12_000)
     return m, part, target, q
 
 
