@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,7 +54,7 @@ from mpmath import mp
 
 from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
-from .exact.points import TorusPoint, mod1
+from .exact.points import TorusPoint, as_fraction, mod1
 from .exact.steps import StepFunction
 from .towers import WORK_PREC, exact_mpf
 
@@ -69,11 +69,14 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256, typed=True)
 def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
     """Right-hand sides of the amplitude conditions (A1) and (A2).
 
     Computed in mpmath (unbounded exponent range), so arbitrarily small
-    eps/delta never overflow.
+    eps/delta never overflow. The bounds depend on (l, eps, delta) alone
+    and a realization shares one budget over all its moves, so they are
+    cached; typed keys keep l = 2.0 from passing the integer check as 2.
     """
     _check_profile_params(l, eps, delta)
     with mp.workprec(WORK_PREC):
@@ -268,16 +271,25 @@ class EntireStep:
 
     def eval_at_rational(self, x) -> float:
         """Value at an exact rational, with every window phase reduced in
-        rational arithmetic before any float touches it.
+        integer arithmetic before any float touches it.
 
-        Shifting x by an exact multiple of the period 1/N then reproduces
-        the same float bit for bit, so commutation and conjugacy checks
-        are not polluted by slope-amplified argument rounding.
+        For x = n/d the reduced phase is w = r/d with r = n N mod d, and
+        the phase of E_i is ((r l - i d) mod (l d)) / (l d). Python's int
+        true division is correctly rounded, so each phase is the float
+        nearest to its exact value. Shifting x by an exact multiple of the
+        period 1/N leaves r unchanged and so reproduces the same float bit
+        for bit: commutation and conjugacy checks are not polluted by
+        slope-amplified argument rounding. A non-finite or malformed x is
+        refused with ParamOutOfRange.
         """
-        w = Fraction(x) * self.N % 1
+        x = as_fraction(x)
+        d = x.denominator
+        r = x.numerator * self.N % d
         l = self.l
-        phases = [float((w - Fraction(i, l)) % 1) for i in range(l)]
-        return _window_sum(self.beta, float(self.A), phases, float(w),
+        ld = l * d
+        rl = r * l
+        phases = [(rl - i * d) % ld / ld for i in range(l)]
+        return _window_sum(self.beta, float(self.A), phases, r / d,
                            math.sin, _clamped_envelope)
 
     # -- complex evaluation -------------------------------------------------
@@ -491,23 +503,34 @@ class AnalyticBlockSlide:
     def transform_rational(self, coords: Sequence) -> Tuple[Fraction, ...]:
         """Apply to an exact rational point, keeping coordinates rational.
 
+        The point is carried as integer numerators over one common
+        denominator D, at first the lcm of its coordinates' denominators.
         Each entire-step value is evaluated through eval_at_rational and
-        converted back to an exact rational (binary floats are rational),
-        so the image is a well-defined rational point and shifts by exact
-        periods of the step profiles commute with this map bit for bit.
+        taken back as the exact rational of its binary float; D grows only
+        when a shift's denominator does not divide it. So the image is a
+        well-defined rational point, and shifts by exact periods of the
+        step profiles commute with this map bit for bit. A non-finite or
+        malformed coordinate is refused with ParamOutOfRange.
         """
-        out = [Fraction(c) % 1 for c in coords]
-        if len(out) != self.dim:
+        xs = [as_fraction(c) for c in coords]
+        if len(xs) != self.dim:
             raise ParamOutOfRange(
-                f"expected a point of dimension {self.dim}, got {len(out)}"
+                f"expected a point of dimension {self.dim}, got {len(xs)}"
             )
+        D = lcm(*(c.denominator for c in xs))
+        ys = [c.numerator * (D // c.denominator) % D for c in xs]
         for mv in self.moves:
             if mv.is_constant:
-                out[mv.target] = (out[mv.target] + mv.sign * mv.constant) % 1
+                num, den = mv.constant.numerator, mv.constant.denominator
             else:
-                val = Fraction(mv.step.eval_at_rational(out[mv.source]))
-                out[mv.target] = (out[mv.target] + mv.sign * val) % 1
-        return tuple(out)
+                val = mv.step.eval_at_rational(Fraction(ys[mv.source], D))
+                num, den = val.as_integer_ratio()
+            if D % den:
+                grow = den // gcd(D, den)
+                D *= grow
+                ys = [y * grow for y in ys]
+            ys[mv.target] = (ys[mv.target] + mv.sign * num * (D // den)) % D
+        return tuple(Fraction(y, D) for y in ys)
 
     def in_error_set(self, x) -> bool:
         """True if the exact intermediate orbit of x feeds a collar point
@@ -541,17 +564,23 @@ class AnalyticBlockSlide:
     def inverse(self) -> "AnalyticBlockSlide":
         """Exact inverse: shears invert by flipping their sign (the source
         coordinate is untouched by the move), applied in reverse order."""
-        moves = tuple(
-            AnalyticMove(mv.target, mv.source, -mv.sign, mv.step, mv.constant)
-            for mv in reversed(self.moves)
-        )
-        return AnalyticBlockSlide(
-            dim=self.dim,
-            moves=moves,
-            exact=self.exact.inverse(),
-            eps=self.eps,
-            delta=self.delta,
-        )
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            moves = tuple(
+                AnalyticMove(mv.target, mv.source, -mv.sign, mv.step, mv.constant)
+                for mv in reversed(self.moves)
+            )
+            inv = AnalyticBlockSlide(
+                dim=self.dim,
+                moves=moves,
+                exact=self.exact.inverse(),
+                eps=self.eps,
+                delta=self.delta,
+            )
+            # kept here for the next call; the inverse holds no link back,
+            # so the two never form a reference cycle
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
 
 def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:

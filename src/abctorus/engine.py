@@ -728,7 +728,7 @@ def eval_stage_map(
     shift = mod1(power * rec.alpha)
     if model == "exact":
         if not isinstance(x, TorusPoint):
-            x = TorusPoint(tuple(Fraction(c) for c in x))
+            x = TorusPoint(x)
         y = maps.apply_exact(x, stage)
         y = y.shifted(0, shift)
         return maps.apply_exact(y, stage, inverse=True)

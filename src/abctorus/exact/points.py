@@ -15,6 +15,15 @@ from ..errors import ParamOutOfRange
 Rat = Union[Fraction, int, str]
 
 
+def as_fraction(c) -> Fraction:
+    """Fraction(c), refusing a non-finite or malformed coordinate (inf,
+    nan, "abc", None) with ParamOutOfRange."""
+    try:
+        return Fraction(c)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ParamOutOfRange(f"coordinate {c!r} is not a finite rational") from exc
+
+
 def mod1(x: Fraction | int) -> Fraction:
     """Reduce a rational to [0, 1)."""
     f = Fraction(x)
@@ -32,7 +41,7 @@ class TorusPoint:
     coords: Tuple[Fraction, ...]
 
     def __init__(self, coords: Iterable[Rat]):
-        cs = tuple(mod1(Fraction(c)) for c in coords)
+        cs = tuple(mod1(as_fraction(c)) for c in coords)
         if not cs:
             raise ParamOutOfRange("a torus point needs at least one coordinate")
         object.__setattr__(self, "coords", cs)

@@ -1,5 +1,7 @@
 """Tests for the entire-function approximation layer."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +55,23 @@ def test_amplitude_lower_bounds_frozen():
     a1, a2 = amplitude_lower_bounds(2, EPS_DEMO, DELTA_DEMO)
     assert abs(float(a1) - 22.285480360042566) < 1e-9
     assert abs(float(a2) - 6.647954129745945) < 1e-9
+
+
+def test_amplitude_lower_bounds_cache_returns_the_computed_bounds():
+    # the four (l, eps, delta) triples of the minimal realization's build
+    for l in (2, 4, 8, 16):
+        args = (l, Fraction(1, 82224), Fraction(1, 27408))
+        cached = amplitude_lower_bounds(*args)
+        assert amplitude_lower_bounds(*args) is cached
+        fresh = amplitude_lower_bounds.__wrapped__(*args)
+        for a, b in zip(cached, fresh):
+            assert isinstance(a, mp.mpf) and a == b and a.man == b.man and a.exp == b.exp
+
+
+def test_amplitude_lower_bounds_cache_keeps_the_integer_check():
+    amplitude_lower_bounds(2, EPS_DEMO, DELTA_DEMO)
+    with pytest.raises(ParamOutOfRange):
+        amplitude_lower_bounds(2.0, EPS_DEMO, DELTA_DEMO)
 
 
 def test_choose_amplitude_general_smallest_power_of_two():
@@ -588,3 +607,28 @@ def test_inverse_structure():
     assert inv.moves[0].sign == -am.moves[-1].sign
     assert inv.eps == am.eps and inv.delta == am.delta
     assert inv.exact == am.exact.inverse()
+
+
+def test_inverse_is_kept_on_the_forward_map():
+    am = approximate_blockslide(
+        build_interchange(4, 3), Fraction(1, 1000), Fraction(1, 1000)
+    )
+    inv = am.inverse()
+    assert am.inverse() is inv
+    x = (Fraction(5, 24), Fraction(-7, 2**61 + 1))
+    assert inv.transform_rational(am.transform_rational(x)) == tuple(c % 1 for c in x)
+    assert inv.inverse() is not am and inv.inverse().moves == am.moves
+
+
+def test_kept_inverse_forms_no_reference_cycle():
+    am = approximate_blockslide(
+        build_interchange(4, 3), Fraction(1, 1000), Fraction(1, 1000)
+    )
+    forward, inverse = weakref.ref(am), weakref.ref(am.inverse())
+    gc.disable()
+    try:
+        del am
+        # freed by reference counting alone, with the collector off
+        assert forward() is None and inverse() is None
+    finally:
+        gc.enable()

@@ -12,10 +12,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from abctorus.analytic import _clamped_envelope, _window_sum, approximate_blockslide
-from abctorus.engine import run_circle_scenario, run_minimal_scenario
+from abctorus.engine import eval_stage_map, run_circle_scenario, run_minimal_scenario
+from abctorus.errors import ParamOutOfRange
+from abctorus.exact.points import TorusPoint
 from test_integer_program import block_slide_maps
 
 F = Fraction
@@ -163,3 +166,33 @@ def test_random_analytic_map_matches_reference(m, coords):
     x = tuple(coords[:m.dim])
     for h in (am, am.inverse()):
         assert h.transform_rational(x) == _reference_transform_rational(h, x)
+
+
+# -- non-finite and malformed coordinates are refused with a typed error ----
+
+def test_eval_at_rational_refuses_infinity():
+    step = steps_of(CIRCLE_MAPS[0])[0]
+    for x in (float("inf"), float("-inf")):
+        with pytest.raises(ParamOutOfRange, match="not a finite rational"):
+            step.eval_at_rational(x)
+
+
+def test_transform_rational_refuses_nan():
+    with pytest.raises(ParamOutOfRange, match="not a finite rational"):
+        CIRCLE_MAPS[0].transform_rational((float("nan"), 0.5))
+
+
+def test_transform_rational_refuses_malformed_coordinates():
+    for bad in ("abc", None, 1j):
+        with pytest.raises(ParamOutOfRange, match="not a finite rational"):
+            CIRCLE_MAPS[0].transform_rational((bad, 0.5))
+
+
+def test_exact_stage_map_refuses_infinity():
+    with pytest.raises(ParamOutOfRange, match="not a finite rational"):
+        eval_stage_map(_CIRCLE, (float("inf"), 0.5), "exact")
+    with pytest.raises(ParamOutOfRange, match="not a finite rational"):
+        TorusPoint((0.5, "abc"))
+    # a well-formed sequence still reaches the exact model
+    x = TorusPoint((F(1, 5), F(2, 7)))
+    assert eval_stage_map(_CIRCLE, ("1/5", "2/7"), "exact") == eval_stage_map(_CIRCLE, x, "exact")
