@@ -563,7 +563,8 @@ class AnalyticBlockSlide:
 
     def inverse(self) -> "AnalyticBlockSlide":
         """Exact inverse: shears invert by flipping their sign (the source
-        coordinate is untouched by the move), applied in reverse order."""
+        coordinate is untouched by the move), applied in reverse order.
+        Built on the first call and kept on this map."""
         inv = self.__dict__.get("_inverse")
         if inv is None:
             moves = tuple(
