@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abctorus.errors import ParamOutOfRange
 from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
