@@ -54,7 +54,7 @@ from mpmath import mp
 
 from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
-from .exact.points import TorusPoint, as_fraction, mod1
+from .exact.points import TorusPoint, as_fraction, as_fractions, mod1
 from .exact.steps import StepFunction
 from .towers import WORK_PREC, exact_mpf
 
@@ -477,12 +477,16 @@ class AnalyticBlockSlide:
     delta: Fraction
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to a (dim, n) float array of points (mod 1)."""
-        out = np.array(pts, dtype=float, copy=True) % 1.0
+        """Apply to a (dim, n) float array of points (mod 1); a non-finite
+        coordinate is refused with ParamOutOfRange."""
+        out = np.array(pts, dtype=float, copy=True)
         if out.ndim != 2 or out.shape[0] != self.dim:
             raise ParamOutOfRange(
                 f"expected a ({self.dim}, n) coordinate array, got shape {out.shape}"
             )
+        if not np.isfinite(out).all():
+            raise ParamOutOfRange("a coordinate is not finite")
+        out %= 1.0
         for mv in self.moves:
             if mv.is_constant:
                 shift = mv.sign * float(mv.constant)
@@ -512,7 +516,7 @@ class AnalyticBlockSlide:
         step profiles commute with this map bit for bit. A non-finite or
         malformed coordinate is refused with ParamOutOfRange.
         """
-        xs = [as_fraction(c) for c in coords]
+        xs = as_fractions(coords)
         if len(xs) != self.dim:
             raise ParamOutOfRange(
                 f"expected a point of dimension {self.dim}, got {len(xs)}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +51,7 @@ from .exact.builders import (
     build_grid_refine,
     build_minimal_combinatorics,
 )
-from .exact.oracle import _GRID_POINT_BUDGET
+from .exact.oracle import _GRID_POINT_BUDGET, misplaced_boxes
 from .exact.partitions import PartitionSpec
 from .exact.points import TorusPoint, mod1
 from .minimal import minimal_stage
@@ -180,7 +180,10 @@ class Conjugation(Protocol):
     boxes of the 2-torus that commutes with the previous rotation.
 
     Implemented by `BlockSlideMap` and by the O(1) minimality-stage
-    evaluator `MinimalConjugation`; the engine needs nothing else of a
+    evaluator `MinimalConjugation`. Both evaluate through an integer
+    rule at a modulus M, a multiple of `denominator_lcm()`: on Python
+    ints in `__call__` and on int64 arrays in `compiled(M)`, which is
+    what the lattice oracle walks. The engine needs nothing else of a
     conjugation.
     """
 
@@ -198,6 +201,17 @@ class Conjugation(Protocol):
     def box_grid(self) -> Tuple[int, int]:
         """(cols, rows): pitches 1/cols on x1 and 1/rows on x2 of a box
         lattice that h translates rigidly, box onto box."""
+        ...
+
+    def denominator_lcm(self) -> int:
+        """The modulus L of the integer rule: h maps the 1/L lattice
+        onto itself."""
+        ...
+
+    def compiled(self, M: int):
+        """The integer rule at modulus M (a multiple of L, below 2^62)
+        as an object whose `apply` maps a (dim, n) int64 array of
+        lattice points j/M to their images."""
         ...
 
 
@@ -487,6 +501,21 @@ def translation_index_function(
     return tuple((-o[i]) % q for i in range(k))
 
 
+def _chain_k(chain: TranslationParams, i: int) -> int:
+    """k of the stage built from chain level i: l for a one-dimensional
+    factor, s * gamma'_2 for a two-dimensional one, with gamma' the next
+    level's direction."""
+    lv = chain.levels[i]
+    if chain.h == 1:
+        return lv.l
+    if chain.h != 2:
+        raise UnsupportedDimension(
+            f"stage maps are implemented for 1- and 2-dimensional "
+            f"translation factors, got h={chain.h}"
+        )
+    return lv.s * chain.levels[i + 1].gamma[-1]
+
+
 def build_stage_translation(params: AbCParams, chain: TranslationParams) -> StageIncrement:
     """One stage of the translation-factor scenario along a parameter chain.
 
@@ -524,8 +553,9 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
             "chain level carries no grid multiplier; generate the chain "
             "with l_base set to feed the stage builder"
         )
+    k = _chain_k(chain, idx)
     if chain.h == 1:
-        if params.k != lv.l or params.l != lv.l or params.s != lv.s:
+        if params.k != k or params.l != lv.l or params.s != lv.s:
             raise ParamOutOfRange(
                 f"one-dimensional factors couple k = l = {lv.l}, s = {lv.s}; "
                 f"got k={params.k}, l={params.l}, s={params.s}"
@@ -543,13 +573,8 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
             exact=inc.exact,
             analytic=inc.analytic,
         )
-    if chain.h != 2:
-        raise UnsupportedDimension(
-            f"stage maps are implemented for 1- and 2-dimensional "
-            f"translation factors, got h={chain.h}"
-        )
     n, q = params.n, params.q
-    k, l, s = lv.s * nxt.gamma[-1], lv.l, lv.s
+    l, s = lv.l, lv.s
     if params.k != k or params.l != l or params.s != s:
         raise ParamOutOfRange(
             f"record multipliers (k={params.k}, l={params.l}, s={params.s}) "
@@ -565,7 +590,7 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
     # its record against the chain); the terminal record keeps this
     # stage's multipliers as information only
     if idx + 2 < len(chain.levels) and nxt.l is not None:
-        k_fwd = nxt.s * chain.levels[idx + 2].gamma[-1]
+        k_fwd = _chain_k(chain, idx + 1)
         l_fwd, s_fwd = nxt.l, nxt.s
     else:
         k_fwd, l_fwd, s_fwd = k, l, s
@@ -609,15 +634,7 @@ def run_translation_scenario(
         raise ParamOutOfRange(
             "chain carries no grid multipliers; generate it with l_base set"
         )
-    if chain.h == 1:
-        k1 = lv1.l
-    elif chain.h == 2:
-        k1 = lv1.s * chain.levels[1].gamma[-1]
-    else:
-        raise UnsupportedDimension(
-            f"stage maps are implemented for 1- and 2-dimensional "
-            f"translation factors, got h={chain.h}"
-        )
+    k1 = _chain_k(chain, 0)
     start = AbCParams(
         n=1, p=lv1.p, q=lv1.q, k=k1, l=lv1.l, s=lv1.s,
         eps=stage_epsilon(1), a=(0,) * k1,
@@ -1065,45 +1082,27 @@ def correspondence_defect(
 ) -> CorrespondenceDefect:
     """Measure mu(h_stage^{-1} R_i symdiff Delta_i) for every atom i.
 
-    Exact model: h permutes a finite box lattice rigidly, so checking
-    one interior point per box is a certificate; the defect is exactly
-    zero for the built scenarios.  Lattices of more than the exact
-    oracle's point budget are refused.  Analytic model: seeded Monte
-    Carlo over the torus; each sample charges 1/samples to the source
-    atom it leaves and the image atom it wrongly enters; refused for
-    stages built without an analytic conjugation.
+    Exact model: h translates the boxes of its box lattice rigidly, so
+    `oracle.misplaced_boxes` certifies the defect from one corner per
+    box, the lattice refined by the coarse blocks (pitch 1/q) and the
+    tower columns (pitch 1/(kq)); the defect is exactly zero for the
+    built scenarios.  Lattices beyond the oracle's budget are refused
+    with ParamOutOfRange.  Analytic model: seeded Monte Carlo over the
+    torus; each sample charges 1/samples to the source atom it leaves
+    and the image atom it wrongly enters; refused for stages built
+    without an analytic conjugation.
     """
     maps._check_stage(stage)
     rec = maps.records[stage - 1]
     tower = PartitionSpec.tower(rec.a, rec.k, rec.q)
-    h_ex = maps.conjugations_exact[stage - 1]
-    defects = [Fraction(0)] * rec.q
     if model == "exact":
-        # h translates the boxes of its box grid rigidly, so a single
-        # interior point certifies its whole box; refining x1 to pitch
-        # 1/(kq) resolves both the coarse blocks (pitch 1/q) and the
-        # tower columns.
-        cols, rows = h_ex.box_grid()
-        cols = lcm(cols, rec.k * rec.q)
-        if cols * rows > _GRID_POINT_BUDGET:
-            raise ParamOutOfRange(
-                f"box lattice of {cols} x {rows} boxes is beyond the exact-"
-                f"oracle budget of {_GRID_POINT_BUDGET} points (one per box)"
-            )
-        span = cols // rec.q
-        box = Fraction(1, cols * rows)
-        for i in range(rec.q):
-            for c in range(span):
-                for r in range(rows):
-                    x = TorusPoint((
-                        Fraction(2 * (i * span + c) + 1, 2 * cols),
-                        Fraction(2 * r + 1, 2 * rows),
-                    ))
-                    if tower.atom_index(h_ex(x)) != i:
-                        defects[i] += box
-        return CorrespondenceDefect(stage, model, tuple(defects))
+        h = maps.conjugations_exact[stage - 1]
+        misplaced, boxes = misplaced_boxes(h, PartitionSpec.blocks(rec.q), tower)
+        return CorrespondenceDefect(
+            stage, model, tuple(Fraction(int(c), boxes) for c in misplaced))
     if model == "analytic":
         h_an = maps._analytic(stage)
+        defects = [Fraction(0)] * rec.q
         rng = np.random.default_rng(seed)
         pts = rng.random((2, samples))
         img = h_an.transform(pts)

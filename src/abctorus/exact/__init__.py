@@ -14,7 +14,7 @@ from .points import TorusPoint, mod1, rotate
 from .steps import StepFunction
 from .blockslide import BlockSlideMove, BlockSlideMap, rotation_map
 from .partitions import PartitionSpec
-from .oracle import induced_atom_permutation, commutes_with_rotation
+from .oracle import induced_atom_permutation, misplaced_boxes, commutes_with_rotation
 
 __all__ = [
     "TorusPoint",
@@ -26,5 +26,6 @@ __all__ = [
     "rotation_map",
     "PartitionSpec",
     "induced_atom_permutation",
+    "misplaced_boxes",
     "commutes_with_rotation",
 ]

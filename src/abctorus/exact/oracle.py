@@ -1,41 +1,50 @@
-"""Exact verification oracles for block-slide maps.
+"""Exact verification oracles: the one box-lattice walk.
 
-Both oracles walk one lattice of boxes. `BlockSlideMap.box_grid()` gives
+Every exact conjugation (`engine.Conjugation`: a block-slide map or the
+O(1) minimality map) comes with a lattice of boxes. `box_grid()` gives
 (cols, rows), pitches 1/cols on the first coordinate and 1/rows on every
-other one, fine enough that each move's step is constant across every
+other one, fine enough that the map translates every box rigidly onto a
+box: for a block-slide map each move's step is constant across every
 box (its breakpoints and period lie on the source axis's pitch) and
-shifts by a whole number of pitches of the target axis. So each move,
-and with it the whole map, translates every box rigidly onto a box.
-Refining the lattice by the partitions' cell counts makes every atom a
-union of boxes as well. A rigid translation of a box is fixed by the
-image of any one of its points, so pushing one point per box, its
-lower-left corner, through the map is a certificate, not a sample:
+shifts by a whole number of pitches of the target axis. Refining the
+lattice by the partitions' cell counts makes every atom a union of boxes
+as well. A rigid translation of a box is fixed by the image of any one
+of its points, so pushing one point per box, its lower-left corner,
+through the map is a certificate, not a sample:
 
 - `induced_atom_permutation` reads off, box by box, the source atom the
   box lies in and the target atom its image lies in;
+- `misplaced_boxes` counts, per source atom, the boxes whose image
+  leaves the target atom with the same index (the exact correspondence
+  defect of the engine);
 - `commutes_with_rotation` compares m o phi^{1/q} with phi^{1/q} o m on
-  the boxes of `m.then(phi).box_grid()`. Both compositions are made of
-  the same moves, so both translate those boxes rigidly, and they agree
-  on a box as soon as they agree on its corner.
+  the boxes of `m.then(phi).box_grid()`, for block-slide maps. Both
+  compositions are made of the same moves, so both translate those
+  boxes rigidly, and they agree on a box as soon as they agree on its
+  corner.
 
 The corners are integers at the modulus M = lcm(L, box counts), where L
-is the map's denominator lcm, and they go through the map's
-`CompiledMap` `_CHUNK_POINTS` at a time, so memory stays
+is the map's denominator lcm, and they go through the map's compiled
+integer rule `_CHUNK_POINTS` at a time, so memory stays
 O(chunk * dim + atoms) however many boxes there are. More than
-64 * `_GRID_POINT_BUDGET` boxes are refused, which bounds the time.
+64 * `_GRID_POINT_BUDGET` boxes are refused in `_box_lattice`, which
+bounds the time; it is the only lattice budget of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import NotAtomPermutation, ParamOutOfRange
 from .blockslide import BlockSlideMap, rotation_map
 from .partitions import PartitionSpec
+
+if TYPE_CHECKING:
+    from ..engine import Conjugation
 
 _GRID_POINT_BUDGET = 2_000_000
 _CHUNK_POINTS = 1 << 16
@@ -52,7 +61,7 @@ def full_lattice(counts: Sequence[int], start: int = 0,
     return np.stack(np.unravel_index(flat, tuple(counts))).astype(np.int64, copy=False)
 
 
-def _box_lattice(m: BlockSlideMap,
+def _box_lattice(m: "Conjugation",
                  parts: Iterable[PartitionSpec] = ()) -> Tuple[int, Tuple[int, ...]]:
     """(M, counts): boxes per axis of `m`'s box grid refined by the cell
     counts of `parts`, and the modulus at which their corners are
@@ -76,8 +85,20 @@ def _corners(M: int, counts: Tuple[int, ...]):
         yield full_lattice(counts, start, min(start + _CHUNK_POINTS, n)) * pitch
 
 
+def _atom_pairs(m: "Conjugation", part: PartitionSpec,
+                target: PartitionSpec) -> Iterator[Tuple["np.ndarray", "np.ndarray"]]:
+    """(source atoms, target atoms) of the box corners and of their images
+    under `m`, as two int64 arrays per chunk of `_CHUNK_POINTS` boxes."""
+    if part.dim != m.dim or target.dim != m.dim:
+        raise ParamOutOfRange("partition/map dimension mismatch")
+    M, counts = _box_lattice(m, (part, target))
+    cm = m.compiled(M)
+    for pts in _corners(M, counts):
+        yield part.atom_index_grid(pts, M), target.atom_index_grid(cm.apply(pts), M)
+
+
 def induced_atom_permutation(
-    m: BlockSlideMap,
+    m: "Conjugation",
     part: PartitionSpec,
     target: Optional[PartitionSpec] = None,
 ) -> "np.ndarray":
@@ -90,20 +111,14 @@ def induced_atom_permutation(
     """
     if target is None:
         target = part
-    if part.dim != m.dim or target.dim != m.dim:
-        raise ParamOutOfRange("partition/map dimension mismatch")
     if part.atom_count != target.atom_count:
         raise NotAtomPermutation(
             f"atom counts differ: {part.atom_count} vs {target.atom_count}"
         )
-    M, counts = _box_lattice(m, (part, target))
-    cm = m.compiled(M)
     n = part.atom_count
     perm = np.full(n, -1, dtype=np.int64)  # first target seen per source atom
     split = np.zeros(n, dtype=bool)
-    for pts in _corners(M, counts):
-        src = part.atom_index_grid(pts, M)
-        dst = target.atom_index_grid(cm.apply(pts), M)
+    for src, dst in _atom_pairs(m, part, target):
         fresh = perm[src] < 0
         perm[src[fresh]] = dst[fresh]
         split[src[perm[src] != dst]] = True
@@ -116,6 +131,20 @@ def induced_atom_permutation(
     if np.unique(perm).size != n:
         raise NotAtomPermutation("two atoms map into the same target atom")
     return perm
+
+
+def misplaced_boxes(m: "Conjugation", part: PartitionSpec,
+                    target: PartitionSpec) -> Tuple["np.ndarray", int]:
+    """(misplaced, boxes): misplaced[i] counts the boxes of `part`'s atom
+    i whose image under `m` lies outside `target`'s atom i, and `boxes`
+    is the number of boxes of the whole lattice, each of measure
+    1/boxes."""
+    misplaced = np.zeros(part.atom_count, dtype=np.int64)
+    boxes = 0
+    for src, dst in _atom_pairs(m, part, target):
+        misplaced += np.bincount(src[src != dst], minlength=misplaced.size)
+        boxes += src.size
+    return misplaced, boxes
 
 
 def commutes_with_rotation(m: BlockSlideMap, q: int) -> bool:

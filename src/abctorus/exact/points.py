@@ -24,6 +24,16 @@ def as_fraction(c) -> Fraction:
         raise ParamOutOfRange(f"coordinate {c!r} is not a finite rational") from exc
 
 
+def as_fractions(coords) -> Tuple[Fraction, ...]:
+    """`as_fraction` of every coordinate of a point, refusing a point that
+    is not a sequence of coordinates (0.5, None) with ParamOutOfRange."""
+    try:
+        it = iter(coords)
+    except TypeError as exc:
+        raise ParamOutOfRange(f"point {coords!r} is not a sequence of coordinates") from exc
+    return tuple(as_fraction(c) for c in it)
+
+
 def mod1(x: Fraction | int) -> Fraction:
     """Reduce a rational to [0, 1)."""
     f = Fraction(x)
@@ -41,7 +51,7 @@ class TorusPoint:
     coords: Tuple[Fraction, ...]
 
     def __init__(self, coords: Iterable[Rat]):
-        cs = tuple(mod1(as_fraction(c)) for c in coords)
+        cs = tuple(mod1(c) for c in as_fractions(coords))
         if not cs:
             raise ParamOutOfRange("a torus point needs at least one coordinate")
         object.__setattr__(self, "coords", cs)

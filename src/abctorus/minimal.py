@@ -38,13 +38,24 @@ and are the production route for orbit-scale diagnostics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import ParamOutOfRange
-from .exact.builders import minimal_cell_image
+from .exact.blockslide import (
+    BlockSlideMap,
+    BlockSlideMove,
+    CompiledMap,
+    _advance,
+    _searchsorted_right,
+)
+from .exact.builders import minimal_cell_image, minimal_quotient_perm
 from .exact.points import TorusPoint
 from .exact.steps import StepFunction, build_trapping_step
 
@@ -104,7 +115,7 @@ class MinimalCombinatorics:
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
         if not isinstance(x, TorusPoint):
-            x = TorusPoint(tuple(Fraction(c) for c in x))
+            x = TorusPoint(x)
         if len(x.coords) != 2:
             raise ParamOutOfRange(
                 f"expected a 2-torus point, got dimension {len(x.coords)}"
@@ -132,10 +143,16 @@ class MinimalCombinatorics:
 class MinimalConjugation:
     """One minimality-stage conjugation, h = h1 o h2 with h2 first.
 
-    Implements the engine's `Conjugation` protocol: callable on
-    TorusPoint with an exact rational result, an exact ``inverse()``, a
-    structural commutation test and a rigid box lattice — at O(1) cost
-    per evaluation instead of one term per gadget move.
+    Implements the engine's `Conjugation` protocol at O(1) cost per
+    point. It evaluates through one integer rule at a modulus M, a
+    multiple of `denominator_lcm()`, with coordinate j standing for j/M:
+    h2 reads the cell (col, row) of the l^3 q x l r grid and moves the
+    point by the cell offsets of its partner, read from a table of
+    `minimal_quotient_perm`; h1 is the trapping shear run as its
+    one-move block-slide program. The inverse runs the inverse shear
+    first, then the same involution. `__call__` runs the rule on Python
+    ints at M = lcm(L, the point's denominators), and `compiled(M)` on
+    int64 arrays, as `BlockSlideMap` does.
     """
 
     dim = 2
@@ -145,15 +162,69 @@ class MinimalConjugation:
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
         if not isinstance(x, TorusPoint):
-            x = TorusPoint(tuple(Fraction(c) for c in x))
+            x = TorusPoint(x)
+        if x.dim != 2:
+            raise ParamOutOfRange(f"expected a 2-torus point, got dimension {x.dim}")
+        M = lcm(self.denominator_lcm(), *(c.denominator for c in x))
+        ys = [c.numerator * (M // c.denominator) for c in x]
+        self._rule(ys, M, self._cells, self._shear._program.moves(), bisect_right)
+        return TorusPoint(Fraction(y, M) for y in ys)
+
+    def _rule(self, x, M: int, cells, shear_moves, search):
+        """The integer rule on x (a list of two ints or a (2, n) int64
+        array) at modulus M; `cells` holds the involution's column and
+        row offsets as Python ints or as arrays."""
+        c = M // self._shear.denominator_lcm()
         if self.inverted:
-            y = x.shifted(1, -self.kappa(x[0]))
-            return self.comb(y)
-        y = self.comb(x)
-        return y.shifted(1, self.kappa(y[0]))
+            _advance(x, shear_moves, c, M, search)
+        comb = self.comb
+        col_pitch, row_pitch = M // comb.cols, M // comb.rows
+        cls = x[0] // col_pitch % (comb.l * comb.l) * comb.rows + x[1] // row_pitch
+        x[0] = x[0] + cells[0][cls] * col_pitch
+        x[1] = x[1] + cells[1][cls] * row_pitch
+        if not self.inverted:
+            _advance(x, shear_moves, c, M, search)
+        return x
+
+    @cached_property
+    def _cells(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Column and row offsets of the involution per strip class
+        c * (l r) + y, as Python ints."""
+        lr = self.comb.rows
+        perm = minimal_quotient_perm(self.comb.l, self.comb.r).tolist()
+        return (tuple(j // lr - i // lr for i, j in enumerate(perm)),
+                tuple(j % lr - i % lr for i, j in enumerate(perm)))
+
+    @cached_property
+    def _shear(self) -> BlockSlideMap:
+        """h1 (or its inverse) as a one-move block-slide map."""
+        return BlockSlideMap(2, (BlockSlideMove(1, 0, -1 if self.inverted else 1, self.kappa),))
 
     def inverse(self) -> "MinimalConjugation":
-        return replace(self, inverted=not self.inverted)
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            inv = replace(self, inverted=not self.inverted)
+            # the involution's table and the shear's program are shared,
+            # and the inverse is kept here for the next call
+            inv.__dict__["_cells"] = self._cells
+            inv.__dict__["_shear"] = self._shear.inverse()
+            object.__setattr__(self, "_inverse", inv)
+        return inv
+
+    def denominator_lcm(self) -> int:
+        """The modulus L of the integer rule: the staircase's
+        denominators and the cell grid's pitches."""
+        return lcm(self.kappa.denominator_lcm(), self.comb.cols, self.comb.rows)
+
+    def compiled(self, M: int) -> "CompiledMinimal":
+        """The integer rule on int64 arrays at modulus M, a multiple of
+        `denominator_lcm()` below 2^62."""
+        if M % self.denominator_lcm() != 0:
+            raise ParamOutOfRange(
+                f"grid modulus {M} not a multiple of the lcm {self.denominator_lcm()}"
+            )
+        cells = tuple(np.array(t, dtype=np.int64) for t in self._cells)
+        return CompiledMinimal(self, M, cells, self._shear.compiled(M))
 
     def commutes_with_rotation(self, q: int) -> bool:
         """Structural commutation with the rotation by 1/q of x1.
@@ -171,15 +242,30 @@ class MinimalConjugation:
         """(cols, rows) of a box lattice that h translates rigidly.
 
         h2 moves whole cells of its l^3 q x l r grid by multiples of the
-        cell pitch, and the shear h1 reads x1 (kappa's breakpoints and
-        period refine the columns) and shifts x2 by kappa's values (which
-        refine the rows); the same lattice serves the inverse.
+        cell pitch, and the shear's own box grid makes h1 rigid; the same
+        lattice serves the inverse.
         """
-        k = self.kappa
-        cols = lcm(self.comb.cols, k.period.denominator,
-                   *(b.denominator for b in k.breakpoints))
-        rows = lcm(self.comb.rows, *(v.denominator for v in k.values))
-        return cols, rows
+        cols, rows = self._shear.box_grid()
+        return lcm(cols, self.comb.cols), lcm(rows, self.comb.rows)
+
+
+@dataclass(frozen=True)
+class CompiledMinimal:
+    """`MinimalConjugation`'s integer rule on int64 point clouds (2, n)
+    modulo M, with the involution's offsets as arrays and the shear as
+    its `CompiledMap` (which enforces M < 2^62)."""
+
+    h: MinimalConjugation
+    M: int
+    cells: Tuple["np.ndarray", "np.ndarray"]
+    shear: CompiledMap
+
+    def apply(self, pts: "np.ndarray") -> "np.ndarray":
+        """Apply to an array of shape (2, n) of int64 lattice points."""
+        out = np.asarray(pts, dtype=np.int64) % self.M
+        shear = self.shear
+        return self.h._rule(out, self.M, self.cells, shear.program.moves(shear.entries),
+                            _searchsorted_right)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +334,7 @@ class MinimalStage:
     def locate(self, y: TorusPoint) -> Optional[Zone]:
         """Zone of y — ('A', s, i), ('B', t, s, i) — or None in a collar."""
         if not isinstance(y, TorusPoint):
-            y = TorusPoint(tuple(Fraction(c) for c in y))
+            y = TorusPoint(y)
         l = self.l
         z2 = (y[1] - self.kappa(y[0])) % 1
         c_scaled = y[0] * self.comb.cols
@@ -291,6 +377,7 @@ def minimal_stage(
 
 
 __all__ = [
+    "CompiledMinimal",
     "MinimalCombinatorics",
     "MinimalConjugation",
     "MinimalStage",

@@ -47,7 +47,7 @@ from abctorus.engine import (
     stage_partition,
     verify_cyclic_permutation,
 )
-from abctorus.errors import ParamOutOfRange
+from abctorus.errors import ParamOutOfRange, UnsupportedDimension
 from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
 from abctorus.exact.builders import build_abc_conjugation, build_grid_refine
 from abctorus.exact.points import TorusPoint
@@ -393,10 +393,15 @@ class TestCorrespondence:
         with pytest.raises(ParamOutOfRange):
             correspondence_defect(minimal1, 1, "exact")
 
-    def test_exact_defect_beyond_budget_is_refused(self, circle3):
-        # 5308416 x 4 boxes; refused before any box is visited
-        with pytest.raises(ParamOutOfRange):
-            correspondence_defect(circle3, 3, "exact")
+    def test_exact_defect_on_circle_stage_3_is_certified(self, circle3):
+        # 5308416 x 4 boxes, within the lattice oracle's budget
+        d = correspondence_defect(circle3, 3, "exact")
+        assert len(d.per_atom) == circle3.records[2].q and d.total == 0
+
+    def test_exact_defect_beyond_budget_is_refused(self, translation_oversized):
+        # 2000000 x 1000 boxes; refused before any box is visited
+        with pytest.raises(ParamOutOfRange, match="budget"):
+            correspondence_defect(translation_oversized, 1, "exact")
 
     def test_analytic_defect_needs_an_analytic_model(self, translation_oversized):
         assert translation_oversized.conjugations_analytic[0] is None
@@ -524,6 +529,11 @@ class TestScenarioRunners:
         with pytest.raises(ParamOutOfRange, match="budget"):
             run_translation_scenario(chain, 1)
 
+    def test_translation_needs_a_one_or_two_dimensional_factor(self):
+        chain = translation_params(h=3, levels=2, l_base=2)
+        with pytest.raises(UnsupportedDimension):
+            run_translation_scenario(chain, 1)
+
     def test_minimal_end_to_end(self, minimal1):
         maps = minimal1
         assert maps.scenario == "minimal"
@@ -534,6 +544,40 @@ class TestScenarioRunners:
         part = stage_partition(maps, 1, atoms=(0, 7, 575))
         for label, cloud in zip(part.atoms, part.samples):
             assert all(int(maps.apply_exact(z, 1)[0] * 576) == label for z in cloud)
+
+
+# ---------------------------------------------------------------------------
+# Malformed and non-finite points.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [(float("nan"), 0.5), (float("inf"), 0.5), ("abc", 0.5), 0.5],
+                         ids=["nan", "inf", "text", "scalar"])
+@pytest.mark.parametrize("call", ["minimal_conjugation", "minimal_combinatorics",
+                                  "minimal_locate", "eval_exact", "eval_rational"])
+def test_malformed_points_are_refused(circle2, call, x):
+    st = minimal_stage(n=2, l=2, q=1, r=2)
+    fn = {
+        "minimal_conjugation": st.conjugation(),
+        "minimal_combinatorics": st.comb,
+        "minimal_locate": st.locate,
+        "eval_exact": lambda y: eval_stage_map(circle2, y, "exact"),
+        "eval_rational": lambda y: eval_stage_map(circle2, y, "rational"),
+    }[call]
+    with pytest.raises(ParamOutOfRange):
+        fn(x)
+
+
+def test_float_analytic_path_refuses_non_finite_coordinates(circle2):
+    h1 = circle2.conjugations_analytic[0]
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        h1((float("inf"), 0.5))
+    pts = np.full((2, 4), 0.25)
+    pts[1, 2] = np.nan
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        h1.transform(pts)
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        eval_stage_map(circle2, (float("nan"), 0.5), "analytic")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from abctorus.errors import ParamOutOfRange
@@ -10,6 +11,7 @@ from abctorus.exact.builders import (
 from abctorus.exact.oracle import commutes_with_rotation, induced_atom_permutation
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.permutations import lift_quotient
+from abctorus.minimal import minimal_stage
 
 F = Fraction
 
@@ -60,6 +62,16 @@ def test_realized_map_matches_quotient():
     assert list(got) == list(want)
     assert commutes_with_rotation(m, l * q)
     assert m.commutes_with_rotation(l * q)
+
+
+@pytest.mark.parametrize("n,l,q,r", [(2, 2, 1, 1), (2, 2, 3, 2), (3, 4, 1, 2)])
+def test_minimal_conjugation_induces_the_lifted_quotient(n, l, q, r):
+    # with delta = 0 the trapping shear is the identity, so the O(1)
+    # conjugation permutes the grid cells exactly as the quotient does
+    h = minimal_stage(n, l, q, r, delta=0).conjugation()
+    got = induced_atom_permutation(h, PartitionSpec.grid_min(l, q, r))
+    want = lift_quotient(minimal_quotient_perm(l, r), l * l, l * q, l * r)
+    assert np.array_equal(got, want)
 
 
 def test_rejects_bad_parameters():

@@ -3,7 +3,8 @@
 The reference pushes every point of the 1/(4L) lattice through the
 per-move Fraction chain (`BlockSlideMove.apply`), with L the lcm of the
 map's, the partitions' and the rotation's denominators, and reads the
-atom permutation and the commutation verdict off the images. The oracle
+atom permutation, the misplaced measure per atom and the commutation
+verdict off the images. The oracle
 visits one corner per box of a coarser lattice and must agree with it,
 including the message of every `NotAtomPermutation`.
 """
@@ -148,6 +149,27 @@ def oracle_inputs(draw):
 @settings(max_examples=40, deadline=None)
 def test_random_maps_match_the_reference(case):
     check_against_reference(*case)
+
+
+def reference_misplaced(images: dict, part: PartitionSpec, target: PartitionSpec, n: int):
+    """Per source atom, the measure of the 1/n lattice cells whose image
+    leaves the target atom with the same index."""
+    out = [F(0)] * part.atom_count
+    for x, y in images.values():
+        i = part.atom_index(x)
+        if target.atom_index(y) != i:
+            out[i] += F(1, n ** len(x.coords))
+    return out
+
+
+@given(oracle_inputs())
+@settings(max_examples=40, deadline=None)
+def test_misplaced_boxes_match_the_reference(case):
+    m, part, target, _ = case
+    n = 4 * lcm(m.denominator_lcm(), *part.counts, *target.counts)
+    misplaced, boxes = oracle.misplaced_boxes(m, part, target)
+    got = [F(int(c), boxes) for c in misplaced]
+    assert got == reference_misplaced(reference_images(m, n), part, target, n)
 
 
 # -- the new reach ---------------------------------------------------------
