@@ -37,6 +37,23 @@ exponent range changes the value by less than 1e-300. Supremum and
 Lipschitz bounds on complex strips grow doubly exponentially in the
 strip width; they live in tower arithmetic in `bounds`
 (`bounds.sup_increment_bound`, `bounds.lip_increment_bound`).
+
+The real evaluation paths skip the sine and both exponentials of a
+window whose phase p is saturated, and this shortcut is exact, not a
+further approximation. Let m = asin(1418/A)/(2 pi). For p in
+(m, 1/2 - m) the true A sin(2 pi p) exceeds 1418 = 2 * 709. The float
+pipeline errs by less than 2e-15 absolutely in sin(2 pi p): the float
+2 pi, the rounded product, the sine itself, and the rounded edges m and
+1/2 - m. Times A <= 2^53 that is at most 18, so the computed exponent
+-A sin(2 pi p) is below -709, the clamp holds it at -709, and
+exp(-exp(-709)) is exactly 1.0. Likewise, for p in (1/2 + m, 1 - m) the
+computed exponent is above 709, and the window is exactly
+exp(-exp(709)) = 0.0. The trailing Wp/Wm factor is the same window and
+its mirror. So a saturated lane returns the float that the full formula
+returns, bit for bit. Only lanes inside the collars are computed in
+full. For A <= 1418 every phase is computed in full (m = 1/4 leaves
+both intervals empty), and likewise above 2^53. The complex path always
+evaluates the full formula.
 """
 
 from __future__ import annotations
@@ -45,7 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
@@ -62,6 +79,11 @@ from .towers import WORK_PREC, exact_mpf
 # exp(-exp(y)) is flat to <1e-300 beyond |y| = 709.
 _CLAMP = 709.0
 _TWO_PI = 2.0 * math.pi
+# a window whose exponent exceeds 2 * _CLAMP in exact arithmetic is
+# saturated in floats too; the shortcut is used for A up to _SHORTCUT_MAX_A
+# (see the module docstring)
+_SATURATED = 2 * _CLAMP
+_SHORTCUT_MAX_A = 2.0**53
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +226,73 @@ def _envelope_c(y: complex) -> complex:
     return cmath.exp(-u)
 
 
-def _window_sum(beta, A, phases, w, sin, env):
-    """The entire step of the module docstring at the reduced phase w.
+def _window(A, p, sin, env):
+    """Wp at phase p, env(-A sin(2 pi p)), computed in full in the math
+    backend sin/env (numpy, math or cmath)."""
+    return env(-A * sin(_TWO_PI * p))
 
-    phases[i] is the phase of E_i (w - i/l mod 1, reduced by the caller);
-    sin and env are the math backend (numpy, math or cmath) and its
-    saturating envelope, so the three evaluation paths share one formula.
-    """
-    windows = [env(-A * sin(_TWO_PI * p)) for p in phases]
-    windows.append(windows[0])  # E_l == E_0 (full-period shift)
-    half = len(beta) // 2
-    low = high = 0
-    for i in range(half):
-        low = low + beta[i] * (windows[i] - windows[i + 1])
-    for i in range(half, len(beta)):
-        high = high + beta[i] * (windows[i] - windows[i + 1])
+
+def _window_pair(A, w, sin, env):
+    """The trailing factors (Wp(w), Wm(w)), computed in full from one sine."""
     s = sin(_TWO_PI * w)
-    return low * env(-A * s) + high * env(A * s)
+    return env(-A * s), env(A * s)
+
+
+def _window_sum(beta, windows, wp, wm):
+    """The entire step of the module docstring from its window values.
+
+    windows[i] is E_i (a float, or an array of lanes) and wp, wm are the
+    trailing Wp/Wm factors at the reduced phase, so all evaluation paths
+    share this one summation formula.
+    """
+    l = len(beta)
+    half = l // 2
+    low = high = 0
+    # E_l == E_0 (full-period shift)
+    for i in range(half):
+        low = low + beta[i] * (windows[i] - windows[(i + 1) % l])
+    for i in range(half, l):
+        high = high + beta[i] * (windows[i] - windows[(i + 1) % l])
+    return low * wp + high * wm
+
+
+def _saturation_edges(A: float) -> Tuple[float, float, float, float]:
+    """(m, 1/2 - m, 1/2 + m, 1 - m), m = asin(1418/A)/(2 pi): a window
+    phase strictly inside the first pair evaluates to exactly 1.0, one
+    strictly inside the second pair to exactly 0.0 (module docstring).
+    Outside the shortcut range m = 1/4 leaves both intervals empty."""
+    m = math.asin(_SATURATED / A) / _TWO_PI if _SATURATED < A <= _SHORTCUT_MAX_A else 0.25
+    return m, 0.5 - m, 0.5 + m, 1.0 - m
+
+
+def _saturation(p: np.ndarray, edges):
+    """Masks of the lanes of p saturated at 1.0 and at 0.0, and the flat
+    indices of the remaining (collar) lanes."""
+    lo, hi, lo2, hi2 = edges
+    one = (p > lo) & (p < hi)
+    zero = (p > lo2) & (p < hi2)
+    return one, zero, np.flatnonzero(~(one | zero))
+
+
+def _windows(A: float, edges, p: np.ndarray) -> np.ndarray:
+    """Wp lane by lane on an array of phases: exactly 1.0 or 0.0 on the
+    saturated lanes, the full formula on the collar lanes."""
+    one, _, collar = _saturation(p, edges)
+    out = one.astype(float)
+    if collar.size:
+        out.reshape(-1)[collar] = _window(A, p.reshape(-1)[collar], np.sin, _envelope)
+    return out
+
+
+def _windows_pair(A: float, edges, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Wp(w), Wm(w)) lane by lane on an array, the saturated lanes
+    skipped as in `_windows`."""
+    one, zero, collar = _saturation(w, edges)
+    wp, wm = one.astype(float), zero.astype(float)
+    if collar.size:
+        wp.reshape(-1)[collar], wm.reshape(-1)[collar] = _window_pair(
+            A, w.reshape(-1)[collar], np.sin, _envelope)
+    return wp, wm
 
 
 @dataclass(frozen=True)
@@ -260,14 +332,22 @@ class EntireStep:
 
     # -- real evaluation ----------------------------------------------------
 
+    @cached_property
+    def _kernel(self) -> Tuple[float, Tuple[float, float, float, float], np.ndarray]:
+        """float(A), the saturation edges and the column of offsets i/l of
+        the window phases, computed on first use and kept on this step."""
+        A = float(self.A)
+        return A, _saturation_edges(A), (np.arange(self.l) / self.l)[:, None]
+
     def __call__(self, x):
         """Value at x (scalar or ndarray; scalars come back as float)."""
         arr = np.asarray(x, dtype=float)
-        l = self.l
-        w = np.mod(arr * self.N, 1.0)
-        phases = [np.mod(w - i / l, 1.0) for i in range(l)]
-        out = _window_sum(self.beta, float(self.A), phases, w, np.sin, _envelope)
-        return float(out) if arr.ndim == 0 else out
+        A, edges, offsets = self._kernel
+        w = np.mod(arr.reshape(-1) * self.N, 1.0)
+        # row i of the (l, n) block is the phase of E_i
+        windows = _windows(A, edges, np.mod(w - offsets, 1.0))
+        out = _window_sum(self.beta, windows, *_windows_pair(A, edges, w))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def eval_at_rational(self, x) -> float:
         """Value at an exact rational, with every window phase reduced in
@@ -288,9 +368,24 @@ class EntireStep:
         l = self.l
         ld = l * d
         rl = r * l
-        phases = [(rl - i * d) % ld / ld for i in range(l)]
-        return _window_sum(self.beta, float(self.A), phases, r / d,
-                           math.sin, _clamped_envelope)
+        A, (lo, hi, lo2, hi2), _ = self._kernel
+        windows = []
+        for i in range(l):
+            p = (rl - i * d) % ld / ld
+            if lo < p < hi:
+                windows.append(1.0)
+            elif lo2 < p < hi2:
+                windows.append(0.0)
+            else:
+                windows.append(_window(A, p, math.sin, _clamped_envelope))
+        w = r / d
+        if lo < w < hi:
+            wp, wm = 1.0, 0.0
+        elif lo2 < w < hi2:
+            wp, wm = 0.0, 1.0
+        else:
+            wp, wm = _window_pair(A, w, math.sin, _clamped_envelope)
+        return _window_sum(self.beta, windows, wp, wm)
 
     # -- complex evaluation -------------------------------------------------
 
@@ -321,8 +416,8 @@ class EntireStep:
             )
         l = self.l
         w = complex((self.N * z.real) % 1.0, self.N * z.imag)
-        phases = [w - i / l for i in range(l)]
-        out = _window_sum(self.beta, A, phases, w, cmath.sin, _envelope_c)
+        windows = [_window(A, w - i / l, cmath.sin, _envelope_c) for i in range(l)]
+        out = _window_sum(self.beta, windows, *_window_pair(A, w, cmath.sin, _envelope_c))
         if not (math.isfinite(out.real) and math.isfinite(out.imag)):
             raise RangeOverflow(
                 f"entire step exceeds the float range at {z}; "
@@ -604,25 +699,32 @@ def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:
     if delta_total <= 0:
         raise ParamOutOfRange(f"delta must be positive, got {delta}")
     nonconstant = sum(1 for mv in m.moves if len(mv.step.values) > 1)
-    moves = []
     if nonconstant:
         # one spare share keeps the summed budgets strictly below the
         # requested totals, as the proximity contract demands
         eps_i = min(eps_total / (nonconstant + 1), Fraction(1, 9))
         delta_i = min(delta_total / (nonconstant + 1), Fraction(1, 2))
-    for mv in m.moves:
-        if len(mv.step.values) == 1:
-            moves.append(
-                AnalyticMove(mv.target, mv.source, mv.sign, None, mod1(mv.step.values[0]))
-            )
-            continue
-        beta, N, l = step_to_plateau(mv.step)
+
+    def approximate(step: StepFunction) -> Tuple[Optional[EntireStep], Fraction]:
+        """(entire step, 0) for a non-constant step, (None, the exact
+        constant) for a constant one."""
+        if len(step.values) == 1:
+            return None, mod1(step.values[0])
+        beta, N, l = step_to_plateau(step)
         # a shear by v and one by v mod 1 are the same torus map, so the
         # plateau values are reduced to [0, 1) before approximation
         beta = tuple(mod1(b) for b in beta)
         A = choose_amplitude(l, eps_i, delta_i)
-        estep = EntireStep(tuple(float(b) for b in beta), N, eps_i, delta_i, A)
-        moves.append(AnalyticMove(mv.target, mv.source, mv.sign, estep))
+        return EntireStep(tuple(float(b) for b in beta), N, eps_i, delta_i, A), Fraction(0)
+
+    # every move has the same budget, so equal steps share one approximation
+    built = {}
+    moves = []
+    for mv in m.moves:
+        approx = built.get(mv.step)
+        if approx is None:
+            approx = built[mv.step] = approximate(mv.step)
+        moves.append(AnalyticMove(mv.target, mv.source, mv.sign, *approx))
     return AnalyticBlockSlide(
         dim=m.dim,
         moves=tuple(moves),

@@ -191,9 +191,12 @@ class BlockSlideMap:
 def _advance(x, moves, c: int, M: int, search):
     """The move rule on coordinates x (a list of ints or an int64 array of
     rows) at modulus M = c L; `search` is `bisect_right` or its numpy
-    counterpart, so both evaluation paths share one formula."""
+    counterpart, so both evaluation paths share one formula. On the map's
+    own lattice (c = 1) the scaling by c is skipped."""
+    unit = c == 1
     for t, s, (P, B, V) in moves:
-        x[t] = (x[t] + V[search(B, x[s] // c % P) - 1] * c) % M
+        shift = V[search(B, (x[s] if unit else x[s] // c) % P) - 1]
+        x[t] = (x[t] + (shift if unit else shift * c)) % M
     return x
 
 

@@ -17,7 +17,10 @@ Rat = Union[Fraction, int, str]
 
 def as_fraction(c) -> Fraction:
     """Fraction(c), refusing a non-finite or malformed coordinate (inf,
-    nan, "abc", None) with ParamOutOfRange."""
+    nan, "abc", None) with ParamOutOfRange; a Fraction comes back
+    unchanged."""
+    if type(c) is Fraction:
+        return c
     try:
         return Fraction(c)
     except (ValueError, OverflowError, TypeError) as exc:
@@ -35,8 +38,11 @@ def as_fractions(coords) -> Tuple[Fraction, ...]:
 
 
 def mod1(x: Fraction | int) -> Fraction:
-    """Reduce a rational to [0, 1)."""
-    f = Fraction(x)
+    """Reduce a rational to [0, 1); a Fraction already there comes back
+    unchanged."""
+    f = x if type(x) is Fraction else Fraction(x)
+    if 0 <= f.numerator < f.denominator:
+        return f
     return f - (f.numerator // f.denominator)
 
 

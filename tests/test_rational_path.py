@@ -3,33 +3,31 @@
 `EntireStep.eval_at_rational` and `AnalyticBlockSlide.transform_rational`
 must return the same floats and the same rational images as the direct
 Fraction formulation kept below as `_reference_*`: every window phase
-reduced as a Fraction and converted once, every image coordinate moved
+reduced as a Fraction and converted once and evaluated by the full
+window formula without the saturation shortcut
+(`test_window_kernel.full_at_rational`), every image coordinate moved
 by Fraction additions mod 1. Step values are compared as floats and by
 `repr` (which also tells 0.0 from -0.0), images by Fraction equality.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abctorus.analytic import _clamped_envelope, _window_sum, approximate_blockslide
+from abctorus.analytic import approximate_blockslide
 from abctorus.engine import eval_stage_map, run_circle_scenario, run_minimal_scenario
 from abctorus.errors import ParamOutOfRange
 from abctorus.exact.points import TorusPoint
 from test_integer_program import block_slide_maps
+from test_window_kernel import full_at_rational
 
 F = Fraction
 
-
-def _reference_eval_at_rational(step, x) -> float:
-    w = Fraction(x) * step.N % 1
-    l = step.l
-    phases = [float((w - Fraction(i, l)) % 1) for i in range(l)]
-    return _window_sum(step.beta, float(step.A), phases, float(w),
-                       math.sin, _clamped_envelope)
+# the full window formula, every window through sin, clamp and both
+# exponentials (no saturation shortcut)
+_reference_eval_at_rational = full_at_rational
 
 
 def _reference_transform_rational(am, coords):
