@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from abctorus.bounds import convergence_ledger, ledger_recipe
 from abctorus.errors import AmbiguousComparison, ParamOutOfRange, RangeOverflow
-from abctorus.towers import TowerReal, tower, tower_compare, tower_max
+from abctorus.towers import WORK_PREC, TowerReal, tower, tower_compare, tower_max
 
 REF_PREC = 200
 
@@ -170,3 +173,175 @@ def test_axioms_against_reference():
 
 def test_repr_mentions_height():
     assert "exp^2" in repr(TowerReal(2, 1.5))
+
+
+# ---------------------------------------------------------------------------
+# Reference transcription: every ln/exp through the normalising constructor,
+# and the deep sum taking its iterated logarithms one at a time. The fast
+# paths of `TowerReal` must agree with it bit for bit.
+# ---------------------------------------------------------------------------
+
+_ABSORB_LOG_GAP_REF = WORK_PREC * mpmath.log(2) + 1
+
+
+def ref_exp(t: TowerReal) -> TowerReal:
+    return TowerReal(t.height + 1, t.mantissa)
+
+
+def ref_ln(t: TowerReal) -> TowerReal:
+    if t.height >= 1:
+        return TowerReal(t.height - 1, t.mantissa)
+    if t.mantissa <= 0:
+        raise ParamOutOfRange("ln of a non-positive tower value")
+    with mp.workprec(WORK_PREC):
+        return TowerReal(0, mpmath.ln(t.mantissa))
+
+
+def ref_add(a: TowerReal, b) -> TowerReal:
+    b = TowerReal.from_number(b)
+    if a.height <= 3 and b.height <= 3:
+        with mp.workprec(WORK_PREC):
+            return TowerReal(0, a.to_mpf() + b.to_mpf())
+    if a.compare(b) < 0:
+        a, b = b, a
+    if not b.is_positive():
+        raise ParamOutOfRange("subtracting from a deep tower is not supported")
+    la, lb = ref_ln(a), ref_ln(b)
+    if la.height <= 3 and lb.height <= 3:
+        with mp.workprec(WORK_PREC):
+            va, vb = la.to_mpf(), lb.to_mpf()
+            gap = va - vb
+            if gap >= _ABSORB_LOG_GAP_REF:
+                return a
+            return TowerReal(1, va + mpmath.log1p(mpmath.exp(-gap)))
+    depth = a.height - 3
+    ta, tb = a, b
+    for _ in range(depth):
+        ta = ref_ln(ta)
+        if tb.height >= 1 or tb.mantissa > 0:
+            tb = ref_ln(tb)
+        else:
+            return a
+    if ta.height <= 3 and tb.height <= 3:
+        with mp.workprec(WORK_PREC):
+            if ta.to_mpf() - tb.to_mpf() >= mpmath.ln(2):
+                return a
+    raise AmbiguousComparison(
+        "sum of towers of comparable depth cannot be rounded soundly"
+    )
+
+
+def ref_mul(a: TowerReal, b) -> TowerReal:
+    b = TowerReal.from_number(b)
+    if a.height <= 3 and b.height <= 3:
+        with mp.workprec(WORK_PREC):
+            return TowerReal(0, a.to_mpf() * b.to_mpf())
+    if not (a.is_positive() and b.is_positive()):
+        raise ParamOutOfRange("multiplying a deep tower by a non-positive factor")
+    return ref_exp(ref_add(ref_ln(a), ref_ln(b)))
+
+
+def ref_pow(a: TowerReal, exponent) -> TowerReal:
+    e = TowerReal.from_number(exponent)
+    if e.height == 0 and e.mantissa == 0:
+        return TowerReal(0, 1)
+    if not a.is_positive():
+        raise ParamOutOfRange("powers of non-positive tower values")
+    return ref_exp(ref_mul(ref_ln(a), e))
+
+
+def outcome(f, *args):
+    """(height, mantissa bits) of f(*args), or (error class, message)."""
+    try:
+        t = f(*args)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    if isinstance(t, int):
+        return t
+    s, man, e, bc = t.mantissa._mpf_
+    return t.height, (s, int(man), e, bc)
+
+
+_E_FLOAT = float(mpmath.e)
+
+mantissas = st.one_of(
+    st.floats(-40, -1e-9),
+    st.floats(0, 1, exclude_max=True),
+    st.floats(1, _E_FLOAT, exclude_max=True),
+    # full-precision mantissas in [1, e)
+    st.integers(2**150, int(_E_FLOAT * 2**150) - 1).map(lambda n: Fraction(n, 2**150)),
+)
+towers = st.builds(TowerReal, st.integers(0, 30), mantissas)
+
+
+@settings(max_examples=400, deadline=None)
+@given(towers, towers)
+@example(TowerReal(6, 1.5), TowerReal(6, 1.5))  # equal deep heights: ambiguous
+@example(TowerReal(9, 2.0), TowerReal(9, 1.2))
+@example(TowerReal(5, 1.5), TowerReal(0, -2))  # negative summand: refused
+@example(TowerReal(0, -0.5), TowerReal(12, 1.1))
+@example(TowerReal(10, 1.5), TowerReal(0, 0.5))  # iterated ln leaves the positive axis
+@example(TowerReal(20, 1.5), TowerReal(0, 2.5))
+@example(TowerReal(30, 2.0), TowerReal(2, 1.3))
+@example(TowerReal(7, 1.1), TowerReal(0, 1))
+def test_operations_match_the_normalising_reference(a, b):
+    assert outcome(lambda x, y: x + y, a, b) == outcome(ref_add, a, b)
+    assert outcome(lambda x, y: x + y, b, a) == outcome(ref_add, b, a)
+    assert outcome(lambda x, y: x * y, a, b) == outcome(ref_mul, a, b)
+    assert outcome(lambda x, y: x ** y, a, b) == outcome(ref_pow, a, b)
+    assert outcome(TowerReal.ln, a) == outcome(ref_ln, a)
+    assert outcome(TowerReal.exp, a) == outcome(ref_exp, a)
+    assert a.compare(b) == -b.compare(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(towers, st.integers(-5, 5))
+def test_operations_with_plain_numbers_match_the_reference(a, k):
+    assert outcome(lambda x, y: x + y, a, k) == outcome(ref_add, a, k)
+    assert outcome(lambda x, y: y + x, a, k) == outcome(ref_add, a, k)
+    assert outcome(lambda x, y: x * y, a, k) == outcome(ref_mul, a, k)
+    assert outcome(lambda x, y: x ** y, a, k) == outcome(ref_pow, a, k)
+    assert outcome(TowerReal.compare, a, k) == outcome(
+        lambda x, y: x.compare(TowerReal(0, y)), a, k)
+
+
+def test_deep_sum_cases_raise_as_the_reference():
+    with pytest.raises(AmbiguousComparison):
+        TowerReal(8, 1.5) + TowerReal(8, 1.5)
+    with pytest.raises(AmbiguousComparison):
+        # exp^3 of the two mantissas differs by less than ln 2
+        TowerReal(8, 1 + 1e-9) + TowerReal(8, 1)
+    with pytest.raises(ParamOutOfRange):
+        TowerReal(0, -3) + TowerReal(15, 2.0)
+    deep = TowerReal(25, 1.7)
+    assert (deep + TowerReal(0, 0.3)) is deep
+
+
+def _tower_key(x):
+    if isinstance(x, TowerReal):
+        s, man, e, bc = x.mantissa._mpf_
+        return ("T", x.height, s, int(man), e, bc)
+    return repr(x)
+
+
+def ledger_digest(rhos=(0.05, 0.1, 0.2)) -> str:
+    """sha256 of every tower in `ledger_recipe(20, rho)`'s stage data and
+    gap certificates, and of its ledger's audit text, for each rho."""
+    h = hashlib.sha256()
+    for rho in rhos:
+        stages, gaps = ledger_recipe(20, rho=rho)
+        for s in stages:
+            h.update(repr([s.n] + [_tower_key(getattr(s, f))
+                                   for f in ("l", "q", "rho", "dh", "rho_prime")]).encode())
+        for g in gaps:
+            h.update(repr([g.zero, _tower_key(g.literal), _tower_key(g.neglog)]).encode())
+        h.update(convergence_ledger(stages, gaps).audit_text().encode())
+    return h.hexdigest()
+
+
+# recorded with the normalising constructor on every ln and exp
+LEDGER_DIGEST = "52339df7010987af78e20d34b6c44a621b46faff2521577d418536120dbc9cd3"
+
+
+def test_ledger_towers_are_pinned():
+    assert ledger_digest() == LEDGER_DIGEST
