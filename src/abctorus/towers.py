@@ -25,6 +25,7 @@ operation raises `AmbiguousComparison` instead of guessing.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -34,6 +35,11 @@ from mpmath import mp
 from .errors import AmbiguousComparison, ParamOutOfRange, RangeOverflow
 
 WORK_PREC = 160  # bits of mantissa precision for all tower arithmetic
+
+# e at working precision, the normal form's mantissa bound; mpmath would
+# re-evaluate its constant `mp.e` on every comparison.
+with mp.workprec(WORK_PREC):
+    _E = +mp.e
 
 # Largest height whose value still materialises as a single mpf.
 # exp^3(m) <= exp(3.82e6); the mpf exponent stays a small integer.
@@ -60,15 +66,25 @@ class TowerReal:
     __slots__ = ("height", "mantissa")
 
     def __init__(self, height: int, mantissa) -> None:
-        if height < 0:
+        try:
+            h = operator.index(height)
+        except TypeError:
+            raise ParamOutOfRange(
+                f"tower height must be an integer, got {height!r}"
+            ) from None
+        if h < 0:
             raise ParamOutOfRange("tower height must be non-negative")
         with mp.workprec(WORK_PREC):
-            h = int(height)
-            m = exact_mpf(mantissa)
+            try:
+                m = exact_mpf(mantissa)
+            except (TypeError, ValueError):
+                raise ParamOutOfRange(
+                    f"tower mantissa must be a real number, got {mantissa!r}"
+                ) from None
             if mpmath.isnan(m) or mpmath.isinf(m):
                 raise ParamOutOfRange("tower mantissa must be finite")
             # climb up while the mantissa is at or above e
-            while m >= mp.e:
+            while m >= _E:
                 m = mpmath.ln(m)
                 h += 1
             # climb down while a positive height holds a mantissa below 1
@@ -77,6 +93,14 @@ class TowerReal:
                 h -= 1
         object.__setattr__(self, "height", h)
         object.__setattr__(self, "mantissa", m)
+
+    @classmethod
+    def _normal(cls, height: int, mantissa: mpmath.mpf) -> "TowerReal":
+        """A tower from a pair already in normal form, taken as it is."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "height", height)
+        object.__setattr__(t, "mantissa", mantissa)
+        return t
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("TowerReal is immutable")
@@ -158,15 +182,17 @@ class TowerReal:
     # -- exp / ln -----------------------------------------------------------
 
     def exp(self) -> "TowerReal":
-        return TowerReal(self.height + 1, self.mantissa)
+        if self.height >= 1 or self.mantissa >= 1:
+            return TowerReal._normal(self.height + 1, self.mantissa)
+        return TowerReal(1, self.mantissa)
 
     def ln(self) -> "TowerReal":
         if self.height >= 1:
-            return TowerReal(self.height - 1, self.mantissa)
+            return TowerReal._normal(self.height - 1, self.mantissa)
         if self.mantissa <= 0:
             raise ParamOutOfRange("ln of a non-positive tower value")
         with mp.workprec(WORK_PREC):
-            return TowerReal(0, mpmath.ln(self.mantissa))
+            return TowerReal._normal(0, mpmath.ln(self.mantissa))
 
     # -- addition -----------------------------------------------------------
 
@@ -198,20 +224,20 @@ class TowerReal:
         # depth = height-3 logs of the larger value leaves an mpf >= exp^3(1),
         # and a gap of ln 2 at that depth implies ln(a)/ln(b) >= 2, hence
         # ln(a) - ln(b) >= exp^3(1)/2, far beyond the absorption threshold.
+        # The logs of a tower only lower its height, so both are taken in
+        # closed form; only those below height 0 are computed.
         depth = a.height - _NUMERIC_HEIGHT
-        ta, tb = a, b
-        for _ in range(depth):
-            ta = ta.ln()
-            if tb.height >= 1 or tb.mantissa > 0:
-                tb = tb.ln()
-            else:
+        ta = TowerReal._normal(_NUMERIC_HEIGHT, a.mantissa)
+        tb = TowerReal._normal(max(b.height - depth, 0), b.mantissa)
+        for _ in range(depth - b.height):
+            if tb.mantissa <= 0:
                 # smaller summand's iterated ln left the positive axis:
                 # it is microscopically small next to ta
                 return a
-        if ta.height <= _NUMERIC_HEIGHT and tb.height <= _NUMERIC_HEIGHT:
-            with mp.workprec(WORK_PREC):
-                if ta.to_mpf() - tb.to_mpf() >= mpmath.ln(2):
-                    return a
+            tb = tb.ln()
+        with mp.workprec(WORK_PREC):
+            if ta.to_mpf() - tb.to_mpf() >= mpmath.ln(2):
+                return a
         raise AmbiguousComparison(
             "sum of towers of comparable depth cannot be rounded soundly"
         )

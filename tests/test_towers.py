@@ -171,6 +171,20 @@ def test_axioms_against_reference():
                 assert a.exp().compare(b.exp()) < 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TowerReal(1.5, 1),  # a truncated height would build exp^1(1)
+    lambda: TowerReal(float("nan"), 1),
+    lambda: TowerReal("a", 1),
+    lambda: TowerReal(0, "abc"),
+    lambda: TowerReal(0, None),
+    lambda: TowerReal(0, 1) + None,
+], ids=["fractional-height", "nan-height", "text-height", "text-mantissa",
+        "none-mantissa", "none-summand"])
+def test_malformed_towers_are_refused(make):
+    with pytest.raises(ParamOutOfRange):
+        make()
+
+
 def test_repr_mentions_height():
     assert "exp^2" in repr(TowerReal(2, 1.5))
 
