@@ -119,6 +119,19 @@ def _nudge_down(x: mpmath.mpf) -> mpmath.mpf:
     return x * (1 - mp.mpf(2) ** (10 - CHECK_PREC))
 
 
+def _require_int(value, low: int, what: str) -> None:
+    """Refuse anything but an integer >= low, naming `what`."""
+    if not isinstance(value, int) or value < low:
+        raise ParamOutOfRange(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _require_real(value, what: str) -> None:
+    """Refuse anything but a finite int, float or Fraction, naming `what`."""
+    if not isinstance(value, (int, float, Fraction)) or (
+            isinstance(value, float) and not math.isfinite(value)):
+        raise ParamOutOfRange(f"{what} must be a finite real number, got {value!r}")
+
+
 def _fmt(x) -> str:
     """Compact audit formatting: towers as exp^h(m), rationals as num/den."""
     if isinstance(x, TowerReal):
@@ -188,8 +201,13 @@ def check_amplitude(A: Number, l: int, eps, delta) -> bool:
     """
     if not isinstance(l, int) or l < 2 or l % 2:
         raise ParamOutOfRange(f"cell count l must be an even integer >= 2, got {l}")
-    eps = Fraction(eps)
-    delta = Fraction(delta)
+    try:
+        eps = Fraction(eps)
+        delta = Fraction(delta)
+    except (TypeError, ValueError, OverflowError):
+        raise ParamOutOfRange(
+            f"eps and delta must be finite rationals, got {eps!r} and {delta!r}"
+        ) from None
     if not (0 < eps < Fraction(1, 8)):
         raise ParamOutOfRange(f"eps must lie in (0, 1/8), got {eps}")
     if not (0 < delta < 1):
@@ -203,6 +221,7 @@ def check_amplitude(A: Number, l: int, eps, delta) -> bool:
         with mp.workprec(CHECK_PREC):
             a_val = A.to_mpf()
     else:
+        _require_real(A, "amplitude")
         a_val = None
     with mp.workprec(CHECK_PREC):
         if a_val is None:
@@ -238,6 +257,7 @@ def check_q_condition(q_n: Number, l_n: Number, n: int, C: float = DEFAULT_LIP_C
     """
     if not isinstance(n, int) or n < 1:
         raise ParamOutOfRange(f"stage index must be an integer >= 1, got {n}")
+    _require_real(C, "Lipschitz constant")
     if C < 0:
         raise ParamOutOfRange(f"Lipschitz constant must be >= 0, got {C}")
     q_t = TowerReal.from_number(q_n)
@@ -294,6 +314,7 @@ def lip_increment_bound(A: Number, N: Number, l: Number, rho: Number,
     a_t = TowerReal.from_number(A)
     n_t = TowerReal.from_number(N)
     l_t = TowerReal.from_number(l)
+    _require_real(C, "Lipschitz constant")
     if C <= 0:
         raise ParamOutOfRange(f"Lipschitz constant must be > 0, got {C}")
     for name, t in (("amplitude", a_t), ("frequency", n_t), ("grid size", l_t)):
@@ -621,8 +642,9 @@ def ledger_recipe(
     instead of exp(-exp(exp(T_n))): too large by two exponentials, so the
     ledger fails that stage's final link.
     """
-    if stages < 1:
-        raise ParamOutOfRange(f"need at least one stage, got {stages}")
+    _require_int(stages, 1, "stage count")
+    _require_real(rho, "initial width")
+    _require_real(C, "Lipschitz constant")
     if not (0 < rho < 10):
         raise ParamOutOfRange(f"initial width must lie in (0, 10), got {rho}")
     rho_t: TowerReal = TowerReal(0, rho)
@@ -826,10 +848,8 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
     whole-height margins keep every verification comparison strict at any
     tower depth.
     """
-    if levels < 1:
-        raise ParamOutOfRange(f"need at least one level, got {levels}")
-    if not isinstance(k_target, int) or k_target < 1:
-        raise ParamOutOfRange(f"k_target must be an integer >= 1, got {k_target}")
+    _require_int(levels, 1, "level count")
+    _require_int(k_target, 1, "k_target")
     out: List[LiouvilleLevel] = []
     p, q = 1, 2
     q_log2: Optional[TowerReal] = None  # set once symbolic
@@ -1098,11 +1118,13 @@ def translation_params(
     returned notes say so.  Raises SearchExhausted if no admissible vector
     appears within `max_escalations` escalations of s.
     """
-    if h < 1:
-        raise ParamOutOfRange(f"torus dimension h must be >= 1, got {h}")
-    if levels < 1:
-        raise ParamOutOfRange(f"need at least one level, got {levels}")
+    _require_int(h, 1, "torus dimension h")
+    _require_int(levels, 1, "level count")
+    _require_int(p1, 1, "p1")
+    _require_int(q1, 1, "q1")
+    _require_int(max_escalations, 0, "max_escalations")
     if l_base is not None:
+        _require_int(l_base, 2, "l_base")
         if l_base < 2 or l_base % 2:
             raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
         if h == 1 and l_base < 4:
@@ -1112,7 +1134,11 @@ def translation_params(
             )
     if gamma1 is None:
         gamma1 = (1,) if h == 1 else tuple(range(1, h)) + (2 * h + 2,)
-    gamma1 = tuple(int(g) for g in gamma1)
+    if not isinstance(gamma1, (tuple, list)):
+        raise ParamOutOfRange(f"gamma1 must be a tuple of integers, got {gamma1!r}")
+    gamma1 = tuple(gamma1)
+    for g in gamma1:
+        _require_int(g, 1, "every component of gamma1")
     if len(gamma1) != h:
         raise ParamOutOfRange(f"gamma1 must have {h} components")
     if math.gcd(*gamma1) != 1:

@@ -427,6 +427,10 @@ class TestLiouvilleGenerate:
         with pytest.raises(ParamOutOfRange):
             liouville_generate(3, 0)
 
+    def test_text_level_count_is_refused(self):
+        with pytest.raises(ParamOutOfRange):
+            liouville_generate("a", 1)
+
 
 class TestLiouvilleVerify:
     def test_rational_point_negative_example(self):
