@@ -21,6 +21,20 @@ when even the logarithms are towers. Absorption drops the smaller
 summand only when a conservative criterion proves the sum rounds back
 to the larger one at working precision; if neither route applies, the
 operation raises `AmbiguousComparison` instead of guessing.
+
+Most towers are made from towers already in normal form, and those skip
+the normalising constructor (`_normal`). ln of exp^h(m) with h >= 1 is
+exp^(h-1)(m): m is still in [1, e), so the pair is normal as it stands;
+ln at height 0 gives a value below 1, normal at height 0. exp of
+exp^h(m) is exp^(h+1)(m), normal unless h = 0 and m < 1, the one case
+the constructor still climbs down. No mantissa ever reaches e from
+below: exp of the largest 160-bit value below 1 rounds to one ulp under
+the 160-bit e. The deep sum needs depth = h_a - 3 iterated logarithms
+of both summands; since ln only lowers the height of a tower, they are
+exp^3(m_a) and exp^max(h_b - depth, 0)(m_b) in closed form, and only the
+logarithms left below height 0 (at most two before the value leaves
+the positive axis) are computed. Every result is bit for bit the one the
+normalising constructor would give.
 """
 
 from __future__ import annotations
@@ -40,6 +54,12 @@ WORK_PREC = 160  # bits of mantissa precision for all tower arithmetic
 # re-evaluate its constant `mp.e` on every comparison.
 with mp.workprec(WORK_PREC):
     _E = +mp.e
+
+# exp(m) for m below this takes time growing with the bits of m (about
+# 2 s at -2^300000, hours at -exp^3(2.7), a mantissa that a power of a
+# height-4 tower with a negative exponent produces); the constructor
+# refuses it.
+_EXP_FLOOR = -mpmath.mpf(2) ** 4096
 
 # Largest height whose value still materialises as a single mpf.
 # exp^3(m) <= exp(3.82e6); the mpf exponent stays a small integer.
@@ -89,6 +109,10 @@ class TowerReal:
                 h += 1
             # climb down while a positive height holds a mantissa below 1
             while h >= 1 and m < 1:
+                if m < _EXP_FLOOR:
+                    raise RangeOverflow(
+                        "exp of a mantissa below -2^4096 is too small to materialise"
+                    )
                 m = mpmath.exp(m)
                 h -= 1
         object.__setattr__(self, "height", h)

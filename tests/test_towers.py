@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -183,6 +184,17 @@ def test_axioms_against_reference():
 def test_malformed_towers_are_refused(make):
     with pytest.raises(ParamOutOfRange):
         make()
+
+
+def test_exp_of_a_huge_negative_mantissa_is_refused_fast():
+    # 1/exp^4(2.7) = exp(-exp^3(2.7)): mpmath's exp would run for hours
+    start = time.perf_counter()
+    with pytest.raises(RangeOverflow):
+        TowerReal(4, 2.7) ** -1
+    with pytest.raises(RangeOverflow):
+        TowerReal(0, -(2**5000)).exp()
+    assert time.perf_counter() - start < 0.5
+    assert TowerReal(0, -(2**4000)).exp().mantissa > 0
 
 
 def test_repr_mentions_height():
