@@ -208,6 +208,11 @@ class Conjugation(Protocol):
         onto itself."""
         ...
 
+    def move_count(self) -> int:
+        """The moves the integer rule runs per point, the unit of the
+        lattice oracle's work budget."""
+        ...
+
     def compiled(self, M: int):
         """The integer rule at modulus M (a multiple of L, below 2^62)
         as an object whose `apply` maps a (dim, n) int64 array of

@@ -149,6 +149,9 @@ class BlockSlideMap:
     def compiled(self, L: int) -> "CompiledMap":
         return CompiledMap.build(self, L)
 
+    def move_count(self) -> int:
+        return len(self.moves)
+
     def commutes_with_rotation(self, q: int) -> bool:
         """Structural commutation with the rotation by 1/q of the first
         coordinate: every non-constant move fed by coordinate 0 must have

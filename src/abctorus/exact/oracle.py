@@ -26,9 +26,10 @@ through the map is a certificate, not a sample:
 The corners are integers at the modulus M = lcm(L, box counts), where L
 is the map's denominator lcm, and they go through the map's compiled
 integer rule `_CHUNK_POINTS` at a time, so memory stays
-O(chunk * dim + atoms) however many boxes there are. More than
-64 * `_GRID_POINT_BUDGET` boxes are refused in `_box_lattice`, which
-bounds the time; it is the only lattice budget of the package.
+O(chunk * dim + atoms) however many boxes there are. The time grows
+with boxes x moves, the map's `move_count()`: above
+64 * `_GRID_POINT_BUDGET` box moves `_box_lattice` refuses the walk. It
+is the only lattice budget of the package.
 """
 
 from __future__ import annotations
@@ -70,9 +71,12 @@ def _box_lattice(m: "Conjugation",
     counts = (cols,) + (rows,) * (m.dim - 1)
     for p in parts:
         counts = tuple(lcm(n, c) for n, c in zip(counts, p.counts))
-    if prod(counts) > 64 * _GRID_POINT_BUDGET:
+    boxes, moves = prod(counts), m.move_count()
+    if boxes * max(moves, 1) > 64 * _GRID_POINT_BUDGET:
         raise ParamOutOfRange(
-            f"box lattice {' x '.join(map(str, counts))} is beyond the exact-oracle budget"
+            f"box lattice {' x '.join(map(str, counts))} ({boxes:,} boxes) through "
+            f"{moves:,} moves is beyond the exact-oracle budget of "
+            f"{64 * _GRID_POINT_BUDGET:,} box moves"
         )
     return lcm(m.denominator_lcm(), *counts), counts
 

@@ -216,6 +216,10 @@ class MinimalConjugation:
         denominators and the cell grid's pitches."""
         return lcm(self.kappa.denominator_lcm(), self.comb.cols, self.comb.rows)
 
+    def move_count(self) -> int:
+        """The involution's one cell lookup and the shear's one move."""
+        return 2
+
     def compiled(self, M: int) -> "CompiledMinimal":
         """The integer rule on int64 arrays at modulus M, a multiple of
         `denominator_lcm()` below 2^62."""

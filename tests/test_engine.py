@@ -403,6 +403,14 @@ class TestCorrespondence:
         with pytest.raises(ParamOutOfRange, match="budget"):
             correspondence_defect(translation_oversized, 1, "exact")
 
+    def test_exact_defect_beyond_the_work_budget_is_refused(self, translation_small):
+        # 250,000 x 500 boxes fit the box count, but through 3 moves they
+        # are 375,000,000 box moves; the walk used to take 15.9 s
+        start = time.perf_counter()
+        with pytest.raises(ParamOutOfRange, match="125,000,000 boxes.* 3 moves"):
+            correspondence_defect(translation_small, 1, "exact")
+        assert time.perf_counter() - start < 0.1
+
     def test_analytic_defect_needs_an_analytic_model(self, translation_oversized):
         assert translation_oversized.conjugations_analytic[0] is None
         with pytest.raises(ParamOutOfRange):
