@@ -1124,8 +1124,7 @@ def translation_params(
     _require_int(q1, 1, "q1")
     _require_int(max_escalations, 0, "max_escalations")
     if l_base is not None:
-        _require_int(l_base, 2, "l_base")
-        if l_base < 2 or l_base % 2:
+        if not isinstance(l_base, int) or l_base < 2 or l_base % 2:
             raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
         if h == 1 and l_base < 4:
             raise ParamOutOfRange(

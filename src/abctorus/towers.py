@@ -31,10 +31,11 @@ the constructor still climbs down. No mantissa ever reaches e from
 below: exp of the largest 160-bit value below 1 rounds to one ulp under
 the 160-bit e. The deep sum needs depth = h_a - 3 iterated logarithms
 of both summands; since ln only lowers the height of a tower, they are
-exp^3(m_a) and exp^max(h_b - depth, 0)(m_b) in closed form, and only the
-logarithms left below height 0 (at most two before the value leaves
-the positive axis) are computed. Every result is bit for bit the one the
-normalising constructor would give.
+exp^3(m_a) and exp^(h_b - depth)(m_b) in closed form. When h_b < depth
+the smaller summand's logarithms fall below height 0, where each one
+only lowers a value already below e, far under exp^3(m_a) >= exp^3(1):
+it is absorbed without computing them. Every result is bit for bit the
+one the normalising constructor and step-by-step logarithms would give.
 """
 
 from __future__ import annotations
@@ -248,17 +249,14 @@ class TowerReal:
         # depth = height-3 logs of the larger value leaves an mpf >= exp^3(1),
         # and a gap of ln 2 at that depth implies ln(a)/ln(b) >= 2, hence
         # ln(a) - ln(b) >= exp^3(1)/2, far beyond the absorption threshold.
-        # The logs of a tower only lower its height, so both are taken in
-        # closed form; only those below height 0 are computed.
+        # The logs of a tower only lower its height, so they are taken in
+        # closed form. A smaller summand of height below depth ends below e
+        # (or leaves the positive axis) after them: it is absorbed.
         depth = a.height - _NUMERIC_HEIGHT
+        if b.height < depth:
+            return a
         ta = TowerReal._normal(_NUMERIC_HEIGHT, a.mantissa)
-        tb = TowerReal._normal(max(b.height - depth, 0), b.mantissa)
-        for _ in range(depth - b.height):
-            if tb.mantissa <= 0:
-                # smaller summand's iterated ln left the positive axis:
-                # it is microscopically small next to ta
-                return a
-            tb = tb.ln()
+        tb = TowerReal._normal(b.height - depth, b.mantissa)
         with mp.workprec(WORK_PREC):
             if ta.to_mpf() - tb.to_mpf() >= mpmath.ln(2):
                 return a

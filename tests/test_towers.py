@@ -38,6 +38,14 @@ def test_normal_form_examples():
     assert w.height == 0
 
 
+def test_normal_form_bound_is_e_at_working_precision():
+    with mp.workprec(WORK_PREC):
+        e = +mp.e
+        below = e - mpmath.ldexp(1, -158)  # one ulp under e
+    assert TowerReal(0, below).height == 0
+    assert TowerReal(0, e).height == 1
+
+
 def test_height_bands_are_disjoint():
     # the largest height-h value is below the smallest height-(h+1) value
     top0 = TowerReal(0, mpmath.mpf(mpmath.e) * (1 - mpmath.mpf(2) ** -50))
