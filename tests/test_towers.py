@@ -349,6 +349,13 @@ def test_deep_sum_cases_raise_as_the_reference():
         TowerReal(0, -3) + TowerReal(15, 2.0)
     deep = TowerReal(25, 1.7)
     assert (deep + TowerReal(0, 0.3)) is deep
+    # one height lower, exp^2 of a mantissa just under e meets exp^3(1)
+    with mp.workprec(WORK_PREC):
+        under_e = +mp.e - mpmath.ldexp(1, -158)
+    low = TowerReal(8, 1)
+    with pytest.raises(AmbiguousComparison):
+        low + TowerReal(7, under_e)
+    assert (low + TowerReal(7, 2.5)) is low
 
 
 def _tower_key(x):
