@@ -143,6 +143,21 @@ def test_transform_rational_matches_reference_on_minimal_realization():
         assert inv.transform_rational(y) == tuple(c % 1 for c in x)
 
 
+def test_transform_rational_matches_reference_on_unreduced_numerators():
+    # the common denominator D = lcm of the coordinates' denominators
+    # leaves the source numerator over D unreduced: 1/3 is carried as
+    # 2^17 / (3 * 2^17), 5/12 as 5 * 5^30 / (12 * 5^30), and so on
+    points = [(F(1, 3), F(5, 2**17)), (F(5, 12), F(-2, 5**30)),
+              (F(7, 2**60 + 33), F(1, 2)), (F(3, 4), F(11, 576 * 2**17))]
+    cases = [(am, points) for am in CIRCLE_MAPS] + [(MINIMAL_MAP, points[:2])]
+    for am, pts in cases:
+        for x in pts:
+            for h in (am, am.inverse()):
+                assert h.transform_rational(x) == _reference_transform_rational(h, x)
+                assert h.transform_rational(x[::-1]) == \
+                    _reference_transform_rational(h, x[::-1])
+
+
 def test_transform_rational_takes_ints_floats_and_strings():
     am = CIRCLE_MAPS[1]
     for x in ((0, 1), (0.25, -1.5), ("3/7", "-9/4"), (F(1, 3), 2)):

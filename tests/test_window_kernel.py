@@ -205,6 +205,96 @@ def test_eval_at_rational_matches_full_formula_on_random_rationals():
             assert same(step.eval_at_rational(x), full_at_rational(step, x)), (step, x)
 
 
+# -- the plateau band: phases where every lane is saturated ------------------
+
+# margin of the plateau band beyond the collars, in units of frac(w l)
+GUARD = 1e-9
+
+
+def band_of(step):
+    """(lo, hi) = (m l + GUARD, 1 - m l - GUARD): for frac(w l) strictly
+    inside, every window lane of the phase w is saturated."""
+    ml = step._kernel[1][0] * step.l
+    return ml + GUARD, 1.0 - ml - GUARD
+
+
+def band_phases(step):
+    """Phases w in [0, 1) whose w l sits, in every cell j, exactly at the
+    band edges j + lo and j + hi, 1-3 ulps to either side, +- GUARD
+    from them, and at the cell middle j + 1/2."""
+    lo, hi = band_of(step)
+    ts = set()
+    for j in range(step.l):
+        for edge in (j + lo, j + hi):
+            ts.update(nudged(edge, k) for k in range(-3, 4))
+            ts.update((edge - GUARD, edge + GUARD))
+        ts.add(j + 0.5)
+    return sorted(w for w in (t / step.l for t in ts) if 0.0 <= w < 1.0)
+
+
+def band_points(step):
+    """Floats x whose phase N x mod 1 lands at and next to each band
+    phase, in the first period and one period above 1."""
+    xs = []
+    for w in band_phases(step):
+        for base in (w / step.N, (w + 2 * step.N - 1) / step.N):
+            xs.extend(nudged(base, k) for k in range(-2, 3))
+    return np.array(xs)
+
+
+def realized_fracs(step, xs):
+    t = np.mod(xs * step.N, 1.0) * step.l
+    return t - np.floor(t)
+
+
+def test_call_matches_full_formula_across_the_plateau_band():
+    edge_hits = 0
+    for step in STEPS:
+        xs = band_points(step)
+        assert same_array(step(xs), full_call(step, xs)), step
+        grid = xs[: 2 * (len(xs) // 2)].reshape(2, -1)
+        assert same_array(step(grid), full_call(step, grid)), step
+        for x in xs[::25]:
+            for arg in (float(x), np.asarray(x)):
+                got = step(arg)
+                assert isinstance(got, float)
+                assert same(got, full_call(step, arg)), (step, x)
+        edge_hits += int(np.isin(realized_fracs(step, xs), band_of(step)).sum())
+    # some float inputs put frac(w l) exactly on a band edge
+    assert edge_hits
+
+
+def test_eval_at_rational_matches_full_formula_across_the_plateau_band():
+    # x = (w + k)/N puts the reduced phase exactly at the float w
+    for step in STEPS:
+        for w in band_phases(step):
+            for k in (0, 2 * step.N - 1):
+                x = (F(w) + k) / step.N
+                assert same(step.eval_at_rational(x), full_at_rational(step, x)), (step, x)
+
+
+def test_circle_stage_one_band_is_narrow_and_exact():
+    # A = 2048, l = 4: m l = 0.487, the band is 0.026 wide
+    step = _CIRCLE.conjugations_analytic[0].moves[0].step
+    lo, hi = band_of(step)
+    assert (float(step.A), step.l) == (2048.0, 4)
+    assert 0.48 < lo < hi < 0.52
+    ws = np.linspace(0.0, 1.0, 4001)
+    xs = np.concatenate([ws / step.N, band_points(step)])
+    assert same_array(step(xs), full_call(step, xs))
+
+
+def test_empty_band_step_matches_full_formula():
+    # A = 1024 <= 1418: no lane is ever saturated, so the band is empty
+    step = EntireStep((0.0, 0.25, 0.5, 0.75), 1, EPS_DEMO, DELTA_DEMO, 1024)
+    lo, hi = band_of(step)
+    assert lo >= hi
+    ws = np.concatenate([np.linspace(-1.0, 2.0, 2401), (np.arange(4) + 0.5) / 4])
+    assert same_array(step(ws), full_call(step, ws))
+    for x in (F(1, 8), F(3, 8), F(5, 8), F(7, 8), F(1, 3), F(-7, 5)):
+        assert same(step.eval_at_rational(x), full_at_rational(step, x))
+
+
 # -- amplitudes outside the shortcut range -----------------------------------
 
 @pytest.mark.parametrize("A", [32, 1024, 2**53 * 4])
