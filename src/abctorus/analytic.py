@@ -54,6 +54,34 @@ returns, bit for bit. Only lanes inside the collars are computed in
 full. For A <= 1418 every phase is computed in full (m = 1/4 leaves
 both intervals empty), and likewise above 2^53. The complex path always
 evaluates the full formula.
+
+Most arguments skip the lanes altogether. Since l is even, 0 and 1/2
+are cell boundaries, so a phase more than m inside one of the l cells of
+a period is saturated, at 1.0 in the first half and at 0.0 in the
+second. Let w be the reduced phase and j = floor(w l) its cell. If
+frac(w l) lies in the plateau band (m l + g, 1 - m l - g), with the guard
+g = 1e-9, then w sits more than m + g/l inside cell j, and so every
+phase w - i/l mod 1 sits as far inside cell j - i mod l, and w itself
+inside cell j. Every lane and both trailing factors are then saturated,
+with the same pattern of 1.0 and 0.0 as at the middle of cell j, so the
+step value is the one `_window_sum` returns there. Each step keeps these
+l values as its plateau table and returns entry j for any w in the band.
+The guard absorbs the float error. Measured in w, rounding w l moves the
+band test by at most 2^-53 (not at all for l a power of two), and the
+kernel's float phases are off by a few ulps of 1 (the float offset i/l,
+the subtraction, the reduction mod 1): all below 1e-15, while g/l is
+above 1e-13 for l < 10^4. So a w that passes the band test has every
+float phase strictly inside its saturated interval, where the kernel
+returns exactly what the table holds, bit for bit. On the rational path w = r/d is one correctly rounded division and
+its phases are correctly rounded too, so the same test applies. The band
+is empty when m l + g >= 1/2, that is for A outside (1418, 2^53], where
+m = 1/4, or when the collars fill the cell; such a step has no table.
+
+Arguments outside the band go through the lane kernel unchanged, and
+there the saturation masks still pay: a collar point usually has one or
+two unsaturated lanes of l. A variant that computed every lane of a
+collar point in full was also exact, but it cost circle's analytic ops
+0.584 -> 0.638 s and its rational ops 0.18 -> 0.24 s.
 """
 
 from __future__ import annotations
@@ -73,7 +101,7 @@ from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
 from .exact.points import TorusPoint, as_fraction, as_fractions, mod1
 from .exact.steps import StepFunction
-from .towers import WORK_PREC, exact_mpf
+from .towers import WORK_PREC, exact_mpf, require_real
 
 # exp() overflows IEEE doubles just past 709.78; the envelope
 # exp(-exp(y)) is flat to <1e-300 beyond |y| = 709.
@@ -84,6 +112,10 @@ _TWO_PI = 2.0 * math.pi
 # (see the module docstring)
 _SATURATED = 2 * _CLAMP
 _SHORTCUT_MAX_A = 2.0**53
+# frac(w l) must clear the collars by this margin before a phase is read
+# off its plateau: far above the float error in w l (a few ulps of l),
+# far below the gap between collars (module docstring)
+_PLATEAU_GUARD = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +143,11 @@ def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
 
 
 def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:
-    """True if A strictly satisfies both amplitude conditions."""
+    """True if A strictly satisfies both amplitude conditions; an A that
+    is not a finite int, float or Fraction is refused with
+    ParamOutOfRange, as in `bounds.check_amplitude`."""
     a1, a2 = amplitude_lower_bounds(l, eps, delta)
+    require_real(A, "amplitude")
     with mp.workprec(WORK_PREC):
         a = exact_mpf(A)
         return a > a1 and a > a2
@@ -339,33 +374,83 @@ class EntireStep:
         A = float(self.A)
         return A, _saturation_edges(A), (np.arange(self.l) / self.l)[:, None]
 
-    def __call__(self, x):
-        """Value at x (scalar or ndarray; scalars come back as float)."""
-        arr = np.asarray(x, dtype=float)
+    @cached_property
+    def _plateau(self) -> Optional[Tuple[np.ndarray, float, float]]:
+        """The kernel's value at the middle of each of the l cells and the
+        band (lo, hi) of frac(w l) on which every lane of the phase w is
+        saturated (module docstring); None when the band is empty."""
+        ml = self._kernel[1][0] * self.l
+        lo, hi = ml + _PLATEAU_GUARD, 1.0 - ml - _PLATEAU_GUARD
+        if not lo < hi:
+            return None
+        return self._lanes((np.arange(self.l) + 0.5) / self.l), lo, hi
+
+    def _lanes(self, w: np.ndarray) -> np.ndarray:
+        """The kernel on a 1-d array of reduced phases w, lane by lane."""
         A, edges, offsets = self._kernel
-        w = np.mod(arr.reshape(-1) * self.N, 1.0)
         # row i of the (l, n) block is the phase of E_i
         windows = _windows(A, edges, np.mod(w - offsets, 1.0))
-        out = _window_sum(self.beta, windows, *_windows_pair(A, edges, w))
+        return _window_sum(self.beta, windows, *_windows_pair(A, edges, w))
+
+    def __call__(self, x):
+        """Value at x (scalar or ndarray; scalars come back as float).
+
+        A lane whose phase lies in a plateau band is read from the table,
+        every other lane goes through the kernel. A non-finite argument
+        (or one whose product with N overflows) is refused with
+        ParamOutOfRange.
+        """
+        arr = np.asarray(x, dtype=float)
+        y = arr.reshape(-1) * self.N
+        if not np.isfinite(y).all():
+            raise ParamOutOfRange("an entire-step argument is not finite")
+        w = np.mod(y, 1.0)
+        plateau = self._plateau
+        if plateau is None:
+            out = self._lanes(w)
+        else:
+            values, lo, hi = plateau
+            t = w * self.l
+            cell = t.astype(np.intp)
+            f = t - cell
+            out = values.take(cell, mode="clip")
+            collar = np.flatnonzero((f <= lo) | (f >= hi))
+            if collar.size:
+                out[collar] = self._lanes(w[collar])
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def eval_at_rational(self, x) -> float:
-        """Value at an exact rational, with every window phase reduced in
-        integer arithmetic before any float touches it.
+    def eval_at_rational(self, x, d: int = 1) -> float:
+        """Value at the exact rational x/d (d a positive int), with every
+        window phase reduced in integer arithmetic before any float
+        touches it.
 
-        For x = n/d the reduced phase is w = r/d with r = n N mod d, and
-        the phase of E_i is ((r l - i d) mod (l d)) / (l d). Python's int
-        true division is correctly rounded, so each phase is the float
-        nearest to its exact value. Shifting x by an exact multiple of the
-        period 1/N leaves r unchanged and so reproduces the same float bit
-        for bit: commutation and conjugacy checks are not polluted by
-        slope-amplified argument rounding. A non-finite or malformed x is
-        refused with ParamOutOfRange.
+        For x/d = n/e, in lowest or in any other terms, the reduced phase
+        is w = r/e with r = n N mod e, and the phase of E_i is
+        ((r l - i e) mod (l e)) / (l e). Python's int true division is
+        correctly rounded, so each phase is the float nearest to its exact
+        value whatever the terms, and a caller may pass an unreduced
+        integer numerator over a common denominator. Shifting x by an exact
+        multiple of the period 1/N leaves r unchanged and so reproduces
+        the same float bit for bit: commutation and conjugacy checks are
+        not polluted by slope-amplified argument rounding. A phase in a
+        plateau band returns its table entry. A non-finite or malformed x
+        or d is refused with ParamOutOfRange.
         """
-        x = as_fraction(x)
-        d = x.denominator
-        r = x.numerator * self.N % d
+        if not isinstance(d, int) or d < 1:
+            raise ParamOutOfRange(f"denominator must be a positive integer, got {d!r}")
+        if not isinstance(x, int):
+            x = as_fraction(x)
+            x, d = x.numerator, x.denominator * d
+        r = x * self.N % d
+        w = r / d
         l = self.l
+        plateau = self._plateau
+        if plateau is not None:
+            values, band_lo, band_hi = plateau
+            t = w * l
+            cell = int(t)
+            if band_lo < t - cell < band_hi:
+                return values.item(cell)
         ld = l * d
         rl = r * l
         A, (lo, hi, lo2, hi2), _ = self._kernel
@@ -378,7 +463,6 @@ class EntireStep:
                 windows.append(0.0)
             else:
                 windows.append(_window(A, p, math.sin, _clamped_envelope))
-        w = r / d
         if lo < w < hi:
             wp, wm = 1.0, 0.0
         elif lo2 < w < hi2:
@@ -604,8 +688,9 @@ class AnalyticBlockSlide:
 
         The point is carried as integer numerators over one common
         denominator D, at first the lcm of its coordinates' denominators.
-        Each entire-step value is evaluated through eval_at_rational and
-        taken back as the exact rational of its binary float; D grows only
+        Each entire-step value is evaluated through eval_at_rational on
+        the unreduced source numerator over D and taken back as the exact
+        rational of its binary float; D grows only
         when a shift's denominator does not divide it. So the image is a
         well-defined rational point, and shifts by exact periods of the
         step profiles commute with this map bit for bit. A non-finite or
@@ -622,7 +707,7 @@ class AnalyticBlockSlide:
             if mv.is_constant:
                 num, den = mv.constant.numerator, mv.constant.denominator
             else:
-                val = mv.step.eval_at_rational(Fraction(ys[mv.source], D))
+                val = mv.step.eval_at_rational(ys[mv.source], D)
                 num, den = val.as_integer_ratio()
             if D % den:
                 grow = den // gcd(D, den)

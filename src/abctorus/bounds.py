@@ -80,7 +80,7 @@ from .errors import (
     ParamOutOfRange,
     SearchExhausted,
 )
-from .towers import WORK_PREC, TowerReal, exact_mpf, tower_max
+from .towers import WORK_PREC, TowerReal, exact_mpf, require_real, tower_max
 
 Number = Union[int, float, Fraction, TowerReal]
 
@@ -123,13 +123,6 @@ def _require_int(value, low: int, what: str) -> None:
     """Refuse anything but an integer >= low, naming `what`."""
     if not isinstance(value, int) or value < low:
         raise ParamOutOfRange(f"{what} must be an integer >= {low}, got {value!r}")
-
-
-def _require_real(value, what: str) -> None:
-    """Refuse anything but a finite int, float or Fraction, naming `what`."""
-    if not isinstance(value, (int, float, Fraction)) or (
-            isinstance(value, float) and not math.isfinite(value)):
-        raise ParamOutOfRange(f"{what} must be a finite real number, got {value!r}")
 
 
 def _fmt(x) -> str:
@@ -221,7 +214,7 @@ def check_amplitude(A: Number, l: int, eps, delta) -> bool:
         with mp.workprec(CHECK_PREC):
             a_val = A.to_mpf()
     else:
-        _require_real(A, "amplitude")
+        require_real(A, "amplitude")
         a_val = None
     with mp.workprec(CHECK_PREC):
         if a_val is None:
@@ -257,7 +250,7 @@ def check_q_condition(q_n: Number, l_n: Number, n: int, C: float = DEFAULT_LIP_C
     """
     if not isinstance(n, int) or n < 1:
         raise ParamOutOfRange(f"stage index must be an integer >= 1, got {n}")
-    _require_real(C, "Lipschitz constant")
+    require_real(C, "Lipschitz constant")
     if C < 0:
         raise ParamOutOfRange(f"Lipschitz constant must be >= 0, got {C}")
     q_t = TowerReal.from_number(q_n)
@@ -314,7 +307,7 @@ def lip_increment_bound(A: Number, N: Number, l: Number, rho: Number,
     a_t = TowerReal.from_number(A)
     n_t = TowerReal.from_number(N)
     l_t = TowerReal.from_number(l)
-    _require_real(C, "Lipschitz constant")
+    require_real(C, "Lipschitz constant")
     if C <= 0:
         raise ParamOutOfRange(f"Lipschitz constant must be > 0, got {C}")
     for name, t in (("amplitude", a_t), ("frequency", n_t), ("grid size", l_t)):
@@ -643,8 +636,8 @@ def ledger_recipe(
     ledger fails that stage's final link.
     """
     _require_int(stages, 1, "stage count")
-    _require_real(rho, "initial width")
-    _require_real(C, "Lipschitz constant")
+    require_real(rho, "initial width")
+    require_real(C, "Lipschitz constant")
     if not (0 < rho < 10):
         raise ParamOutOfRange(f"initial width must lie in (0, 10), got {rho}")
     rho_t: TowerReal = TowerReal(0, rho)

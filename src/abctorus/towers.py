@@ -40,6 +40,7 @@ one the normalising constructor and step-by-step logarithms would give.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Union
@@ -71,6 +72,13 @@ _NUMERIC_HEIGHT = 3
 _ABSORB_LOG_GAP = WORK_PREC * mpmath.log(2) + 1
 
 Number = Union[int, float, Fraction, "TowerReal"]
+
+
+def require_real(value, what: str) -> None:
+    """Refuse anything but a finite int, float or Fraction, naming `what`."""
+    if not isinstance(value, (int, float, Fraction)) or (
+            isinstance(value, float) and not math.isfinite(value)):
+        raise ParamOutOfRange(f"{what} must be a finite real number, got {value!r}")
 
 
 def exact_mpf(x) -> mpmath.mpf:
@@ -323,6 +331,7 @@ __all__ = [
     "TowerReal",
     "WORK_PREC",
     "exact_mpf",
+    "require_real",
     "tower",
     "tower_compare",
     "tower_max",

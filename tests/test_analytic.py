@@ -22,7 +22,12 @@ from abctorus.analytic import (
     stage_epsilon,
     verify_proximity,
 )
-from abctorus.bounds import DEFAULT_LIP_CONSTANT, lip_increment_bound, sup_increment_bound
+from abctorus.bounds import (
+    DEFAULT_LIP_CONSTANT,
+    check_amplitude,
+    lip_increment_bound,
+    sup_increment_bound,
+)
 from abctorus.errors import ParamOutOfRange, RangeOverflow
 from abctorus.exact.blockslide import BlockSlideMap, rotation_map
 from abctorus.exact.builders import build_interchange
@@ -113,6 +118,17 @@ def test_tiny_budgets_do_not_overflow():
     assert a1 > 0 and a2 > 0
     A = choose_amplitude(2, Fraction(1, 9), Fraction(1, 2**2000))
     assert amplitude_conditions_hold(2, Fraction(1, 9), Fraction(1, 2**2000), A)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), None, "x"])
+def test_amplitude_routes_refuse_a_malformed_amplitude(bad):
+    # one rule, towers.require_real, for the evaluation and the bounds route
+    with pytest.raises(ParamOutOfRange, match="amplitude must be a finite real"):
+        amplitude_conditions_hold(4, Fraction(1, 12), Fraction(1, 4), bad)
+    with pytest.raises(ParamOutOfRange, match="amplitude must be a finite real"):
+        check_amplitude(bad, 4, Fraction(1, 12), Fraction(1, 4))
+    with pytest.raises(ParamOutOfRange, match="amplitude must be a finite real"):
+        EntireStep((0.0, 0.5), 1, EPS_DEMO, DELTA_DEMO, bad)
 
 
 # ---------------------------------------------------------------------------

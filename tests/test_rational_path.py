@@ -158,6 +158,28 @@ def test_transform_rational_matches_reference_on_unreduced_numerators():
                     _reference_transform_rational(h, x[::-1])
 
 
+def test_eval_at_rational_of_an_unreduced_pair_is_the_reduced_value():
+    # transform_rational passes its unreduced numerator over the common
+    # denominator D straight to eval_at_rational(n, D)
+    rng = np.random.default_rng(16)
+    for step in steps_of(CIRCLE_MAPS[2]) + MINIMAL_STEPS[:20]:
+        for D in (3 * 2**17, 12 * 5**30, 2 * (2**60 + 33), 576 * 2**17):
+            for n in (int(rng.integers(0, 2**62)) % D, D // 3, D // 2, 0):
+                want = step.eval_at_rational(F(n, D))
+                got = step.eval_at_rational(n, D)
+                assert got == want and repr(got) == repr(want), (step, n, D)
+                assert_same_value(step, F(n, D))
+        # a Fraction numerator is divided by d as well
+        assert step.eval_at_rational(F(1, 3), 5) == step.eval_at_rational(F(1, 15))
+
+
+def test_eval_at_rational_refuses_a_bad_denominator():
+    step = MINIMAL_STEPS[0]
+    for d in (0, -3, 1.5, "7", None):
+        with pytest.raises(ParamOutOfRange, match="positive integer"):
+            step.eval_at_rational(1, d)
+
+
 def test_transform_rational_takes_ints_floats_and_strings():
     am = CIRCLE_MAPS[1]
     for x in ((0, 1), (0.25, -1.5), ("3/7", "-9/4"), (F(1, 3), 2)):

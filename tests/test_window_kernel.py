@@ -12,6 +12,7 @@ step of circle stages 1-3 and of the minimal stack.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from abctorus.analytic import (
     step_to_plateau,
 )
 from abctorus.engine import run_circle_scenario, run_minimal_scenario
+from abctorus.errors import ParamOutOfRange
 from abctorus.exact.points import mod1
 
 F = Fraction
@@ -295,12 +297,61 @@ def test_empty_band_step_matches_full_formula():
         assert same(step.eval_at_rational(x), full_at_rational(step, x))
 
 
+# -- the plateau table --------------------------------------------------------
+
+def kernel_lanes(monkeypatch):
+    """Count the lanes that reach the per-lane kernel."""
+    seen = []
+    lanes = EntireStep._lanes
+
+    def counted(self, w):
+        seen.append(w.size)
+        return lanes(self, w)
+    monkeypatch.setattr(EntireStep, "_lanes", counted)
+    return seen
+
+
+def test_plateau_table_is_the_kernel_at_the_cell_middles():
+    for step in STEPS:
+        values, lo, hi = step._plateau
+        assert (lo, hi) == band_of(step)
+        middles = (np.arange(step.l) + 0.5) / step.l / step.N
+        assert values.shape == (step.l,)
+        assert same_array(values, full_call(step, middles)), step
+
+
+def test_only_lanes_off_the_band_reach_the_kernel(monkeypatch):
+    seen = kernel_lanes(monkeypatch)
+    xs = np.random.default_rng(15).random(4000)
+    for step in STEPS:
+        lo, hi = band_of(step)
+        f = realized_fracs(step, xs)
+        off_band = int(((f <= lo) | (f >= hi)).sum())
+        seen.clear()
+        step(xs)
+        assert sum(seen) == off_band, step
+        seen.clear()
+        for x in xs[:40]:
+            step.eval_at_rational(F(x))
+        assert not seen  # the rational path never calls the array kernel
+
+
+def test_empty_band_step_always_takes_the_kernel(monkeypatch):
+    step = EntireStep((0.0, 0.25, 0.5, 0.75), 1, EPS_DEMO, DELTA_DEMO, 1024)
+    assert step._plateau is None
+    seen = kernel_lanes(monkeypatch)
+    xs = (np.arange(4) + 0.5) / 4
+    step(xs)
+    assert seen == [4]
+
+
 # -- amplitudes outside the shortcut range -----------------------------------
 
 @pytest.mark.parametrize("A", [32, 1024, 2**53 * 4])
 def test_no_shortcut_outside_the_amplitude_range(A):
     step = EntireStep((0.0, 0.5), 1, EPS_DEMO, DELTA_DEMO, A)
     assert step._kernel[1] == (0.25, 0.25, 0.75, 0.75)
+    assert step._plateau is None
     xs = np.concatenate([np.linspace(-1.0, 2.0, 1201), [0.0, 0.25, 0.5, 0.75]])
     assert same_array(step(xs), full_call(step, xs))
     for x in (F(0), F(1, 4), F(1, 2), F(1, 3), F(-7, 5)):
@@ -352,3 +403,28 @@ def test_shared_realization_matches_a_fresh_one():
     assert again.moves == am.moves
     pts = np.random.default_rng(14).random((2, 16))
     assert same_array(again.transform(pts), am.transform(pts))
+
+
+# -- non-finite arguments -------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_call_refuses_a_non_finite_scalar(bad):
+    step = STEPS[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (bad, np.asarray(bad)):
+            with pytest.raises(ParamOutOfRange, match="not finite"):
+                step(arg)
+
+
+def test_call_refuses_one_non_finite_lane_in_an_array():
+    for step in (STEPS[0], STEPS[-1]):
+        for bad in (math.nan, math.inf):
+            xs = np.linspace(0.0, 1.0, 33)
+            xs[17] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParamOutOfRange, match="not finite"):
+                    step(xs)
+                with pytest.raises(ParamOutOfRange, match="not finite"):
+                    step(xs.reshape(3, 11))
