@@ -113,8 +113,8 @@ _TWO_PI = 2.0 * math.pi
 _SATURATED = 2 * _CLAMP
 _SHORTCUT_MAX_A = 2.0**53
 # frac(w l) must clear the collars by this margin before a phase is read
-# off its plateau: far above the float error in w l (a few ulps of l),
-# far below the gap between collars (module docstring)
+# off its plateau: far above the float error of w l and of the kernel's
+# phases, far below the gap between collars (module docstring)
 _PLATEAU_GUARD = 1e-9
 
 

@@ -8,7 +8,10 @@ without any shortcut (`full_step`, `full_call`, `full_at_rational`).
 Values are compared as floats and by `repr` (which also tells 0.0 from
 -0.0), at phases exactly at, just inside and just outside the saturation
 edges m, 1/2 - m, 1/2 + m, 1 - m and at 0 and 1/2, for every entire
-step of circle stages 1-3 and of the minimal stack.
+step of circle stages 1-3 and of the minimal stack. A phase w whose
+frac(w l) lies in the plateau band is read from the step's plateau
+table, so the same comparison runs at and around the band edges and at
+every cell middle.
 """
 
 import math
