@@ -509,11 +509,6 @@ class EntireStep:
             )
         return out
 
-    # -- collars ------------------------------------------------------------
-
-    def error_set(self) -> "ErrorSet":
-        return error_set(self)
-
 
 # ---------------------------------------------------------------------------
 # Collars (the error set of one entire step).
@@ -522,14 +517,15 @@ class EntireStep:
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """Union of closed collars of half-width delta/(2 l N) centred at the
-    cell boundaries i/(l N); the collar at 0 wraps around and is stored
-    as two pieces. Total measure is exactly delta."""
+    """Union of the l N closed collars of half-width delta/(2 l N)
+    centred at the cell boundaries i/(l N); the collar at 0 wraps round
+    1. The set is kept as arithmetic: `contains` reduces x modulo the
+    spacing, so the record's size does not grow with l N. Total measure
+    is exactly delta."""
 
     cell_count: int          # l * N collars
     spacing: Fraction        # 1/(l N)
     halfwidth: Fraction      # delta/(2 l N)
-    pieces: Tuple[Tuple[Fraction, Fraction], ...]
 
     def total_measure(self) -> Fraction:
         return 2 * self.halfwidth * self.cell_count
@@ -541,18 +537,10 @@ class ErrorSet:
         return r <= self.halfwidth or self.spacing - r <= self.halfwidth
 
 
-@lru_cache(maxsize=None)
 def error_set(s: EntireStep) -> ErrorSet:
     """The collar set outside of which s is within eps of its plateaus."""
     ln = s.l * s.N
-    spacing = Fraction(1, ln)
-    h = s.delta / (2 * ln)
-    pieces = [(Fraction(0), h)]
-    for i in range(1, ln):
-        centre = Fraction(i, ln)
-        pieces.append((centre - h, centre + h))
-    pieces.append((1 - h, Fraction(1)))
-    return ErrorSet(ln, spacing, h, tuple(pieces))
+    return ErrorSet(ln, Fraction(1, ln), s.delta / (2 * ln))
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +633,12 @@ class AnalyticBlockSlide:
     outside the pulled-back collar set — membership is decided by
     running the exact intermediate orbit and testing each move's source
     coordinate against its collars — every point moves within eps of the
-    exact image. Total collar measure is below delta because the exact
-    moves preserve measure.
+    exact image. The exact moves preserve measure, so that set measures
+    at most `error_measure_bound()`, the sum of the moves' own collar
+    measures. That sum is below delta for the maps of
+    `approximate_blockslide`, which splits delta over the moves, but
+    3 delta_n on the circle stages, whose three shears each carry the
+    full delta_n.
     """
 
     dim: int
@@ -727,8 +719,10 @@ class AnalyticBlockSlide:
         return False
 
     def error_measure_bound(self) -> Fraction:
-        """Sum of the per-move collar measures (>= the measure of the
-        pulled-back error set; stays below delta by construction)."""
+        """Sum of the per-move collar measures, >= the measure of the
+        pulled-back error set. Below delta for `approximate_blockslide`'s
+        maps; each move counts its own step's delta, so on the circle
+        stages, whose three shears each carry delta_n, it is 3 delta_n."""
         return sum(
             (error_set(mv.step).total_measure() for mv in self.moves if mv.step is not None),
             Fraction(0),

@@ -288,10 +288,6 @@ class StageMaps:
             )
         return stage
 
-    def alpha(self, stage: int) -> Fraction:
-        self._check_stage(stage)
-        return self.records[stage].alpha
-
     def _analytic(self, stage: int) -> AnalyticBlockSlide:
         """h_stage in the analytic model; refused for stages built
         without one."""

@@ -35,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import lcm
 from typing import Sequence, Tuple
 
@@ -119,9 +120,7 @@ class BlockSlideMap:
 
     def then(self, other: "BlockSlideMap") -> "BlockSlideMap":
         """The composition other o self (this map runs first)."""
-        if other.dim != self.dim:
-            raise ParamOutOfRange("dimension mismatch in composition")
-        return BlockSlideMap(self.dim, self.moves + other.moves)
+        return BlockSlideMap.compose((self, other))
 
     @staticmethod
     def identity(dim: int) -> "BlockSlideMap":
@@ -129,13 +128,17 @@ class BlockSlideMap:
 
     @staticmethod
     def compose(maps: Sequence["BlockSlideMap"]) -> "BlockSlideMap":
-        """Compose left-to-right: maps[0] is applied first."""
+        """Compose left-to-right: maps[0] is applied first.
+
+        One concatenation of the move tuples after a single dimension
+        check: no intermediate map is built, and the result holds the
+        maps' own move objects, in order."""
         if not maps:
             raise ParamOutOfRange("cannot compose an empty list without a dimension")
-        out = maps[0]
-        for m in maps[1:]:
-            out = out.then(m)
-        return out
+        dim = maps[0].dim
+        if any(m.dim != dim for m in maps):
+            raise ParamOutOfRange("dimension mismatch in composition")
+        return BlockSlideMap(dim, tuple(chain.from_iterable(m.moves for m in maps)))
 
     # -- exact lattice machinery ------------------------------------------
 

@@ -16,12 +16,12 @@ through the map is a certificate, not a sample:
   box lies in and the target atom its image lies in;
 - `misplaced_boxes` counts, per source atom, the boxes whose image
   leaves the target atom with the same index (the exact correspondence
-  defect of the engine);
-- `commutes_with_rotation` compares m o phi^{1/q} with phi^{1/q} o m on
-  the boxes of `m.then(phi).box_grid()`, for block-slide maps. Both
-  compositions are made of the same moves, so both translate those
-  boxes rigidly, and they agree on a box as soon as they agree on its
-  corner.
+  defect of the engine).
+
+`commutes_with_rotation` walks no boxes: the map's structural verdict
+already decides it, since a move that reads the first coordinate
+through a 1/q-periodic step, or reads any other coordinate, commutes
+with the rotation by 1/q on its own.
 
 The corners are integers at the modulus M = lcm(L, box counts), where L
 is the map's denominator lcm, and they go through the map's compiled
@@ -34,14 +34,13 @@ is the only lattice budget of the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import NotAtomPermutation, ParamOutOfRange
-from .blockslide import BlockSlideMap, rotation_map
+from .blockslide import BlockSlideMap
 from .partitions import PartitionSpec
 
 if TYPE_CHECKING:
@@ -152,17 +151,10 @@ def misplaced_boxes(m: "Conjugation", part: PartitionSpec,
 
 
 def commutes_with_rotation(m: BlockSlideMap, q: int) -> bool:
-    """Check m o phi^{1/q} == phi^{1/q} o m, structurally and on the boxes.
-
-    The structural part verifies that every move reading the first
-    coordinate has a 1/q-periodic step (each such move then commutes with
-    the rotation individually). The box part compares both compositions
-    on one corner per box, which decides equality everywhere.
-    """
-    structural = m.commutes_with_rotation(q)
-    phi = rotation_map(Fraction(1, q), m.dim)
-    m_phi = m.then(phi)
-    M, counts = _box_lattice(m_phi)
-    a, b = m_phi.compiled(M), phi.then(m).compiled(M)
-    boxes_ok = all(np.array_equal(a.apply(pts), b.apply(pts)) for pts in _corners(M, counts))
-    return structural and boxes_ok
+    """Whether m o phi^{1/q} == phi^{1/q} o m, by the structural verdict
+    `m.commutes_with_rotation(q)`. True is a proof: every move reading
+    the first coordinate has a 1/q-periodic step, so it commutes with
+    the rotation on its own, and so does every move reading another
+    coordinate. False means some move reads the first coordinate through
+    a step that is not 1/q-periodic. No box is walked."""
+    return m.commutes_with_rotation(q)

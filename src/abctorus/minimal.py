@@ -129,10 +129,6 @@ class MinimalCombinatorics:
             x[1] + Fraction(row2 - row, rows),
         ))
 
-    def inverse(self) -> "MinimalCombinatorics":
-        """The map is a pointwise involution."""
-        return self
-
 
 # ---------------------------------------------------------------------------
 # The full stage conjugation h = h1 o h2.

@@ -28,6 +28,7 @@ from abctorus.bounds import (
     lip_increment_bound,
     sup_increment_bound,
 )
+from abctorus.engine import run_circle_scenario
 from abctorus.errors import ParamOutOfRange, RangeOverflow
 from abctorus.exact.blockslide import BlockSlideMap, rotation_map
 from abctorus.exact.builders import build_interchange
@@ -301,16 +302,29 @@ def test_complex_never_exceeds_sup_bound():
 # ---------------------------------------------------------------------------
 
 
+PROBE = Fraction(1, 256)
+
+
+def assert_collar_pinned(es, lo: Fraction, hi: Fraction):
+    """[lo, hi] is one closed piece of `es`: both ends are inside and a
+    probe 1/256 beyond either end is outside, except past 0 or 1, where
+    the collar at 0 wraps round and the probe lands in its other piece."""
+    assert es.contains(lo) and es.contains(hi)
+    assert es.contains(lo - PROBE) == (lo == 0)
+    assert es.contains(hi + PROBE) == (hi == 1)
+
+
 def test_error_set_frozen_two_cells():
     s = demo_step()
     es = error_set(s)
     assert es.cell_count == 2
     assert es.total_measure() == Fraction(1, 4)
-    assert es.pieces == (
+    for lo, hi in (
         (Fraction(0), Fraction(1, 16)),
         (Fraction(7, 16), Fraction(9, 16)),
         (Fraction(15, 16), Fraction(1)),
-    )
+    ):
+        assert_collar_pinned(es, lo, hi)
     assert es.contains(Fraction(1, 16))        # closed boundary
     assert not es.contains(Fraction(17, 256))  # just outside
     assert es.contains(Fraction(0))
@@ -323,11 +337,22 @@ def test_error_set_twelve_collars():
                    choose_amplitude(4, EPS_DEMO, DELTA_DEMO))
     es = error_set(s)
     assert es.cell_count == 12
-    assert len(es.pieces) == 13  # the collar at 0 wraps and splits
     h = DELTA_DEMO / 24
+    # the collar at 0 wraps and splits into [0, h] and [1 - h, 1]
+    assert_collar_pinned(es, Fraction(0), h)
+    assert_collar_pinned(es, 1 - h, Fraction(1))
     for i in range(1, 12):
-        assert es.pieces[i] == (Fraction(i, 12) - h, Fraction(i, 12) + h)
+        assert_collar_pinned(es, Fraction(i, 12) - h, Fraction(i, 12) + h)
     assert es.total_measure() == DELTA_DEMO
+
+
+def test_circle_collar_measure_is_three_stage_deltas():
+    # each of the three shears of a circle stage carries the full
+    # delta_n, so the summed collar measure is 3 delta_n, not below delta_n
+    hs = run_circle_scenario(3).conjugations_analytic
+    assert [h.delta for h in hs] == [stage_delta(n) for n in (1, 2, 3)]
+    assert [h.error_measure_bound() for h in hs] == [
+        Fraction(3, 4), Fraction(3, 8), Fraction(3, 16)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from abctorus.errors import ParamOutOfRange
 from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove, CompiledMap, rotation_map
+from abctorus.exact.builders import build_interchange
 from abctorus.exact.points import TorusPoint
 from abctorus.exact.steps import StepFunction, sigma1_interchange, sigma3_interchange
 
@@ -64,6 +66,33 @@ def test_compose_order_matches_application_order():
     assert comp(TorusPoint((F(0), F(0))))[0] == F(7, 12)
 
 
+def test_compose_keeps_the_move_objects_of_a_then_fold():
+    # phi^{-m/kq} o f o phi^{m/kq} for m < k, as the one-block slide builds them
+    k, q = 4, 3
+    f = build_interchange(k, q, 2)
+    parts = [rotation_map(F(-m, k * q), 2).then(f).then(rotation_map(F(m, k * q), 2))
+             for m in range(k)]
+    folded = reduce(BlockSlideMap.then, parts)
+    composed = BlockSlideMap.compose(parts)
+    assert composed.dim == 2
+    assert len(composed.moves) == len(folded.moves) == sum(len(p.moves) for p in parts)
+    assert all(a is b for a, b in zip(composed.moves, folded.moves))
+
+
+def test_compose_refuses_what_it_cannot_build():
+    with pytest.raises(ParamOutOfRange, match="empty"):
+        BlockSlideMap.compose([])
+    m2, m3 = rotation_map(F(1, 3), 2), rotation_map(F(1, 3), 3)
+    for maps in ([m2, m3], [m3, m2], [m2, m2, m3]):
+        with pytest.raises(ParamOutOfRange, match="dimension mismatch"):
+            BlockSlideMap.compose(maps)
+    with pytest.raises(ParamOutOfRange, match="dimension mismatch"):
+        m2.then(m3)
+    # a map built directly still checks its coordinates
+    with pytest.raises(ParamOutOfRange, match="outside the torus"):
+        BlockSlideMap(2, (BlockSlideMove(2, 0, 1, sigma1_interchange(2, 1)),))
+
+
 def test_identity_map():
     ident = BlockSlideMap.identity(3)
     x = TorusPoint((F(1, 7), F(2, 7), F(3, 7)))
@@ -72,8 +101,6 @@ def test_identity_map():
 
 
 def test_compiled_map_agrees_with_exact_on_lattice():
-    from abctorus.exact.builders import build_interchange
-
     m = build_interchange(4, 3, 2)
     M = m.denominator_lcm() * 4
     cm = m.compiled(M)
