@@ -101,7 +101,7 @@ from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
 from .exact.points import TorusPoint, as_fraction, as_fractions, mod1
 from .exact.steps import StepFunction
-from .towers import WORK_PREC, exact_mpf, require_real
+from .towers import WORK_PREC, exact_mpf, require_int, require_real
 
 # exp() overflows IEEE doubles just past 709.78; the envelope
 # exp(-exp(y)) is flat to <1e-300 beyond |y| = 709.
@@ -155,7 +155,9 @@ def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:
 
 def _check_profile_params(l: int, eps, delta) -> None:
     if not isinstance(l, int) or l < 2 or l % 2:
-        raise ParamOutOfRange(f"cell count l must be an even integer >= 2, got {l}")
+        raise ParamOutOfRange(f"cell count l must be an even integer >= 2, got {l!r}")
+    require_real(eps, "eps")
+    require_real(delta, "delta")
     eps = Fraction(eps)
     delta = Fraction(delta)
     if not (0 < eps < Fraction(1, 8)):
@@ -166,15 +168,13 @@ def _check_profile_params(l: int, eps, delta) -> None:
 
 def stage_epsilon(n: int) -> Fraction:
     """Stage-n proximity budget 1/(3 * 2^(n+1)) of the stage schedule."""
-    if n < 1:
-        raise ParamOutOfRange(f"stage index must be >= 1, got {n}")
+    require_int(n, 1, "stage index")
     return Fraction(1, 3 * 2 ** (n + 1))
 
 
 def stage_delta(n: int) -> Fraction:
     """Stage-n error-set budget 1/2^(n+1) of the stage schedule."""
-    if n < 1:
-        raise ParamOutOfRange(f"stage index must be >= 1, got {n}")
+    require_int(n, 1, "stage index")
     return Fraction(1, 2 ** (n + 1))
 
 
@@ -192,8 +192,7 @@ def choose_amplitude(l: int, eps=None, delta=None, *, stage: Optional[int] = Non
     """
     if stage is not None:
         n = stage
-        if not isinstance(n, int) or n < 1:
-            raise ParamOutOfRange(f"stage index must be an integer >= 1, got {n}")
+        require_int(n, 1, "stage index")
         if not isinstance(l, int) or l < 4 or l % 2:
             raise ParamOutOfRange(
                 f"stage amplitude schedule needs even l >= 4, got {l}"
@@ -201,9 +200,10 @@ def choose_amplitude(l: int, eps=None, delta=None, *, stage: Optional[int] = Non
         sched_eps = stage_epsilon(n)
         sched_delta = stage_delta(n)
         for given, sched, name in ((eps, sched_eps, "eps"), (delta, sched_delta, "delta")):
-            if given is not None and Fraction(given) != sched and abs(
-                float(given) - float(sched)
-            ) > 1e-15:
+            if given is None:
+                continue
+            require_real(given, name)
+            if Fraction(given) != sched and abs(float(given) - float(sched)) > 1e-15:
                 raise ParamOutOfRange(
                     f"stage mode fixes {name}={sched}, got {given}"
                 )
@@ -216,6 +216,8 @@ def choose_amplitude(l: int, eps=None, delta=None, *, stage: Optional[int] = Non
 
     if eps is None or delta is None:
         raise ParamOutOfRange("general mode needs explicit eps and delta")
+    # checked before the cached bounds, whose key must be hashable
+    _check_profile_params(l, eps, delta)
     a1, a2 = amplitude_lower_bounds(l, eps, delta)
     with mp.workprec(WORK_PREC):
         bound = max(a1, a2)
@@ -533,6 +535,7 @@ class ErrorSet:
     def contains(self, x) -> bool:
         """Collar membership, exact for rational x (floats convert by
         their exact binary value)."""
+        require_real(x, "point")
         r = Fraction(x) % self.spacing
         return r <= self.halfwidth or self.spacing - r <= self.halfwidth
 
@@ -667,7 +670,10 @@ class AnalyticBlockSlide:
         return out
 
     def __call__(self, x) -> Tuple[float, ...]:
-        coords = [float(c) for c in x]
+        try:
+            coords = [float(c) for c in x]
+        except (TypeError, ValueError, OverflowError):
+            raise ParamOutOfRange(f"point {x!r} is not a sequence of reals") from None
         if len(coords) != self.dim:
             raise ParamOutOfRange(
                 f"expected a point of dimension {self.dim}, got {len(coords)}"
@@ -771,6 +777,8 @@ def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:
     budgets only sharpen the result). Constant shears are kept exact —
     they are already entire — so rotations survive unchanged.
     """
+    require_real(eps, "eps")
+    require_real(delta, "delta")
     eps_total = Fraction(eps)
     delta_total = Fraction(delta)
     if eps_total <= 0:

@@ -5,8 +5,11 @@ whose convergence in an analytic norm hinges on a chain of inequalities
 between quantities that grow as iterated exponentials ("towers").  Floating
 point cannot even denote most of them, so every check in this module is
 carried out on :class:`~abctorus.towers.TowerReal` certificates and must be
-*provably* correct before it reports success: a comparison that cannot be
-decided soundly raises or returns False, never a guess.
+*provably* correct before it reports success.  Comparisons of towers are
+lexicographic on their normal forms and always decide; the one operation
+that can refuse is a sum of towers of comparable depth, whose
+:class:`~abctorus.errors.AmbiguousComparison` reaches the caller rather
+than being read as a verdict.
 
 The module provides four groups of operations.
 
@@ -16,7 +19,9 @@ Amplitude and grid-size gates
     outward rounding, independent of the evaluation code in
     :mod:`abctorus.analytic`.  ``check_q_condition`` tests the growth
     condition ``q_n >= 2 C^2 l_n exp(4 exp(2^(2n+5) l_n^3))`` that the
-    rotation denominators must satisfy.
+    rotation denominators must satisfy; C is the window products'
+    Lipschitz constant ``DEFAULT_LIP_CONSTANT`` = 6 pi, a constant of the
+    construction.
 
 Convergence ledger
     ``convergence_ledger`` takes per-stage data (grid size ``l_n``,
@@ -74,13 +79,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import mpmath
 from mpmath import mp
 
-from .errors import (
-    AmbiguousComparison,
-    LinkFailed,
-    ParamOutOfRange,
-    SearchExhausted,
-)
-from .towers import WORK_PREC, TowerReal, exact_mpf, require_real, tower_max
+from .errors import LinkFailed, ParamOutOfRange, SearchExhausted
+from .towers import WORK_PREC, TowerReal, exact_mpf, require_int, require_real, tower_max
 
 Number = Union[int, float, Fraction, TowerReal]
 
@@ -117,12 +117,6 @@ def _nudge_up(x: mpmath.mpf) -> mpmath.mpf:
 def _nudge_down(x: mpmath.mpf) -> mpmath.mpf:
     """A value certainly <= the exact quantity x approximates (x >= 0)."""
     return x * (1 - mp.mpf(2) ** (10 - CHECK_PREC))
-
-
-def _require_int(value, low: int, what: str) -> None:
-    """Refuse anything but an integer >= low, naming `what`."""
-    if not isinstance(value, int) or value < low:
-        raise ParamOutOfRange(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 def _fmt(x) -> str:
@@ -234,34 +228,28 @@ def check_amplitude(A: Number, l: int, eps, delta) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _condq_rhs(l_n: Number, n: int, C: float) -> TowerReal:
-    """The tower 2 C^2 l_n exp(4 exp(2^(2n+5) l_n^3))."""
+def _condq_rhs(l_n: Number, n: int) -> TowerReal:
+    """The tower 2 C^2 l_n exp(4 exp(2^(2n+5) l_n^3)), C = DEFAULT_LIP_CONSTANT."""
     l_t = TowerReal.from_number(l_n)
     x = _product(TowerReal.from_pow2(2 * n + 5), l_t ** 3)
+    C = DEFAULT_LIP_CONSTANT
     return _product((_product(x.exp(), 4)).exp(), l_t, 2.0 * C * C)
 
 
-def check_q_condition(q_n: Number, l_n: Number, n: int, C: float = DEFAULT_LIP_CONSTANT) -> bool:
-    """True if q_n >= 2 C^2 l_n exp(4 exp(2^(2n+5) l_n^3)).
+def check_q_condition(q_n: Number, l_n: Number, n: int) -> bool:
+    """True if q_n >= 2 C^2 l_n exp(4 exp(2^(2n+5) l_n^3)), C = 6 pi.
 
     The right-hand side is assembled in tower arithmetic, so the check
-    works equally for literal integers and for symbolic towers.  C = 0
-    makes the right-hand side vanish and the condition hold trivially.
+    works equally for literal integers and for symbolic towers.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ParamOutOfRange(f"stage index must be an integer >= 1, got {n}")
-    require_real(C, "Lipschitz constant")
-    if C < 0:
-        raise ParamOutOfRange(f"Lipschitz constant must be >= 0, got {C}")
+    require_int(n, 1, "stage index")
     q_t = TowerReal.from_number(q_n)
     if not q_t.is_positive():
         raise ParamOutOfRange("denominator certificate must be positive")
     l_t = TowerReal.from_number(l_n)
     if not (l_t.is_positive() and l_t >= 2):
         raise ParamOutOfRange("grid size certificate must be >= 2")
-    if C == 0:
-        return True
-    return q_t >= _condq_rhs(l_n, n, C)
+    return q_t >= _condq_rhs(l_n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +288,17 @@ def sup_increment_bound(A: Number, N: Number, rho: Number) -> TowerReal:
     return _product(expo.exp(), n_t, a_t, _TWO_PI)
 
 
-def lip_increment_bound(A: Number, N: Number, l: Number, rho: Number,
-                        C: float = DEFAULT_LIP_CONSTANT) -> TowerReal:
+def lip_increment_bound(A: Number, N: Number, l: Number, rho: Number) -> TowerReal:
     """Tower bound C A l N exp(4 exp(X)), X = A exp(2 pi N rho), on the
-    strip |Im z| <= rho; C defaults to 6 pi and is a configurable knob."""
+    strip |Im z| <= rho, with C = DEFAULT_LIP_CONSTANT = 6 pi."""
     a_t = TowerReal.from_number(A)
     n_t = TowerReal.from_number(N)
     l_t = TowerReal.from_number(l)
-    require_real(C, "Lipschitz constant")
-    if C <= 0:
-        raise ParamOutOfRange(f"Lipschitz constant must be > 0, got {C}")
     for name, t in (("amplitude", a_t), ("frequency", n_t), ("grid size", l_t)):
         if not t.is_positive():
             raise ParamOutOfRange(f"{name} must be positive")
     x = _product(_strip_phase(rho, n_t).exp(), a_t)
-    return _product(_product(x.exp(), 4).exp(), a_t, l_t, n_t, C)
+    return _product(_product(x.exp(), 4).exp(), a_t, l_t, n_t, DEFAULT_LIP_CONSTANT)
 
 
 def rho_prime_bound(rho: Number, A1: Number) -> TowerReal:
@@ -411,10 +395,7 @@ class GapBound:
         nl = self.neglog_lower()
         if nl is None:
             return True
-        try:
-            return nl > TowerReal.from_number(threshold)
-        except AmbiguousComparison:
-            return False
+        return nl > TowerReal.from_number(threshold)
 
     def describe(self) -> str:
         if self.zero:
@@ -503,7 +484,6 @@ def stage_gap_threshold(stage: StageBounds) -> TowerReal:
 def convergence_ledger(
     stages: Union[StageBounds, Sequence[StageBounds]],
     alpha_gap,
-    C: float = DEFAULT_LIP_CONSTANT,
 ) -> LedgerVerdict:
     """Verify the full inequality chain for a run of stages.
 
@@ -515,9 +495,8 @@ def convergence_ledger(
         Certificate(s) for |alpha - alpha_n|.  A single certificate is
         applied to every stage (useful for the exact-hit case gap = 0);
         a sequence must match the stages one for one.
-    C : float
-        Lipschitz constant entering the denominator growth condition.
 
+    Link L3 uses the Lipschitz constant C = DEFAULT_LIP_CONSTANT.
     Returns a :class:`LedgerVerdict` whose audit trail shows each link in
     tower notation; raises :class:`LinkFailed` naming the first violated
     link.  A passing run certifies d_rho(T_{n+1}, T_n) < 1/2^n for every
@@ -553,24 +532,21 @@ def convergence_ledger(
 
         # L1: grid size beats the accumulated derivative bound
         rhs1 = _product(TowerReal.from_pow2(n + 1), dh_t)
-        if not _sound_greater(l_t, rhs1):
+        if not l_t > rhs1:
             raise LinkFailed(n, "L1", f"l={_fmt(l_t)} <= 2^{n+1}*DH={_fmt(rhs1)}")
         lines.append(f"  [L1] l = {_fmt(l_t)} > 2^{n + 1} * DH = {_fmt(rhs1)} : ok")
 
         # L2: grid size beats the strip width
         rhs2 = _product(rho_t + 1, _TWO_PI).exp()
-        if not _sound_greater(l_t, rhs2):
+        if not l_t > rhs2:
             raise LinkFailed(n, "L2", f"l={_fmt(l_t)} <= exp(2pi(rho+1))={_fmt(rhs2)}")
         lines.append(f"  [L2] l = {_fmt(l_t)} > exp(2pi(rho+1)) = {_fmt(rhs2)} : ok")
 
         # L3: denominator growth
-        if C == 0:
-            lines.append("  [L3] q-condition : ok (C = 0, trivial)")
-        else:
-            rhs3 = _condq_rhs(stage.l, n, C)
-            if not _sound_geq(q_t, rhs3):
-                raise LinkFailed(n, "L3", f"q={_fmt(q_t)} < {_fmt(rhs3)}")
-            lines.append(f"  [L3] q = {_fmt(q_t)} >= 2C^2*l*exp(4e^X) = {_fmt(rhs3)} : ok")
+        rhs3 = _condq_rhs(stage.l, n)
+        if not q_t >= rhs3:
+            raise LinkFailed(n, "L3", f"q={_fmt(q_t)} < {_fmt(rhs3)}")
+        lines.append(f"  [L3] q = {_fmt(q_t)} >= 2C^2*l*exp(4e^X) = {_fmt(rhs3)} : ok")
 
         # L4: the rotation number gap is small enough
         t_n = stage_gap_threshold(stage)
@@ -599,24 +575,9 @@ def convergence_ledger(
     )
 
 
-def _sound_greater(a: TowerReal, b: TowerReal) -> bool:
-    try:
-        return a > b
-    except AmbiguousComparison:
-        return False
-
-
-def _sound_geq(a: TowerReal, b: TowerReal) -> bool:
-    try:
-        return a >= b
-    except AmbiguousComparison:
-        return False
-
-
 def ledger_recipe(
     stages: int = 5,
     rho: float = 0.1,
-    C: float = DEFAULT_LIP_CONSTANT,
     undersized_final_gap: bool = False,
 ) -> Tuple[Tuple[StageBounds, ...], Tuple[GapBound, ...]]:
     """Generate stage data and gap certificates that drive the ledger.
@@ -635,9 +596,8 @@ def ledger_recipe(
     instead of exp(-exp(exp(T_n))): too large by two exponentials, so the
     ledger fails that stage's final link.
     """
-    _require_int(stages, 1, "stage count")
+    require_int(stages, 1, "stage count")
     require_real(rho, "initial width")
-    require_real(C, "Lipschitz constant")
     if not (0 < rho < 10):
         raise ParamOutOfRange(f"initial width must lie in (0, 10), got {rho}")
     rho_t: TowerReal = TowerReal(0, rho)
@@ -655,7 +615,7 @@ def ledger_recipe(
         else:
             l_n = need.exp()  # one full height above both lower bounds
         l_t = TowerReal.from_number(l_n)
-        q_n = _condq_rhs(l_n, n, C).exp() if C > 0 else TowerReal(0, 2)
+        q_n = _condq_rhs(l_n, n).exp()
         a1 = _stage_amplitude(n, l_t)
         rho_next = rho_prime_bound(rho_t, a1)
         stage = StageBounds(n=n, l=l_n, q=q_n, rho=rho_t, dh=dh_t, rho_prime=rho_next)
@@ -669,9 +629,9 @@ def ledger_recipe(
         # grow the derivative bound through the three shears of stage n+1
         a2 = a1
         nq = _product(l_t, q_n)
-        lip = _product(lip_increment_bound(a1, 1, l_n, rho_t, C),
-                       lip_increment_bound(a2, nq, l_n, rho_t, C),
-                       lip_increment_bound(a1, 1, l_n, rho_t, C))
+        lip = _product(lip_increment_bound(a1, 1, l_n, rho_t),
+                       lip_increment_bound(a2, nq, l_n, rho_t),
+                       lip_increment_bound(a1, 1, l_n, rho_t))
         dh_t = _product(dh_t, lip + 1)
         rho_t = rho_next
     return tuple(out_stages), tuple(out_gaps)
@@ -755,7 +715,7 @@ class LiouvilleRecipe:
             if lv.index != j:
                 raise ParamOutOfRange("levels must be indexed consecutively from 1")
         for a, b in zip(self.levels, self.levels[1:]):
-            if not _sound_greater(b.q_value_lower(), a.q_value_upper()):
+            if not b.q_value_lower() > a.q_value_upper():
                 raise ParamOutOfRange(
                     f"denominators must increase strictly: level {a.index} -> {b.index}"
                 )
@@ -800,24 +760,23 @@ def _k_power_upper(k: int, q: Optional[int] = None,
 def liouville_verify(recipe: LiouvilleRecipe, k: int, level: int) -> bool:
     """Certify |alpha - p_j/q_j| < exp(-exp(k^(q_j))) for one level.
 
-    Works from the recipe's stored certificates alone.  All roundings are
-    outward (tail up, threshold up), comparisons strict; an undecidable
-    comparison reports False.  A zero tail passes every threshold — the
-    membership form in use admits exact rational hits.
+    Works from the recipe's stored certificates alone, read as a
+    :class:`GapBound`.  All roundings are outward (tail up, threshold up)
+    and the comparison is strict; comparisons of normal forms always
+    decide, so a tie reports False.  A zero tail passes every threshold,
+    and is accepted before the threshold is built: the membership form in
+    use admits exact rational hits.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ParamOutOfRange(f"k must be an integer >= 1, got {k}")
+    require_int(k, 1, "k")
     lv = recipe.level(level)
-    if lv.tail is not None and lv.tail == 0:
+    if lv.tail is None:
+        gap = GapBound.from_neglog(lv.tail_neglog)
+    else:
+        gap = GapBound.from_fraction(lv.tail)
+    if gap.zero:
         return True
     # threshold: exp(k^q), from an upper bound of k^q
-    threshold = _k_power_upper(k, lv.q, lv.q_log2).exp()
-    if lv.tail is not None:
-        with mp.workprec(CHECK_PREC):
-            neglog = TowerReal(0, _nudge_down(-mp.log(exact_mpf(lv.tail))))
-    else:
-        neglog = lv.tail_neglog
-    return _sound_greater(neglog, threshold)
+    return gap.below_exp_neg(_k_power_upper(k, lv.q, lv.q_log2).exp())
 
 
 def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
@@ -841,8 +800,8 @@ def liouville_generate(levels: int, k_target: int) -> LiouvilleRecipe:
     whole-height margins keep every verification comparison strict at any
     tower depth.
     """
-    _require_int(levels, 1, "level count")
-    _require_int(k_target, 1, "k_target")
+    require_int(levels, 1, "level count")
+    require_int(k_target, 1, "k_target")
     out: List[LiouvilleLevel] = []
     p, q = 1, 2
     q_log2: Optional[TowerReal] = None  # set once symbolic
@@ -1111,11 +1070,11 @@ def translation_params(
     returned notes say so.  Raises SearchExhausted if no admissible vector
     appears within `max_escalations` escalations of s.
     """
-    _require_int(h, 1, "torus dimension h")
-    _require_int(levels, 1, "level count")
-    _require_int(p1, 1, "p1")
-    _require_int(q1, 1, "q1")
-    _require_int(max_escalations, 0, "max_escalations")
+    require_int(h, 1, "torus dimension h")
+    require_int(levels, 1, "level count")
+    require_int(p1, 1, "p1")
+    require_int(q1, 1, "q1")
+    require_int(max_escalations, 0, "max_escalations")
     if l_base is not None:
         if not isinstance(l_base, int) or l_base < 2 or l_base % 2:
             raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
@@ -1130,7 +1089,7 @@ def translation_params(
         raise ParamOutOfRange(f"gamma1 must be a tuple of integers, got {gamma1!r}")
     gamma1 = tuple(gamma1)
     for g in gamma1:
-        _require_int(g, 1, "every component of gamma1")
+        require_int(g, 1, "every component of gamma1")
     if len(gamma1) != h:
         raise ParamOutOfRange(f"gamma1 must have {h} components")
     if math.gcd(*gamma1) != 1:
@@ -1159,7 +1118,7 @@ def translation_params(
             s = _next_in_class(floor_s + 1, mod)
             found = None
             for _ in range(max_escalations):
-                cand = _advance_gamma(gamma, q, s, n, h)
+                cand = _advance_gamma(gamma, q, s, n)
                 if cand is not None:
                     found = (s, cand)
                     break
@@ -1211,19 +1170,20 @@ def _next_in_class(lower: int, mod: int) -> int:
     return 1 + mod * max(k, 1)
 
 
-def _advance_gamma(gamma: Tuple[int, ...], q: int, s: int, n: int,
-                   h: int) -> Optional[Tuple[int, ...]]:
-    """Advance all components for multiplier s, or None if no primitive
-    choice fits the item-(8) drift window."""
+def _advance_gamma(gamma: Tuple[int, ...], q: int, s: int,
+                   n: int) -> Optional[Tuple[int, ...]]:
+    """Advance all components (h = len(gamma) >= 2) for multiplier s, or
+    None if no primitive choice fits the item-(8) drift window."""
+    h = len(gamma)
     gh = gamma[-1]
     gh_next = s * gh
-    if h == 1:
-        return (1,)
     # centre of the rounding for each free component
     centers = [((s - 1) * gamma[i]) for i in range(h - 1)]
     base_e = [round(c / q) for c in centers]
     # window for item (8): |e q - (s-1) gamma^(i)| < s gamma^(h) / (2^(n+1) q)
-    # (h = 2 exact; for h > 2 the same window is used to stay conservative)
+    # (h = 2: the drift |gamma'^(1)/gamma'^(h) - gamma^(1)/gamma^(h)| is
+    # |e q - (s-1) gamma^(1)| / (s gamma^(h)), so this window is item (8)
+    # itself; for h > 2 the same window is used to stay conservative)
     window_num = s * gh  # compare (eq - c) * 2^(n+1) * q < s gh
     offsets = [0]
     spread = 1
@@ -1248,10 +1208,6 @@ def _advance_gamma(gamma: Tuple[int, ...], q: int, s: int, n: int,
             continue
         if math.gcd(*cand) != 1:
             continue
-        if h == 2:
-            drift = abs(Fraction(cand[0], gh_next) - Fraction(gamma[0], gh))
-            if not drift < Fraction(1, 2 ** n * 2 * q):
-                continue
         return cand
     return None
 

@@ -55,6 +55,7 @@ from .exact.oracle import _GRID_POINT_BUDGET, misplaced_boxes
 from .exact.partitions import PartitionSpec
 from .exact.points import TorusPoint, mod1
 from .minimal import minimal_stage
+from .towers import require_int
 
 ROTATION_POWER_CAP = 10**3  # |power| <= q_n * this in eval_stage_map
 
@@ -68,11 +69,12 @@ ROTATION_POWER_CAP = 10**3  # |power| <= q_n * this in eval_stage_map
 class AbCParams:
     """Stage-n parameter record.
 
-    p/q is the rotation number alpha_n (always in lowest terms), k, l, s
-    are the stage multipliers feeding the recursion, eps the proximity
-    budget of the stage's analytic conjugation, and a the tower index
-    function {0..k-1} -> {0..q-1} of the stage's column combinatorics
-    (identically zero when the scenario does not rearrange columns).
+    n >= 1 is the stage index, p/q the rotation number alpha_n (always in
+    lowest terms), k, l, s the stage multipliers feeding the recursion,
+    and a the tower index function {0..k-1} -> {0..q-1} of the stage's
+    column combinatorics (identically zero when the scenario does not
+    rearrange columns). The proximity budget eps is not a setting: it is
+    the stage schedule's eps_n = 1/(3 * 2^(n+1)), read off n.
     """
 
     n: int
@@ -81,28 +83,22 @@ class AbCParams:
     k: int
     l: int
     s: int
-    eps: Fraction
     a: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if self.n < 0:
-            raise ParamOutOfRange(f"stage index must be >= 0, got {self.n}")
-        if self.q < 1 or self.p < 0:
-            raise ParamOutOfRange(f"need q >= 1 and p >= 0, got p={self.p}, q={self.q}")
+        require_int(self.n, 1, "stage index n")
+        require_int(self.p, 0, "numerator p")
+        require_int(self.q, 1, "denominator q")
+        for name, v in (("k", self.k), ("l", self.l), ("s", self.s)):
+            require_int(v, 1, name)
         if gcd(self.p, self.q) != 1:
             raise ParamOutOfRange(
                 f"p and q must be coprime, got gcd({self.p}, {self.q}) = "
                 f"{gcd(self.p, self.q)}"
             )
-        for name, v in (("k", self.k), ("l", self.l), ("s", self.s)):
-            if v < 1:
-                raise ParamOutOfRange(f"{name} must be >= 1, got {v}")
         if self.l % 2:
             raise ParamOutOfRange(f"l must be even, got {self.l}")
-        if self.eps <= 0:
-            raise ParamOutOfRange(f"eps must be positive, got {self.eps}")
         if len(self.a) != self.k:
             raise ParamOutOfRange(
                 f"index function must have k={self.k} entries, got {len(self.a)}"
@@ -112,6 +108,10 @@ class AbCParams:
                 raise ParamOutOfRange(
                     f"index function values must lie in [0, {self.q}), got {v}"
                 )
+
+    @property
+    def eps(self) -> Fraction:
+        return stage_epsilon(self.n)
 
     @property
     def alpha(self) -> Fraction:
@@ -144,30 +144,26 @@ def advance_params(
     q_next = step * params.q
     n_next = params.n + 1
     a_next = tuple(int(v) for v in a) if a is not None else (0,) * k
-    return AbCParams(
-        n=n_next, p=p_next, q=q_next, k=k, l=l, s=s,
-        eps=stage_epsilon(n_next), a=a_next,
-    )
+    return AbCParams(n=n_next, p=p_next, q=q_next, k=k, l=l, s=s, a=a_next)
 
 
 def circle_params(q0: int = 3, p0: int = 1, l: int = 4, s: int = 1) -> AbCParams:
     """Starting record of the two-torus circle-factor scenario: k is
     coupled to l and the column combinatorics are trivial."""
-    return AbCParams(n=1, p=p0, q=q0, k=l, l=l, s=s,
-                     eps=stage_epsilon(1), a=(0,) * l)
+    require_int(l, 1, "l")
+    return AbCParams(n=1, p=p0, q=q0, k=l, l=l, s=s, a=(0,) * l)
 
 
 def meets_strict_epsilon(params: AbCParams) -> bool:
     """Whether eps_n < 2^{-q_n}, the strict smallness regime.
 
-    Literal comparison while 2^{-q} is storable as a Fraction; beyond
-    q = 50000 the check runs on logarithms (log2(1/eps) > q).
+    With eps = a/b the test is b > a 2^q. Bit lengths decide it unless
+    b and a 2^q have the same length, d = 0 below; only then are the two
+    compared, and a 2^q is then no larger than b.
     """
-    if params.q <= 50000:
-        return params.eps < Fraction(1, 2) ** params.q
-    inv = 1 / params.eps
-    # eps < 2^{-q}  <=>  log2(1/eps) > q; floor(log2) via bit_length
-    return inv.numerator.bit_length() - inv.denominator.bit_length() > params.q
+    a, b = params.eps.numerator, params.eps.denominator
+    d = b.bit_length() - a.bit_length() - params.q
+    return d > 0 or (d == 0 and b > a << params.q)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +278,9 @@ class StageMaps:
         )
 
     def _check_stage(self, stage: int) -> int:
-        if not (1 <= stage <= self.stage_count):
+        if not (isinstance(stage, int) and 1 <= stage <= self.stage_count):
             raise ParamOutOfRange(
-                f"stage must be in 1..{self.stage_count}, got {stage}"
+                f"stage must be an integer in 1..{self.stage_count}, got {stage!r}"
             )
         return stage
 
@@ -398,8 +394,7 @@ def run_circle_scenario(
     stages: int, q0: int = 3, p0: int = 1, l: int = 4, s: int = 1
 ) -> StageMaps:
     """Build the circle-factor scenario for the given number of stages."""
-    if stages < 1:
-        raise ParamOutOfRange(f"need at least one stage, got {stages}")
+    require_int(stages, 1, "stage count")
     maps = StageMaps.start("circle", circle_params(q0=q0, p0=p0, l=l, s=s))
     for _ in range(stages):
         maps = maps.extend(build_stage_circle(maps.records[-1]))
@@ -603,10 +598,8 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
     a = translation_index_function(lv.gamma, nxt.gamma, k, q)
     before = replace(params, a=a)
     exact = build_abc_conjugation(a, k, l, q, 2)
-    after = AbCParams(
-        n=n + 1, p=nxt.p, q=nxt.q, k=k_fwd, l=l_fwd, s=s_fwd,
-        eps=stage_epsilon(n + 1), a=(0,) * k_fwd,
-    )
+    after = AbCParams(n=n + 1, p=nxt.p, q=nxt.q, k=k_fwd, l=l_fwd, s=s_fwd,
+                      a=(0,) * k_fwd)
     return StageIncrement(
         scenario="translation",
         params_before=before,
@@ -636,10 +629,7 @@ def run_translation_scenario(
             "chain carries no grid multipliers; generate it with l_base set"
         )
     k1 = _chain_k(chain, 0)
-    start = AbCParams(
-        n=1, p=lv1.p, q=lv1.q, k=k1, l=lv1.l, s=lv1.s,
-        eps=stage_epsilon(1), a=(0,) * k1,
-    )
+    start = AbCParams(n=1, p=lv1.p, q=lv1.q, k=k1, l=lv1.l, s=lv1.s, a=(0,) * k1)
     maps = StageMaps.start("translation", start)
     for _ in range(stages):
         maps = maps.extend(build_stage_translation(maps.records[-1], chain))
@@ -702,12 +692,8 @@ def run_minimal_scenario(
     scenario is studied one stage at a time at a chosen sharpness, not
     accumulated from stage 1.
     """
-    if stages < 1:
-        raise ParamOutOfRange(f"need at least one stage, got {stages}")
-    start = AbCParams(
-        n=n, p=p, q=q, k=l * l, l=l, s=s,
-        eps=stage_epsilon(n), a=(0,) * (l * l),
-    )
+    require_int(stages, 1, "stage count")
+    start = AbCParams(n=n, p=p, q=q, k=l * l, l=l, s=s, a=(0,) * (l * l))
     maps = StageMaps.start("minimal", start)
     for _ in range(stages):
         maps = maps.extend(build_stage_minimal(maps.records[-1], r))
@@ -739,9 +725,10 @@ def eval_stage_map(
     stage = maps.stage_count if stage is None else stage
     maps._check_stage(stage)
     rec = maps.records[stage]
-    if abs(power) > rec.q * ROTATION_POWER_CAP:
+    if not isinstance(power, int) or abs(power) > rec.q * ROTATION_POWER_CAP:
         raise ParamOutOfRange(
-            f"|power| = {abs(power)} exceeds the guard q_n * {ROTATION_POWER_CAP}"
+            f"power must be an integer with |power| <= q_n * {ROTATION_POWER_CAP}, "
+            f"got {power!r}"
         )
     shift = mod1(power * rec.alpha)
     if model == "exact":
@@ -751,9 +738,12 @@ def eval_stage_map(
         y = y.shifted(0, shift)
         return maps.apply_exact(y, stage, inverse=True)
     if model == "analytic":
-        arr = np.asarray(x, dtype=float)
+        try:
+            arr = np.asarray(x, dtype=float)
+        except (TypeError, ValueError):
+            raise ParamOutOfRange(f"point {x!r} is not an array of floats") from None
         single = arr.ndim == 1
-        pts = arr.reshape(maps.dim, 1) if single else arr
+        pts = arr.reshape(-1, 1) if single else arr
         out = maps.apply_analytic(pts, stage).copy()
         out[0] = (out[0] + float(shift)) % 1.0
         out = maps.apply_analytic(out, stage, inverse=True)
@@ -823,11 +813,14 @@ def stage_partition(
     default; pass a subset when q is large)."""
     maps._check_stage(stage)
     rec = maps.records[stage]
-    chosen = tuple(range(rec.q)) if atoms is None else tuple(int(i) for i in atoms)
+    try:
+        chosen = tuple(range(rec.q)) if atoms is None else tuple(atoms)
+    except TypeError:
+        raise ParamOutOfRange(f"atoms must be a sequence of atom indices, got {atoms!r}") from None
     clouds = []
     for i in chosen:
-        if not (0 <= i < rec.q):
-            raise ParamOutOfRange(f"atom index {i} outside [0, {rec.q})")
+        if not (isinstance(i, int) and 0 <= i < rec.q):
+            raise ParamOutOfRange(f"atom index {i!r} is not an integer in [0, {rec.q})")
         cloud = []
         for (u, v) in _CLOUD_OFFSETS:
             w = TorusPoint((Fraction(i + u, rec.q) % 1, v))
@@ -911,8 +904,8 @@ def verify_cyclic_permutation(
             for (u, v) in _CLOUD_OFFSETS:
                 pairs.append((i, u, v))
     else:
-        if samples < 1:
-            raise ParamOutOfRange(f"need at least one sample, got {samples}")
+        require_int(samples, 1, "samples")
+        require_int(seed, 0, "seed")
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             i = int(rng.integers(0, q))
@@ -967,6 +960,8 @@ def check_stage_commutation(
     map alone; the analytic residual is reported as zero because there
     is nothing to deviate)."""
     maps._check_stage(stage)
+    require_int(samples, 1, "samples")
+    require_int(seed, 0, "seed")
     alpha = maps.records[stage - 1].alpha
     h_ex = maps.conjugations_exact[stage - 1]
     h_an = maps.conjugations_analytic[stage - 1]
@@ -1103,6 +1098,8 @@ def correspondence_defect(
             stage, model, tuple(Fraction(int(c), boxes) for c in misplaced))
     if model == "analytic":
         h_an = maps._analytic(stage)
+        require_int(samples, 1, "samples")
+        require_int(seed, 0, "seed")
         defects = [Fraction(0)] * rec.q
         rng = np.random.default_rng(seed)
         pts = rng.random((2, samples))

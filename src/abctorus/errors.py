@@ -62,10 +62,5 @@ class SearchExhausted(AbcTorusError):
     """A bounded parameter search ended without an admissible candidate."""
 
 
-class LipschitzPreconditionFailed(AbcTorusError):
-    """The grid-size condition l > n^2 * ||DH^-1|| * max Lip(f) fails for
-    the requested observables."""
-
-
 class UnsupportedDimension(AbcTorusError):
     """The requested operation is only implemented for a lower dimension."""

@@ -80,14 +80,13 @@ def _check_dim(d: int, minimum: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def _interchange_variant(
-    k: int, q: int, d: int, f7_sign: int, f8_source: int
-) -> BlockSlideMap:
-    """The eight-shear interchange with the two historically ambiguous
-    readings exposed: the sign of the seventh move and the source
-    coordinate of the eighth. The published selection is (+1, 0); see
-    `build_interchange`. Other readings exist only for the fixture test
-    that pins the selection."""
+def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
+    """Interchange of neighbouring vertical blocks: on the block partition
+    into kq columns, swaps ik <-> ik+1 for 0 <= i < q and fixes every
+    other column (pointwise). Commutes with the rotation by 1/q.
+
+    Requires k >= 2, q >= 1.
+    """
     _check_dim(d)
     s1 = sigma1_interchange(k, q)
     s2 = sigma2_interchange(k, q)
@@ -101,20 +100,10 @@ def _interchange_variant(
         BlockSlideMove(1, 0, +1, half),
         BlockSlideMove(0, 1, -1, s2),
         BlockSlideMove(1, 0, +1, s3),
-        BlockSlideMove(0, 1, f7_sign, s1),
-        BlockSlideMove(1, f8_source, +1, s4),
+        BlockSlideMove(0, 1, +1, s1),
+        BlockSlideMove(1, 0, +1, s4),
     )
     return BlockSlideMap(d, moves)
-
-
-def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
-    """Interchange of neighbouring vertical blocks: on the block partition
-    into kq columns, swaps ik <-> ik+1 for 0 <= i < q and fixes every
-    other column (pointwise). Commutes with the rotation by 1/q.
-
-    Requires k >= 2, q >= 1.
-    """
-    return _interchange_variant(k, q, d, +1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,12 @@ def require_real(value, what: str) -> None:
         raise ParamOutOfRange(f"{what} must be a finite real number, got {value!r}")
 
 
+def require_int(value, low: int, what: str) -> None:
+    """Refuse anything but an integer >= low, naming `what`."""
+    if not isinstance(value, int) or value < low:
+        raise ParamOutOfRange(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def exact_mpf(x) -> mpmath.mpf:
     """x as an mpf at the current precision; Fractions via one rounded
     division of their exact numerator and denominator."""
@@ -331,6 +337,7 @@ __all__ = [
     "TowerReal",
     "WORK_PREC",
     "exact_mpf",
+    "require_int",
     "require_real",
     "tower",
     "tower_compare",

@@ -123,9 +123,6 @@ class TestCheckQCondition:
         # exp(exp(exp(2))) = exp(exp(7.39)) = exp(1619) is far below
         assert check_q_condition(tower(3, 2), 4, 1) is False
 
-    def test_zero_lipschitz_constant_trivial(self):
-        assert check_q_condition(3, 4, 1, C=0.0) is True
-
     def test_monotone_in_q(self):
         q = tower(2, 9000)
         assert check_q_condition(q, 4, 1) is True
@@ -134,8 +131,6 @@ class TestCheckQCondition:
     def test_domain_errors(self):
         with pytest.raises(ParamOutOfRange):
             check_q_condition(5, 4, 0)
-        with pytest.raises(ParamOutOfRange):
-            check_q_condition(5, 4, 1, C=-1.0)
         with pytest.raises(ParamOutOfRange):
             check_q_condition(5, 1, 1)
         with pytest.raises(ParamOutOfRange):
@@ -174,8 +169,6 @@ class TestNormBounds:
     def test_domain_errors(self):
         with pytest.raises(ParamOutOfRange):
             sup_increment_bound(0, 1, F(1, 10))
-        with pytest.raises(ParamOutOfRange):
-            lip_increment_bound(2048, 12, 4, F(1, 10), C=0.0)
         with pytest.raises(ParamOutOfRange):
             rho_prime_bound(0, 2048)
 

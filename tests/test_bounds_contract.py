@@ -54,15 +54,14 @@ reals = mostly(st.one_of(
     st.fractions(min_value=-10, max_value=10, max_denominator=1000),
     towers,
 ))
-lipschitz = mostly(st.one_of(st.floats(-1, 40), st.integers(0, 50)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(stages=mostly(st.integers(-1, 6)),
        rho=mostly(st.one_of(st.floats(-1, 12), st.fractions(0, 12))),
-       C=lipschitz, undersized=st.booleans())
-def test_ledger_recipe(stages, rho, C, undersized):
-    returns_or_typed(ledger_recipe, stages, rho=rho, C=C, undersized_final_gap=undersized)
+       undersized=st.booleans())
+def test_ledger_recipe(stages, rho, undersized):
+    returns_or_typed(ledger_recipe, stages, rho=rho, undersized_final_gap=undersized)
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,9 +82,9 @@ def test_translation_params(h, levels, gamma1, p1, q1, max_escalations, l_base):
 
 
 @settings(max_examples=150, deadline=None)
-@given(q_n=reals, l_n=reals, n=mostly(st.integers(0, 6)), C=lipschitz)
-def test_check_q_condition(q_n, l_n, n, C):
-    returns_or_typed(check_q_condition, q_n, l_n, n, C)
+@given(q_n=reals, l_n=reals, n=mostly(st.integers(0, 6)))
+def test_check_q_condition(q_n, l_n, n):
+    returns_or_typed(check_q_condition, q_n, l_n, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,6 +102,6 @@ def test_sup_increment_bound(A, N, rho):
 
 
 @settings(max_examples=150, deadline=None)
-@given(A=reals, N=reals, l=reals, rho=reals, C=lipschitz)
-def test_lip_increment_bound(A, N, l, rho, C):
-    returns_or_typed(lip_increment_bound, A, N, l, rho, C)
+@given(A=reals, N=reals, l=reals, rho=reals)
+def test_lip_increment_bound(A, N, l, rho):
+    returns_or_typed(lip_increment_bound, A, N, l, rho)

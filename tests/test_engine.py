@@ -94,8 +94,7 @@ def translation_oversized() -> StageMaps:
 
 class TestParams:
     def test_advance_frozen_small_example(self):
-        base = AbCParams(n=1, p=1, q=3, k=2, l=4, s=1,
-                         eps=stage_epsilon(1), a=(0, 0))
+        base = AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, a=(0, 0))
         nxt = advance_params(base)
         assert (nxt.p, nxt.q) == (25, 72)
         assert nxt.n == 2
@@ -121,8 +120,7 @@ class TestParams:
             k = int(rng.integers(1, 7))
             l = 2 * int(rng.integers(1, 5))
             s = int(rng.integers(1, 4))
-            rec = AbCParams(n=1, p=p, q=q, k=k, l=l, s=s,
-                            eps=stage_epsilon(1), a=(0,) * k)
+            rec = AbCParams(n=1, p=p, q=q, k=k, l=l, s=s, a=(0,) * k)
             nxt = advance_params(rec)
             assert gcd(nxt.p, nxt.q) == 1
             assert nxt.q == s * k * l * q * q
@@ -138,31 +136,30 @@ class TestParams:
             advance_params(base, l=5)
 
     def test_validation_errors(self):
-        eps = stage_epsilon(1)
         with pytest.raises(ParamOutOfRange):
-            AbCParams(n=1, p=2, q=4, k=2, l=4, s=1, eps=eps, a=(0, 0))
+            AbCParams(n=1, p=2, q=4, k=2, l=4, s=1, a=(0, 0))
         with pytest.raises(ParamOutOfRange):
-            AbCParams(n=1, p=1, q=3, k=2, l=3, s=1, eps=eps, a=(0, 0))
+            AbCParams(n=1, p=1, q=3, k=2, l=3, s=1, a=(0, 0))
         with pytest.raises(ParamOutOfRange):
-            AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, eps=eps, a=(0,))
+            AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, a=(0,))
         with pytest.raises(ParamOutOfRange):
-            AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, eps=eps, a=(0, 3))
+            AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, a=(0, 3))
         with pytest.raises(ParamOutOfRange):
-            AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, eps=0, a=(0, 0))
-        with pytest.raises(ParamOutOfRange):
-            AbCParams(n=-1, p=1, q=3, k=2, l=4, s=1, eps=eps, a=(0, 0))
+            AbCParams(n=-1, p=1, q=3, k=2, l=4, s=1, a=(0, 0))
 
     def test_strict_epsilon_regime(self, circle2):
         # toy sizes: the schedule meets eps < 2^-q only at the start
         assert meets_strict_epsilon(circle2.records[0])       # 1/12 < 1/8
         assert not meets_strict_epsilon(circle2.records[1])   # 1/24 >= 2^-144
-        # symbolic branch (q too large for a literal 2^-q)
-        big = AbCParams(n=1, p=1, q=60013, k=2, l=4, s=1,
-                        eps=F(1, 2) ** 60014, a=(0, 0))
-        assert meets_strict_epsilon(big)
-        just_miss = AbCParams(n=1, p=1, q=60013, k=2, l=4, s=1,
-                              eps=F(1, 2) ** 60013, a=(0, 0))
-        assert not meets_strict_epsilon(just_miss)
+
+    @pytest.mark.parametrize("q", [101, 60013])
+    def test_strict_epsilon_exact_at_the_boundary(self, q):
+        # eps_n = 1/(3 2^(n+1)) against 2^-q on both sides of the
+        # boundary; at n = q - 2 the bit lengths of 1/eps and 2^q tie
+        at = AbCParams(n=q - 2, p=1, q=q, k=2, l=4, s=1, a=(0, 0))
+        assert meets_strict_epsilon(at)         # 3 2^(q-1) > 2^q
+        below = AbCParams(n=q - 3, p=1, q=q, k=2, l=4, s=1, a=(0, 0))
+        assert not meets_strict_epsilon(below)  # 3 2^(q-2) < 2^q
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +194,10 @@ class TestBuildCircle:
         assert s2.N == 576
 
     def test_build_rejections(self):
-        eps = stage_epsilon(1)
-        uncoupled = AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, eps=eps, a=(0, 0))
+        uncoupled = AbCParams(n=1, p=1, q=3, k=2, l=4, s=1, a=(0, 0))
         with pytest.raises(ParamOutOfRange):
             build_stage_circle(uncoupled)
-        small_l = AbCParams(n=1, p=1, q=3, k=2, l=2, s=1, eps=eps, a=(0, 0))
+        small_l = AbCParams(n=1, p=1, q=3, k=2, l=2, s=1, a=(0, 0))
         with pytest.raises(ParamOutOfRange):
             build_stage_circle(small_l)
 

@@ -1,0 +1,167 @@
+"""Every `engine` entry point returns or raises an `AbcTorusError`, and so
+do the `analytic` calls the engine hands its arguments to.
+
+Hypothesis draws toy-sized arguments, mostly in or near each domain and
+one time in ten malformed (wrong types, nan and inf, fractional sizes),
+with explicit size caps: circle stacks of at most 2 stages with q0 <= 5
+and l <= 6, at most 8 verifier samples, 64 Monte Carlo samples and 3
+partition atoms. The verifiers run on one `run_circle_scenario(2)` stack.
+`stage_partition` is not drawn with atoms=None: that visits every atom,
+331,776 at stage 2, under no point budget.
+Nothing is asserted about the value returned; a leaked `TypeError`,
+`ValueError`, `ZeroDivisionError` or the like fails.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from abctorus.analytic import (
+    ErrorSet,
+    approximate_blockslide,
+    choose_amplitude,
+    stage_delta,
+    stage_epsilon,
+)
+from abctorus.engine import (
+    check_stage_commutation,
+    correspondence_defect,
+    eval_stage_map,
+    run_circle_scenario,
+    stage_partition,
+    verify_cyclic_permutation,
+)
+from abctorus.errors import AbcTorusError, ParamOutOfRange
+from abctorus.towers import TowerReal
+
+MAPS = run_circle_scenario(2)
+
+
+def returns_or_typed(f, *args, **kwargs) -> None:
+    try:
+        f(*args, **kwargs)
+    except AbcTorusError:
+        pass
+
+
+malformed = st.sampled_from([None, "a", "1.5", [], float("nan"), float("inf"),
+                             -float("inf"), 1.5, -1, 0, True, Fraction(1, 3),
+                             TowerReal(6, 1.5)])
+
+
+def mostly(valid, bad=malformed):
+    """Values of `valid`, and one time in ten a malformed one."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else valid)
+
+
+coordinate = mostly(st.one_of(
+    st.fractions(0, 1, max_denominator=2**20),
+    st.floats(-2, 2),
+))
+points = mostly(st.lists(coordinate, min_size=1, max_size=3).map(tuple))
+stages = st.one_of(st.none(), mostly(st.integers(0, 3)))
+seeds = mostly(st.integers(0, 2**16))
+models = mostly(st.sampled_from(["exact", "analytic", "rational"]))
+budgets = mostly(st.fractions(0, Fraction(6, 5), max_denominator=10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=mostly(st.integers(-1, 40)))
+def test_stage_schedule(n):
+    returns_or_typed(stage_epsilon, n)
+    returns_or_typed(stage_delta, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stages=mostly(st.integers(-1, 2)), q0=mostly(st.integers(0, 5)),
+       p0=mostly(st.integers(-1, 4)), l=mostly(st.integers(0, 6)),
+       s=mostly(st.integers(0, 2)))
+def test_run_circle_scenario(stages, q0, p0, l, s):
+    returns_or_typed(run_circle_scenario, stages, q0=q0, p0=p0, l=l, s=s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=points, model=models, power=mostly(st.integers(-3, 3)), stage=stages)
+def test_eval_stage_map(x, model, power, stage):
+    returns_or_typed(eval_stage_map, MAPS, x, model, power, stage)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage=stages, model=models, samples=mostly(st.integers(-1, 8)), seed=seeds)
+def test_verify_cyclic_permutation(stage, model, samples, seed):
+    returns_or_typed(verify_cyclic_permutation, MAPS, stage, model, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage=stages, samples=mostly(st.integers(-1, 8)), seed=seeds)
+def test_check_stage_commutation(stage, samples, seed):
+    returns_or_typed(check_stage_commutation, MAPS, stage, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage=stages, model=models, samples=mostly(st.integers(-1, 64)), seed=seeds)
+def test_correspondence_defect(stage, model, samples, seed):
+    returns_or_typed(correspondence_defect, MAPS, stage, model, samples, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage=stages, atoms=mostly(st.lists(mostly(st.integers(-1, 150)), max_size=3),
+                                  malformed.filter(lambda v: v is not None)))
+def test_stage_partition(stage, atoms):
+    returns_or_typed(stage_partition, MAPS, stage, atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=points)
+def test_analytic_conjugation_point(x):
+    returns_or_typed(MAPS.conjugations_analytic[0], x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=mostly(st.one_of(st.floats(-2, 2), st.fractions(-2, 2, max_denominator=10**6))))
+def test_error_set_contains(x):
+    returns_or_typed(ErrorSet(16, Fraction(1, 16), Fraction(1, 128)).contains, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=mostly(st.integers(0, 8)), eps=st.one_of(st.none(), budgets),
+       delta=st.one_of(st.none(), budgets), stage=st.one_of(st.none(), mostly(st.integers(0, 4))))
+def test_choose_amplitude(l, eps, delta, stage):
+    returns_or_typed(choose_amplitude, l, eps, delta, stage=stage)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=budgets, delta=budgets)
+def test_approximate_blockslide(eps, delta):
+    returns_or_typed(approximate_blockslide, MAPS.conjugations_exact[0], eps, delta)
+
+
+NAN = float("nan")
+REFUSED = {
+    "defect with no samples": lambda: correspondence_defect(MAPS, 1, "analytic", samples=0),
+    "commutation with negative samples": lambda: check_stage_commutation(MAPS, 1, samples=-1),
+    "conjugacy with fractional samples": lambda: verify_cyclic_permutation(MAPS, 1, "exact", 1.5),
+    "conjugacy at a text stage": lambda: verify_cyclic_permutation(MAPS, "x"),
+    "fractional power": lambda: eval_stage_map(MAPS, (Fraction(1, 3), Fraction(1, 5)),
+                                               "exact", power=1.5),
+    "fractional stage": lambda: eval_stage_map(MAPS, (0.1, 0.2), "analytic", stage=1.5),
+    "3-D point on the 2-torus": lambda: eval_stage_map(MAPS, (0.1, 0.2, 0.3), "analytic"),
+    "text atom": lambda: stage_partition(MAPS, 1, ["x"]),
+    "fractional stage count": lambda: run_circle_scenario(1.5),
+    "fractional stage index": lambda: stage_epsilon(1.5),
+    "scalar analytic point": lambda: MAPS.conjugations_analytic[0](0.5),
+    "text analytic coordinate": lambda: MAPS.conjugations_analytic[0](("abc", 0.5)),
+    "nan in the error set": lambda: ErrorSet(16, Fraction(1, 16), Fraction(1, 128)).contains(NAN),
+    "nan amplitude budget": lambda: choose_amplitude(4, NAN, Fraction(1, 10)),
+    "nan realization budget": lambda: approximate_blockslide(MAPS.conjugations_exact[0],
+                                                             NAN, Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("call", list(REFUSED.values()), ids=list(REFUSED))
+def test_malformed_call_is_refused(call):
+    with pytest.raises(ParamOutOfRange):
+        call()

@@ -3,12 +3,38 @@ from fractions import Fraction
 import pytest
 
 from abctorus.errors import NotAtomPermutation, ParamOutOfRange
-from abctorus.exact.builders import _interchange_variant, build_interchange
+from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
+from abctorus.exact.builders import build_interchange
 from abctorus.exact.oracle import commutes_with_rotation, induced_atom_permutation
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.points import TorusPoint
+from abctorus.exact.steps import (
+    StepFunction,
+    sigma1_interchange,
+    sigma2_interchange,
+    sigma3_interchange,
+    sigma4_rearrange,
+)
 
 F = Fraction
+
+
+def interchange_reading(k, q, f7_sign, f8_source):
+    """The eight-shear interchange with its two historically ambiguous
+    readings left open: the sign of the seventh move and the source
+    coordinate of the eighth. `build_interchange` is the reading (+1, 0)."""
+    s1, s2, s3 = sigma1_interchange(k, q), sigma2_interchange(k, q), sigma3_interchange(k, q)
+    half = StepFunction.constant(F(1, 2))
+    return BlockSlideMap(2, (
+        BlockSlideMove(0, 1, -1, s1),
+        BlockSlideMove(1, 0, +1, s3),
+        BlockSlideMove(0, 1, +1, s2),
+        BlockSlideMove(1, 0, +1, half),
+        BlockSlideMove(0, 1, -1, s2),
+        BlockSlideMove(1, 0, +1, s3),
+        BlockSlideMove(0, 1, f7_sign, s1),
+        BlockSlideMove(1, f8_source, +1, sigma4_rearrange(k, q)),
+    ))
 
 
 def expected_pair_swap(k, q):
@@ -51,10 +77,14 @@ def test_interchange_rejects_bad_parameters():
         build_interchange(2, 0, 2)
 
 
+def test_published_reading_is_the_builder():
+    assert interchange_reading(4, 3, +1, 0).moves == build_interchange(4, 3).moves
+
+
 def test_variant_with_flipped_last_slide_sign_breaks_atoms():
     # The final x1 slide must undo the first one; with the opposite sign
     # the composite shears column atoms apart instead of permuting them.
-    m = _interchange_variant(4, 3, 2, f7_sign=-1, f8_source=0)
+    m = interchange_reading(4, 3, f7_sign=-1, f8_source=0)
     part = PartitionSpec.blocks(12, 2)
     with pytest.raises(NotAtomPermutation):
         induced_atom_permutation(m, part)
@@ -65,7 +95,7 @@ def test_variant_reading_its_own_target_is_unconstructible(sign):
     # The closing vertical slide must read x1; reading x2 would mean a
     # move that consumes the coordinate it shifts.
     with pytest.raises(ParamOutOfRange):
-        _interchange_variant(4, 3, 2, f7_sign=sign, f8_source=1)
+        interchange_reading(4, 3, f7_sign=sign, f8_source=1)
 
 
 def test_higher_dimension_embedding():
