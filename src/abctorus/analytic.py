@@ -123,16 +123,22 @@ _PLATEAU_GUARD = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256, typed=True)
 def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
     """Right-hand sides of the amplitude conditions (A1) and (A2).
 
     Computed in mpmath (unbounded exponent range), so arbitrarily small
     eps/delta never overflow. The bounds depend on (l, eps, delta) alone
     and a realization shares one budget over all its moves, so they are
-    cached; typed keys keep l = 2.0 from passing the integer check as 2.
+    cached. The arguments are checked before the cache is keyed on them,
+    so an unhashable one is refused like any other; `__wrapped__` is the
+    uncached computation.
     """
     _check_profile_params(l, eps, delta)
+    return _amplitude_bounds(l, eps, delta)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _amplitude_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
     with mp.workprec(WORK_PREC):
         e = exact_mpf(eps)
         d = exact_mpf(delta)
@@ -140,6 +146,9 @@ def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
         a1 = -scale * mp.log(-mp.log1p(-e / 8))
         a2 = scale * mp.log(-mp.log(e / (2 * l)))
         return a1, a2
+
+
+amplitude_lower_bounds.__wrapped__ = _amplitude_bounds.__wrapped__
 
 
 def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:

@@ -26,6 +26,7 @@ ledger (bounds module), not here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -86,7 +87,12 @@ class AbCParams:
     a: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
+        try:
+            object.__setattr__(self, "a", tuple(map(operator.index, self.a)))
+        except TypeError:
+            raise ParamOutOfRange(
+                f"index function must be a sequence of integers, got {self.a!r}"
+            ) from None
         require_int(self.n, 1, "stage index n")
         require_int(self.p, 0, "numerator p")
         require_int(self.q, 1, "denominator q")
@@ -181,6 +187,16 @@ class Conjugation(Protocol):
     ints in `__call__` and on int64 arrays in `compiled(M)`, which is
     what the lattice oracle walks. The engine needs nothing else of a
     conjugation.
+
+    Rigidity is also what makes the rules cheap. A map that translates
+    every box of a lattice rigidly onto a box moves each point by the
+    displacement of its box's corner, so one lookup of the box
+    k = x1 // pitch1 * rows + x2 // pitch2 in a table of per-box offsets
+    replaces it. `MinimalConjugation` runs its involution that way, and
+    a `BlockSlideMap` runs each run of moves whose joint lattice has at
+    most 2^16 boxes as one such table (translation's 34,685 unstacking
+    shears on 200 x 2 boxes become one lookup); `move_count()` still
+    counts the moves.
     """
 
     dim: int
@@ -617,9 +633,11 @@ def run_translation_scenario(
     stages defaults to every buildable level (len(levels) - 1); the
     chain must carry grid multipliers (l_base).
     """
+    if not isinstance(chain, TranslationParams):
+        raise ParamOutOfRange(f"chain must be a TranslationParams, got {chain!r}")
     max_stages = len(chain.levels) - 1
     stages = max_stages if stages is None else stages
-    if not (1 <= stages <= max_stages):
+    if not (isinstance(stages, int) and 1 <= stages <= max_stages):
         raise ParamOutOfRange(
             f"stages must be in 1..{max_stages}, got {stages}"
         )
@@ -693,6 +711,7 @@ def run_minimal_scenario(
     accumulated from stage 1.
     """
     require_int(stages, 1, "stage count")
+    require_int(l, 1, "grid multiplier l")
     start = AbCParams(n=n, p=p, q=q, k=l * l, l=l, s=s, a=(0,) * (l * l))
     maps = StageMaps.start("minimal", start)
     for _ in range(stages):
@@ -806,15 +825,29 @@ _CLOUD_OFFSETS = tuple(
 )
 
 
+def _every_atom(q: int, instead: str) -> range:
+    """The indices of all q atoms, for a walk of one 3x3 cloud per atom;
+    refused with ParamOutOfRange above `_GRID_POINT_BUDGET` points,
+    naming the argument that picks fewer (`instead`)."""
+    points = q * len(_CLOUD_OFFSETS)
+    if points > _GRID_POINT_BUDGET:
+        raise ParamOutOfRange(
+            f"visiting every atom takes {q} x {len(_CLOUD_OFFSETS)} = {points} "
+            f"points, beyond the budget of {_GRID_POINT_BUDGET}; pass {instead}"
+        )
+    return range(q)
+
+
 def stage_partition(
     maps: StageMaps, stage: int, atoms: Optional[Sequence[int]] = None
 ) -> StagePartition:
     """Exact sample clouds of F_{q_stage} for the given atoms (all by
-    default; pass a subset when q is large)."""
+    default, which is refused with ParamOutOfRange above
+    `_GRID_POINT_BUDGET` points, 9 q; pass a subset when q is large)."""
     maps._check_stage(stage)
     rec = maps.records[stage]
     try:
-        chosen = tuple(range(rec.q)) if atoms is None else tuple(atoms)
+        chosen = tuple(_every_atom(rec.q, "atoms") if atoms is None else atoms)
     except TypeError:
         raise ParamOutOfRange(f"atoms must be a sequence of atom indices, got {atoms!r}") from None
     clouds = []
@@ -894,13 +927,7 @@ def verify_cyclic_permutation(
     q, p = rec.q, rec.p
     pairs = []
     if samples is None:
-        points = q * len(_CLOUD_OFFSETS)
-        if points > _GRID_POINT_BUDGET:
-            raise ParamOutOfRange(
-                f"visiting every atom takes {q} x {len(_CLOUD_OFFSETS)} = {points} "
-                f"points, beyond the budget of {_GRID_POINT_BUDGET}; pass samples"
-            )
-        for i in range(q):
+        for i in _every_atom(q, "samples"):
             for (u, v) in _CLOUD_OFFSETS:
                 pairs.append((i, u, v))
     else:

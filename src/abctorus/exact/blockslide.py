@@ -21,7 +21,24 @@ j stands for j/M, and one move is
     x[t] = (x[t] + V[search(B, (x[s] // c) % P) - 1] * c) % M
 
 which is exact because every step is constant on the cells of the 1/L
-lattice. `BlockSlideMap.__call__` runs this rule on Python ints with
+lattice.
+
+Runs of moves that live on a small box lattice run as one cell-table op.
+A move's box lattice has pitch gcd(L, P, B) on its source axis and
+gcd(L, V) on its target axis (in units of 1/L; 1/cols on the first
+coordinate and 1/rows on every other one): its step is constant on
+every box and shifts by whole boxes, so it translates each box rigidly
+onto a box. The moves of a run translate the boxes of their joint
+lattice rigidly too, so the whole run moves every point by the
+displacement of its box's corner. `_Program.build` cuts the move list
+greedily into maximal runs of at most `_TABLE_BOXES` joint boxes, and a
+run of two or more moves becomes a `_CellTable`: per box, its image's
+offset along each axis in boxes. The op finds the box of x with
+k = x[0] // pitch0 * rows + x[1] // pitch1 (row-major over the axes)
+and adds the offsets of box k. Translation's h_1 (3 grid-refinement
+shears, then 34,685 unstacking shears on 200 x 2 boxes) runs as 4 ops.
+
+`BlockSlideMap.__call__` runs the program on Python ints with
 `bisect_right` (M = lcm of L and the point's denominators) and
 `CompiledMap` on int64 arrays with `np.searchsorted`; the results are
 bit-identical to chaining `BlockSlideMove.apply`.
@@ -32,18 +49,20 @@ from __future__ import annotations
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from math import lcm
-from typing import Sequence, Tuple
+from math import gcd, lcm, prod
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ParamOutOfRange
 from .points import TorusPoint, mod1
 from .steps import StepFunction
+
+_TABLE_BOXES = 1 << 16  # largest joint box lattice a run of moves is tabulated on
 
 
 @dataclass(frozen=True)
@@ -71,7 +90,17 @@ class BlockSlideMove:
         return len(self.step.values) > 1
 
     def inverse(self) -> "BlockSlideMove":
-        return BlockSlideMove(self.target, self.source, -self.sign, self.step)
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            ref = self.__dict__.get("_inverse_of")
+            inv = ref() if ref is not None else None
+        if inv is None:
+            inv = BlockSlideMove(self.target, self.source, -self.sign, self.step)
+            # kept here for the next call; the inverse reaches back only
+            # through a weak reference, so the two never form a cycle
+            object.__setattr__(inv, "_inverse_of", weakref.ref(self))
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def apply(self, x: TorusPoint) -> TorusPoint:
         return x.shifted(self.target, self.sign * self.step(x[self.source]))
@@ -97,13 +126,13 @@ class BlockSlideMap:
         prog = self._program
         M = lcm(prog.L, *(c.denominator for c in x))
         ys = [c.numerator * (M // c.denominator) for c in x]
-        _advance(ys, prog.moves(), M // prog.L, M, bisect_right)
+        _advance(ys, prog.ops(), M // prog.L, M, bisect_right)
         return TorusPoint(Fraction(y, M) for y in ys)
 
     def inverse(self) -> "BlockSlideMap":
         inv = self.__dict__.get("_inverse")
         if inv is None:
-            inv = BlockSlideMap(self.dim, tuple(m.inverse() for m in reversed(self.moves)))
+            inv = BlockSlideMap(self.dim, tuple(map(BlockSlideMove.inverse, reversed(self.moves))))
             # kept here for the next call; the inverse reaches back only
             # through a weak reference, so the two never form a cycle
             object.__setattr__(inv, "_inverse_of", weakref.ref(self))
@@ -160,11 +189,12 @@ class BlockSlideMap:
         coordinate: every non-constant move fed by coordinate 0 must have
         a 1/q-periodic step (each such move then commutes with the
         rotation on its own, and moves reading other coordinates always
-        do)."""
+        do). Each distinct step object is checked once."""
         if q < 1:
             raise ParamOutOfRange(f"q must be >= 1, got {q}")
         period = Fraction(1, q)
-        return all(mv.step.is_periodic_with(period) for mv in self.moves if mv.source == 0)
+        fed = {id(mv.step): mv.step for mv in self.moves if mv.source == 0}
+        return all(st.is_periodic_with(period) for st in fed.values())
 
     def box_grid(self) -> Tuple[int, int]:
         """(cols, rows) of a box lattice on which every move translates
@@ -173,34 +203,37 @@ class BlockSlideMap:
 
         On each axis the lattice is fine enough for the breakpoints and
         periods of steps *sourced* there and the shift values of steps
-        *targeting* it, so a single interior point certifies its whole box.
+        *targeting* it, so a single interior point certifies its whole
+        box. It is the joint lattice of the moves' `_move_pitches`.
         """
-        cols = rows = 1
-        for mv in self.moves:
-            bp = mv.step.period.denominator
-            for b in mv.step.breakpoints:
-                bp = lcm(bp, b.denominator)
-            val = 1
-            for v in mv.step.values:
-                val = lcm(val, v.denominator)
-            if mv.target == 0:
-                cols = lcm(cols, val)
-            else:
-                rows = lcm(rows, val)
-            if mv.source == 0:
-                cols = lcm(cols, bp)
-            else:
-                rows = lcm(rows, bp)
-        return cols, rows
+        L, (col, row) = self._program.L, self._program.pitches
+        return L // col, L // row
 
 
-def _advance(x, moves, c: int, M: int, search):
-    """The move rule on coordinates x (a list of ints or an int64 array of
-    rows) at modulus M = c L; `search` is `bisect_right` or its numpy
-    counterpart, so both evaluation paths share one formula. On the map's
+def _move_pitches(L: int, t: int, s: int, entry) -> Tuple[int, int]:
+    """(col, row) pitches, in units of 1/L, of the boxes a move with step
+    entry (P, B, V) translates rigidly: its step is constant on cells of
+    gcd(L, P, B) along its source axis and shifts by multiples of
+    gcd(L, V) along its target axis; the first coordinate has the col
+    pitch, every other one the row pitch."""
+    P, B, V = entry
+    read, shift = gcd(L, P, *B), gcd(L, *V)
+    return (gcd(read if s == 0 else L, shift if t == 0 else L),
+            gcd(read if s else L, shift if t else L))
+
+
+def _advance(x, ops, c: int, M: int, search):
+    """The program's ops on coordinates x (a list of ints or an int64
+    array of rows) at modulus M = c L; `search` is `bisect_right` or its
+    numpy counterpart, so both evaluation paths share one formula. A move
+    is (t, s, (P, B, V)) and a cell table is (-1, 0, table). On the map's
     own lattice (c = 1) the scaling by c is skipped."""
     unit = c == 1
-    for t, s, (P, B, V) in moves:
+    for t, s, e in ops:
+        if t < 0:
+            e.lookup(x, c, M)
+            continue
+        P, B, V = e
         shift = V[search(B, (x[s] if unit else x[s] // c) % P) - 1]
         x[t] = (x[t] + (shift if unit else shift * c)) % M
     return x
@@ -209,22 +242,93 @@ def _advance(x, moves, c: int, M: int, search):
 _searchsorted_right = partial(np.searchsorted, side="right")
 
 
+@dataclass(frozen=True, eq=False)
+class _CellTable:
+    """A run of moves as one op on its joint box lattice.
+
+    `counts[a]` boxes of pitch `pitches[a]` (in units of 1/L) along axis
+    a, numbered row-major with the last axis fastest. Box k goes onto box
+    `image[k]`, translated by `offsets[a][k]` boxes along axis a (modulo
+    counts[a]); an axis no box moves along has offsets None. The offsets
+    are an `array` of C ints (read as Python ints), or int64 arrays in
+    the table `arrays` returns.
+    """
+
+    pitches: Tuple[int, ...]
+    counts: Tuple[int, ...]
+    image: "np.ndarray"
+    offsets: Tuple[Optional[Sequence[int]], ...]
+
+    @staticmethod
+    def tabulate(run, pitches: Tuple[int, ...], L: int, entries) -> "_CellTable":
+        """The table of a run of moves (t, s, entry index) whose boxes of
+        `pitches` each move translates rigidly: one box permutation per
+        distinct move, composed by gathers."""
+        counts = tuple(L // p for p in pitches)
+        idx = np.indices(counts).reshape(len(counts), -1)
+        boxes = np.arange(idx.shape[1])
+        strides = [prod(counts[a + 1:]) for a in range(len(counts))]
+        perms = {}
+        for op in set(run):
+            t, s, e = op
+            P, B, V = entries[e]
+            ps, pt = pitches[s], pitches[t]
+            cells = idx[s] % (P // ps)  # the box's place in the step's period
+            shift = np.array([v // pt for v in V])[
+                np.searchsorted(np.array([b // ps for b in B]), cells, side="right") - 1]
+            perms[op] = boxes + ((idx[t] + shift) % counts[t] - idx[t]) * strides[t]
+        image = boxes
+        for perm in map(perms.__getitem__, run):
+            image = perm[image]
+        return _CellTable.from_image(pitches, counts, image)
+
+    @staticmethod
+    def from_image(pitches, counts, image: "np.ndarray") -> "_CellTable":
+        idx = np.indices(counts).reshape(len(counts), -1)
+        offsets = tuple((idx[a][image] - idx[a]) % n for a, n in enumerate(counts))
+        return _CellTable(pitches, counts, image,
+                          tuple(array("i", o.tolist()) if o.any() else None for o in offsets))
+
+    def inverse(self) -> "_CellTable":
+        inv = np.empty_like(self.image)
+        inv[self.image] = np.arange(inv.size)
+        return _CellTable.from_image(self.pitches, self.counts, inv)
+
+    @cached_property
+    def arrays(self) -> "_CellTable":
+        """The same table with int64 offset arrays, for `CompiledMap`."""
+        return replace(self, offsets=tuple(
+            None if o is None else np.array(o, dtype=np.int64) for o in self.offsets))
+
+    def lookup(self, x, c: int, M: int):
+        """Move x (a list of ints or rows of an int64 array) at modulus
+        M = c L by the offsets of its box."""
+        k = 0
+        for xa, p, n in zip(x, self.pitches, self.counts):
+            k = k * n + xa // (p * c)
+        for a, (p, off) in enumerate(zip(self.pitches, self.offsets)):
+            if off is not None:
+                x[a] = (x[a] + off[k] * (p * c)) % M
+
+
 @dataclass(frozen=True)
 class _Program:
-    """A block-slide map as integers on its 1/L lattice.
+    """A block-slide map as integer ops on its 1/L lattice.
 
-    Move i reads coordinate source[i], shifts coordinate target[i] and
-    uses step entry step[i]; an entry is (P, B, V): the period, the
-    breakpoints and the signed shifts in units of 1/L. Moves sharing
-    step data and sign share an entry (translation stage 1: 34,688 moves, 185
-    entries).
+    Op i is a move or a cell table. A move reads coordinate source[i],
+    shifts coordinate target[i] and uses step entry step[i]; an entry is
+    (P, B, V): the period, the breakpoints and the signed shifts in units
+    of 1/L. Moves sharing step data and sign share an entry. A cell table
+    has target[i] = -1 and its `_CellTable` as entry step[i]. `pitches`
+    are the (col, row) pitches of the map's joint box lattice.
     """
 
     L: int
+    pitches: Tuple[int, int]
     target: array
     source: array
     step: array
-    entries: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+    entries: tuple
 
     @staticmethod
     def build(m: BlockSlideMap) -> "_Program":
@@ -237,27 +341,65 @@ class _Program:
             return f.numerator * (L // f.denominator)
 
         by_value, by_object = {}, {}  # entry -> its index; (id(step), sign) -> index
-        target, source, step = array("i"), array("i"), array("i")
-        for mv in m.moves:
+        by_move = {}  # id(move) -> (target, source, entry index)
+        for mv in {id(mv): mv for mv in m.moves}.values():
             key = (id(mv.step), mv.sign)
             if key not in by_object:
                 st = mv.step
                 entry = (on_lattice(st.period), tuple(map(on_lattice, st.breakpoints)),
                          tuple(mv.sign * on_lattice(v) % L for v in st.values))
                 by_object[key] = by_value.setdefault(entry, len(by_value))
-            target.append(mv.target)
-            source.append(mv.source)
-            step.append(by_object[key])
-        return _Program(L, target, source, step, tuple(by_value))
+            by_move[id(mv)] = (mv.target, mv.source, by_object[key])
+        moves = list(map(by_move.__getitem__, map(id, m.moves)))
+        entries = tuple(by_value)
+
+        def boxes(col: int, row: int) -> int:
+            return (L // col) * (L // row) ** (m.dim - 1)
+
+        # greedy runs (start, stop, col pitch, row pitch) of moves whose
+        # joint lattice fits the table budget; a move beyond it runs alone,
+        # so every run of two or more moves fits
+        own = {(t, s, e): _move_pitches(L, t, s, entries[e]) for t, s, e in set(moves)}
+        runs, start, col, row, fits = [], 0, L, L, True
+        for i, (c, r) in enumerate(map(own.__getitem__, moves)):
+            if fits and c % col == 0 and r % row == 0:
+                continue  # the run's lattice already serves this move
+            jc, jr = gcd(col, c), gcd(row, r)
+            if i > start and boxes(jc, jr) > _TABLE_BOXES:
+                runs.append((start, i, col, row))
+                start, jc, jr = i, c, r
+            col, row = jc, jr
+            fits = boxes(col, row) <= _TABLE_BOXES
+        runs.append((start, len(moves), col, row))
+
+        target, source, step = array("i"), array("i"), array("i")
+        tables = []
+        for start, stop, c, r in runs:
+            if stop - start >= 2:
+                target.append(-1)
+                source.append(0)
+                step.append(len(entries) + len(tables))
+                pitches = (c,) + (r,) * (m.dim - 1)
+                tables.append(_CellTable.tabulate(moves[start:stop], pitches, L, entries))
+            elif stop > start:
+                ts, ss, es = zip(*moves[start:stop])
+                target.extend(ts)
+                source.extend(ss)
+                step.extend(es)
+        pitches = (gcd(*(c for _, _, c, _ in runs)), gcd(*(r for _, _, _, r in runs)))
+        return _Program(L, pitches, target, source, step, entries + tuple(tables))
 
     def inverse(self) -> "_Program":
-        """The inverse map's program: moves reversed, shifts negated."""
+        """The inverse map's program: ops reversed, shifts negated and
+        tables inverted."""
         L = self.L
-        negated = tuple((P, B, tuple(-v % L for v in V)) for P, B, V in self.entries)
-        return _Program(L, self.target[::-1], self.source[::-1], self.step[::-1], negated)
+        inverted = tuple(e.inverse() if isinstance(e, _CellTable)
+                         else (e[0], e[1], tuple(-v % L for v in e[2])) for e in self.entries)
+        return _Program(L, self.pitches, self.target[::-1], self.source[::-1],
+                        self.step[::-1], inverted)
 
-    def moves(self, entries=None):
-        """(target, source, entry) per move, first to last; `entries`
+    def ops(self, entries=None):
+        """(target, source, entry) per op, first to last; `entries`
         replaces the stored ones (the array path passes numpy copies)."""
         table = self.entries if entries is None else entries
         return zip(self.target, self.source, map(table.__getitem__, self.step))
@@ -270,16 +412,17 @@ class CompiledMap:
     Points are integer vectors modulo M (coordinate j representing j/M),
     given as an array of shape (dim, n). Each move advances the whole
     cloud with one `np.searchsorted` of the source row over the step's
-    breakpoints and one gather from its shifts: no length-M table is
-    built, so memory is the program plus O(n) per move. Exactness
-    requires M to be a multiple of the map's denominator lcm, and int64
-    headroom requires M < 2^62; `build` enforces both.
+    breakpoints and one gather from its shifts, and each cell table with
+    one gather per moved axis: no length-M table is built, so memory is
+    the program plus O(n) per op. Exactness requires M to be a multiple
+    of the map's denominator lcm, and int64 headroom requires M < 2^62;
+    `build` enforces both.
     """
 
     dim: int
     M: int
     program: _Program
-    entries: Tuple[Tuple[int, "np.ndarray", "np.ndarray"], ...]
+    entries: tuple
 
     @staticmethod
     def build(m: BlockSlideMap, M: int) -> "CompiledMap":
@@ -288,14 +431,15 @@ class CompiledMap:
             raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")
         if not 1 <= M < 2**62:
             raise ParamOutOfRange(f"grid modulus {M} is outside [1, 2^62), the int64 range")
-        entries = tuple((P, np.array(B, dtype=np.int64), np.array(V, dtype=np.int64))
-                        for P, B, V in prog.entries)
+        entries = tuple(e.arrays if isinstance(e, _CellTable)
+                        else (e[0], np.array(e[1], dtype=np.int64), np.array(e[2], dtype=np.int64))
+                        for e in prog.entries)
         return CompiledMap(m.dim, M, prog, entries)
 
     def apply(self, pts: "np.ndarray") -> "np.ndarray":
         """Apply to an array of shape (dim, n) of int64 lattice points."""
         out = np.asarray(pts, dtype=np.int64) % self.M
-        return _advance(out, self.program.moves(self.entries), self.M // self.program.L,
+        return _advance(out, self.program.ops(self.entries), self.M // self.program.L,
                         self.M, _searchsorted_right)
 
 

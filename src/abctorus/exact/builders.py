@@ -35,6 +35,7 @@ first coordinate distinguished). The non-obvious ones:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -70,7 +71,18 @@ from .steps import (
 )
 
 
+def _integers(**args) -> None:
+    """Refuse, by name, any argument that is not an integer, before a
+    range check compares it."""
+    for name, v in args.items():
+        try:
+            operator.index(v)
+        except TypeError:
+            raise ParamOutOfRange(f"{name} must be an integer, got {v!r}") from None
+
+
 def _check_dim(d: int, minimum: int = 2):
+    _integers(d=d)
     if d < minimum:
         raise ParamOutOfRange(f"need dimension >= {minimum}, got {d}")
 
@@ -87,6 +99,7 @@ def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
 
     Requires k >= 2, q >= 1.
     """
+    _integers(k=k, q=q)
     _check_dim(d)
     s1 = sigma1_interchange(k, q)
     s2 = sigma2_interchange(k, q)
@@ -117,6 +130,7 @@ def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> Bloc
     c + k*(b + shift mod q) for c = column mod k; all other columns are
     fixed. shift = 0 gives the identity map.
     """
+    _integers(shift=shift, column=column, k=k, q=q)
     if not (0 <= shift < q):
         raise ParamOutOfRange(f"shift must lie in [0, {q}), got {shift}")
     if k < 2 or q < 1:
@@ -151,6 +165,7 @@ def refine_stage(source_coord: int, l: int, q: int, d: int = 2) -> BlockSlideMap
     """One stage of grid refinement: three shears between the first
     coordinate and `source_coord` (0-based, must be >= 1) that fold that
     coordinate's l digits into the first coordinate's subdivision."""
+    _integers(source_coord=source_coord, l=l, q=q)
     _check_dim(d)
     if not (1 <= source_coord < d):
         raise ParamOutOfRange("source coordinate out of range")
@@ -171,6 +186,7 @@ def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
     profile parameters (l, l^(j-1) q) since the first coordinate has
     been refined j-1 times already.
     """
+    _integers(l=l, q=q)
     _check_dim(d)
     if l < 2 or q < 1:
         raise ParamOutOfRange("need l >= 2 and q >= 1")
@@ -187,7 +203,11 @@ def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
 
 
 def _validate_index_function(a: Sequence[int], k: int, q: int) -> Tuple[int, ...]:
-    a = tuple(int(v) for v in a)
+    _integers(k=k, q=q)
+    try:
+        a = tuple(map(operator.index, a))
+    except TypeError:
+        raise InvalidIndexFunction(f"index function must be a sequence of integers, got {a!r}") from None
     if len(a) != k:
         raise InvalidIndexFunction(f"index function has length {len(a)}, expected {k}")
     if any(not (0 <= v < q) for v in a):
@@ -222,6 +242,7 @@ def build_abc_conjugation(
     the rotation by 1/q.
     """
     a = _validate_index_function(a, k, q)
+    _integers(l=l)
     if k < 2 or l < 1:
         raise ParamOutOfRange("need k >= 2 and l >= 1")
     refine = build_grid_refine(k * l, q, d)
@@ -241,6 +262,7 @@ def build_two_cycle(k: int, q: int, l: int, d: int = 2) -> BlockSlideMap:
     per block (classes mod k), fixing everything else. Requires k >= 4,
     l >= 2; commutes with the rotation by 1/q.
     """
+    _integers(k=k, q=q, l=l)
     if k < 4:
         raise ParamOutOfRange(f"two-cycle needs k >= 4, got {k}")
     if l < 2:
@@ -282,10 +304,13 @@ def build_transposition(i: int, j: int, k: int, q: int, l: int, d: int = 2) -> B
     k >= 4 and l >= 2; (i, j) = (0, l-1) is the pivot itself and is
     rejected.
     """
+    _integers(i=i, j=j, k=k, q=q, l=l)
     if k < 4:
         raise ParamOutOfRange(f"transpositions need k >= 4, got {k}")
     if l < 2:
         raise ParamOutOfRange(f"transpositions need l >= 2, got {l}")
+    if q < 1:
+        raise ParamOutOfRange(f"transpositions need q >= 1, got {q}")
     if not (0 <= i < k) or not (0 <= j < l):
         raise ParamOutOfRange(f"target ({i}, {j}) outside [0,{k}) x [0,{l})")
     if (i, j) == (0, l - 1):
@@ -323,10 +348,13 @@ def decompose_permutation(
     the pivot-transposition targets in application order together with
     the composed map. Requires k >= 4 and l >= 2.
     """
+    _integers(k=k, q=q, l=l)
     if k < 4:
         raise ParamOutOfRange(f"decomposition needs k >= 4, got {k}")
     if l < 2:
         raise ParamOutOfRange(f"decomposition needs l >= 2, got {l}")
+    if q < 1:
+        raise ParamOutOfRange(f"decomposition needs q >= 1, got {q}")
     perm = np.asarray(perm, dtype=np.int64)
     if len(perm) == k * l:
         quot = perm  # quotient input (for q = 1 this is also the full strip)
@@ -416,6 +444,7 @@ def build_minimal_combinatorics(l: int, q: int, r: int, d: int = 2) -> BlockSlid
     For orbit-scale work use the O(1) evaluator in `minimal.py`; this
     explicit map is intended for small l and for cross-validation.
     """
+    _integers(l=l, q=q, r=r)
     _check_dim(d)
     if l < 2 or q < 1 or r < 1:
         raise ParamOutOfRange("need l >= 2, q >= 1, r >= 1")

@@ -163,23 +163,23 @@ class MinimalConjugation:
             raise ParamOutOfRange(f"expected a 2-torus point, got dimension {x.dim}")
         M = lcm(self.denominator_lcm(), *(c.denominator for c in x))
         ys = [c.numerator * (M // c.denominator) for c in x]
-        self._rule(ys, M, self._cells, self._shear._program.moves(), bisect_right)
+        self._rule(ys, M, self._cells, self._shear._program.ops(), bisect_right)
         return TorusPoint(Fraction(y, M) for y in ys)
 
-    def _rule(self, x, M: int, cells, shear_moves, search):
+    def _rule(self, x, M: int, cells, shear_ops, search):
         """The integer rule on x (a list of two ints or a (2, n) int64
         array) at modulus M; `cells` holds the involution's column and
         row offsets as Python ints or as arrays."""
         c = M // self._shear.denominator_lcm()
         if self.inverted:
-            _advance(x, shear_moves, c, M, search)
+            _advance(x, shear_ops, c, M, search)
         comb = self.comb
         col_pitch, row_pitch = M // comb.cols, M // comb.rows
         cls = x[0] // col_pitch % (comb.l * comb.l) * comb.rows + x[1] // row_pitch
         x[0] = x[0] + cells[0][cls] * col_pitch
         x[1] = x[1] + cells[1][cls] * row_pitch
         if not self.inverted:
-            _advance(x, shear_moves, c, M, search)
+            _advance(x, shear_ops, c, M, search)
         return x
 
     @cached_property
@@ -264,7 +264,7 @@ class CompiledMinimal:
         """Apply to an array of shape (2, n) of int64 lattice points."""
         out = np.asarray(pts, dtype=np.int64) % self.M
         shear = self.shear
-        return self.h._rule(out, self.M, self.cells, shear.program.moves(shear.entries),
+        return self.h._rule(out, self.M, self.cells, shear.program.ops(shear.entries),
                             _searchsorted_right)
 
 

@@ -6,8 +6,14 @@ one time in ten malformed (wrong types, nan and inf, fractional sizes),
 with explicit size caps: circle stacks of at most 2 stages with q0 <= 5
 and l <= 6, at most 8 verifier samples, 64 Monte Carlo samples and 3
 partition atoms. The verifiers run on one `run_circle_scenario(2)` stack.
-`stage_partition` is not drawn with atoms=None: that visits every atom,
-331,776 at stage 2, under no point budget.
+`stage_partition` with atoms=None visits every atom of stage 1 (144) and
+is refused at stage 2 (331,776 atoms, beyond the point budget).
+
+The stage runners and the parameter record are swept too: the
+translation runner on the 3-move chain `translation_params(h=1,
+levels=2, gamma1=(1,), l_base=4)`, the minimality runner with l <= 3,
+and every `exact.builders.build_*` at k, l, q <= 6 in dimension <= 3.
+
 Nothing is asserted about the value returned; a leaked `TypeError`,
 `ValueError`, `ZeroDivisionError` or the like fails.
 """
@@ -21,23 +27,31 @@ from hypothesis import given, settings, strategies as st
 
 from abctorus.analytic import (
     ErrorSet,
+    amplitude_conditions_hold,
+    amplitude_lower_bounds,
     approximate_blockslide,
     choose_amplitude,
     stage_delta,
     stage_epsilon,
 )
+from abctorus.bounds import translation_params
 from abctorus.engine import (
+    AbCParams,
     check_stage_commutation,
     correspondence_defect,
     eval_stage_map,
     run_circle_scenario,
+    run_minimal_scenario,
+    run_translation_scenario,
     stage_partition,
     verify_cyclic_permutation,
 )
 from abctorus.errors import AbcTorusError, ParamOutOfRange
+from abctorus.exact import builders
 from abctorus.towers import TowerReal
 
 MAPS = run_circle_scenario(2)
+CHAIN = translation_params(h=1, levels=2, gamma1=(1,), p1=1, q1=2, l_base=4)
 
 
 def returns_or_typed(f, *args, **kwargs) -> None:
@@ -108,8 +122,7 @@ def test_correspondence_defect(stage, model, samples, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stage=stages, atoms=mostly(st.lists(mostly(st.integers(-1, 150)), max_size=3),
-                                  malformed.filter(lambda v: v is not None)))
+@given(stage=stages, atoms=mostly(st.lists(mostly(st.integers(-1, 150)), max_size=3)))
 def test_stage_partition(stage, atoms):
     returns_or_typed(stage_partition, MAPS, stage, atoms)
 
@@ -139,6 +152,57 @@ def test_approximate_blockslide(eps, delta):
     returns_or_typed(approximate_blockslide, MAPS.conjugations_exact[0], eps, delta)
 
 
+small = mostly(st.integers(-1, 6))
+dims = mostly(st.integers(0, 3))
+index_functions = mostly(st.lists(mostly(st.integers(-1, 6)), max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=mostly(st.integers(0, 3)), p=small, q=small, k=small, l=small, s=small,
+       a=index_functions)
+def test_abc_params(n, p, q, k, l, s, a):
+    returns_or_typed(AbCParams, n=n, p=p, q=q, k=k, l=l, s=s, a=a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=mostly(st.just(CHAIN)), stages=st.one_of(st.none(), mostly(st.integers(-1, 2))))
+def test_run_translation_scenario(chain, stages):
+    returns_or_typed(run_translation_scenario, chain, stages)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=mostly(st.integers(0, 3)), l=mostly(st.integers(0, 3)), q=mostly(st.integers(0, 4)),
+       r=mostly(st.integers(0, 3)), p=mostly(st.integers(-1, 3)), s=mostly(st.integers(0, 2)),
+       stages=mostly(st.integers(0, 2)))
+def test_run_minimal_scenario(n, l, q, r, p, s, stages):
+    returns_or_typed(run_minimal_scenario, n, l, q, r, p, s, stages)
+
+
+BUILDERS = {
+    "build_interchange": st.tuples(small, small, dims),
+    "build_rearrange": st.tuples(small, small, small, small, dims),
+    "build_grid_refine": st.tuples(small, mostly(st.integers(-1, 3)), dims),
+    "build_unstack": st.tuples(index_functions, small, small, dims),
+    "build_abc_conjugation": st.tuples(index_functions, small, mostly(st.integers(-1, 2)),
+                                       small, dims),
+    "build_two_cycle": st.tuples(small, mostly(st.integers(-1, 3)), small, dims),
+    "build_transposition": st.tuples(small, small, small, mostly(st.integers(-1, 3)),
+                                     small, dims),
+    "build_minimal_combinatorics": st.tuples(mostly(st.integers(-1, 2)),
+                                             mostly(st.integers(-1, 2)),
+                                             mostly(st.integers(-1, 2)), dims),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder(name):
+    @settings(max_examples=60, deadline=None)
+    @given(args=BUILDERS[name])
+    def sweep(args):
+        returns_or_typed(getattr(builders, name), *args)
+    sweep()
+
+
 NAN = float("nan")
 REFUSED = {
     "defect with no samples": lambda: correspondence_defect(MAPS, 1, "analytic", samples=0),
@@ -151,11 +215,16 @@ REFUSED = {
     "3-D point on the 2-torus": lambda: eval_stage_map(MAPS, (0.1, 0.2, 0.3), "analytic"),
     "text atom": lambda: stage_partition(MAPS, 1, ["x"]),
     "fractional stage count": lambda: run_circle_scenario(1.5),
+    "fractional grid multiplier": lambda: run_minimal_scenario(1, 1.5, 3, 2),
+    "text index function": lambda: AbCParams(n=1, p=1, q=2, k=1, l=2, s=1, a=("x",)),
+    "transposition with no blocks": lambda: builders.build_transposition(1, 0, 4, 0, 2),
     "fractional stage index": lambda: stage_epsilon(1.5),
     "scalar analytic point": lambda: MAPS.conjugations_analytic[0](0.5),
     "text analytic coordinate": lambda: MAPS.conjugations_analytic[0](("abc", 0.5)),
     "nan in the error set": lambda: ErrorSet(16, Fraction(1, 16), Fraction(1, 128)).contains(NAN),
     "nan amplitude budget": lambda: choose_amplitude(4, NAN, Fraction(1, 10)),
+    "unhashable amplitude eps": lambda: amplitude_lower_bounds(4, [], 1 / 4),
+    "unhashable amplitude delta": lambda: amplitude_conditions_hold(4, 1 / 12, [], 2048),
     "nan realization budget": lambda: approximate_blockslide(MAPS.conjugations_exact[0],
                                                              NAN, Fraction(1, 4)),
 }
