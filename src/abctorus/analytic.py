@@ -130,8 +130,7 @@ def amplitude_lower_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
     eps/delta never overflow. The bounds depend on (l, eps, delta) alone
     and a realization shares one budget over all its moves, so they are
     cached. The arguments are checked before the cache is keyed on them,
-    so an unhashable one is refused like any other; `__wrapped__` is the
-    uncached computation.
+    so an unhashable one is refused like any other.
     """
     _check_profile_params(l, eps, delta)
     return _amplitude_bounds(l, eps, delta)
@@ -146,9 +145,6 @@ def _amplitude_bounds(l: int, eps, delta) -> Tuple[mp.mpf, mp.mpf]:
         a1 = -scale * mp.log(-mp.log1p(-e / 8))
         a2 = scale * mp.log(-mp.log(e / (2 * l)))
         return a1, a2
-
-
-amplitude_lower_bounds.__wrapped__ = _amplitude_bounds.__wrapped__
 
 
 def amplitude_conditions_hold(l: int, eps, delta, A) -> bool:

@@ -26,7 +26,6 @@ ledger (bounds module), not here.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -88,11 +87,9 @@ class AbCParams:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "a", tuple(map(operator.index, self.a)))
+            object.__setattr__(self, "a", tuple(self.a))
         except TypeError:
-            raise ParamOutOfRange(
-                f"index function must be a sequence of integers, got {self.a!r}"
-            ) from None
+            raise ParamOutOfRange(f"index function must be a sequence, got {self.a!r}") from None
         require_int(self.n, 1, "stage index n")
         require_int(self.p, 0, "numerator p")
         require_int(self.q, 1, "denominator q")
@@ -110,7 +107,8 @@ class AbCParams:
                 f"index function must have k={self.k} entries, got {len(self.a)}"
             )
         for v in self.a:
-            if not (0 <= v < self.q):
+            require_int(v, 0, "index function value")
+            if v >= self.q:
                 raise ParamOutOfRange(
                     f"index function values must lie in [0, {self.q}), got {v}"
                 )
@@ -637,10 +635,9 @@ def run_translation_scenario(
         raise ParamOutOfRange(f"chain must be a TranslationParams, got {chain!r}")
     max_stages = len(chain.levels) - 1
     stages = max_stages if stages is None else stages
-    if not (isinstance(stages, int) and 1 <= stages <= max_stages):
-        raise ParamOutOfRange(
-            f"stages must be in 1..{max_stages}, got {stages}"
-        )
+    require_int(stages, 1, "stage count")
+    if stages > max_stages:
+        raise ParamOutOfRange(f"stages must be in 1..{max_stages}, got {stages}")
     lv1 = chain.levels[0]
     if lv1.l is None:
         raise ParamOutOfRange(

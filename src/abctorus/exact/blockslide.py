@@ -65,6 +65,22 @@ from .steps import StepFunction
 _TABLE_BOXES = 1 << 16  # largest joint box lattice a run of moves is tabulated on
 
 
+def _memo_inverse(obj, make):
+    """The inverse of the frozen `obj`, built by `make()` on first use and
+    kept on `obj` for the next call. The inverse reaches back only through
+    a weak reference, so the two never form a cycle; inverting it again
+    gives `obj` back while `obj` is alive."""
+    inv = obj.__dict__.get("_inverse")
+    if inv is None:
+        ref = obj.__dict__.get("_inverse_of")
+        inv = ref() if ref is not None else None
+    if inv is None:
+        inv = make()
+        object.__setattr__(inv, "_inverse_of", weakref.ref(obj))
+        object.__setattr__(obj, "_inverse", inv)
+    return inv
+
+
 @dataclass(frozen=True)
 class BlockSlideMove:
     """x[target] += sign * step(x[source]) (mod 1).
@@ -90,17 +106,8 @@ class BlockSlideMove:
         return len(self.step.values) > 1
 
     def inverse(self) -> "BlockSlideMove":
-        inv = self.__dict__.get("_inverse")
-        if inv is None:
-            ref = self.__dict__.get("_inverse_of")
-            inv = ref() if ref is not None else None
-        if inv is None:
-            inv = BlockSlideMove(self.target, self.source, -self.sign, self.step)
-            # kept here for the next call; the inverse reaches back only
-            # through a weak reference, so the two never form a cycle
-            object.__setattr__(inv, "_inverse_of", weakref.ref(self))
-            object.__setattr__(self, "_inverse", inv)
-        return inv
+        return _memo_inverse(
+            self, lambda: BlockSlideMove(self.target, self.source, -self.sign, self.step))
 
     def apply(self, x: TorusPoint) -> TorusPoint:
         return x.shifted(self.target, self.sign * self.step(x[self.source]))
@@ -130,14 +137,8 @@ class BlockSlideMap:
         return TorusPoint(Fraction(y, M) for y in ys)
 
     def inverse(self) -> "BlockSlideMap":
-        inv = self.__dict__.get("_inverse")
-        if inv is None:
-            inv = BlockSlideMap(self.dim, tuple(map(BlockSlideMove.inverse, reversed(self.moves))))
-            # kept here for the next call; the inverse reaches back only
-            # through a weak reference, so the two never form a cycle
-            object.__setattr__(inv, "_inverse_of", weakref.ref(self))
-            object.__setattr__(self, "_inverse", inv)
-        return inv
+        return _memo_inverse(self, lambda: BlockSlideMap(
+            self.dim, tuple(map(BlockSlideMove.inverse, reversed(self.moves)))))
 
     @cached_property
     def _program(self) -> "_Program":

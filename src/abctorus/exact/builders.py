@@ -35,7 +35,6 @@ first coordinate distinguished). The non-obvious ones:
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,6 +46,7 @@ from ..errors import (
     NotEquivariant,
     ParamOutOfRange,
 )
+from ..towers import require_int
 from .blockslide import BlockSlideMap, BlockSlideMove, rotation_map
 from .oracle import induced_atom_permutation
 from .partitions import PartitionSpec
@@ -71,20 +71,8 @@ from .steps import (
 )
 
 
-def _integers(**args) -> None:
-    """Refuse, by name, any argument that is not an integer, before a
-    range check compares it."""
-    for name, v in args.items():
-        try:
-            operator.index(v)
-        except TypeError:
-            raise ParamOutOfRange(f"{name} must be an integer, got {v!r}") from None
-
-
 def _check_dim(d: int, minimum: int = 2):
-    _integers(d=d)
-    if d < minimum:
-        raise ParamOutOfRange(f"need dimension >= {minimum}, got {d}")
+    require_int(d, minimum, "dimension")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +87,8 @@ def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
 
     Requires k >= 2, q >= 1.
     """
-    _integers(k=k, q=q)
+    require_int(k, 2, "k")
+    require_int(q, 1, "q")
     _check_dim(d)
     s1 = sigma1_interchange(k, q)
     s2 = sigma2_interchange(k, q)
@@ -130,11 +119,12 @@ def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> Bloc
     c + k*(b + shift mod q) for c = column mod k; all other columns are
     fixed. shift = 0 gives the identity map.
     """
-    _integers(shift=shift, column=column, k=k, q=q)
-    if not (0 <= shift < q):
+    require_int(shift, 0, "shift")
+    require_int(column, None, "column")
+    require_int(k, 2, "k")
+    require_int(q, 1, "q")
+    if shift >= q:
         raise ParamOutOfRange(f"shift must lie in [0, {q}), got {shift}")
-    if k < 2 or q < 1:
-        raise ParamOutOfRange("need k >= 2 and q >= 1")
     _check_dim(d)
     if shift == 0:
         return BlockSlideMap.identity(d)
@@ -165,9 +155,11 @@ def refine_stage(source_coord: int, l: int, q: int, d: int = 2) -> BlockSlideMap
     """One stage of grid refinement: three shears between the first
     coordinate and `source_coord` (0-based, must be >= 1) that fold that
     coordinate's l digits into the first coordinate's subdivision."""
-    _integers(source_coord=source_coord, l=l, q=q)
+    require_int(source_coord, 1, "source coordinate")
+    require_int(l, 2, "l")
+    require_int(q, 1, "q")
     _check_dim(d)
-    if not (1 <= source_coord < d):
+    if source_coord >= d:
         raise ParamOutOfRange("source coordinate out of range")
     moves = (
         BlockSlideMove(0, source_coord, +1, psi1_refine(l, q)),
@@ -186,10 +178,9 @@ def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
     profile parameters (l, l^(j-1) q) since the first coordinate has
     been refined j-1 times already.
     """
-    _integers(l=l, q=q)
+    require_int(l, 2, "l")
+    require_int(q, 1, "q")
     _check_dim(d)
-    if l < 2 or q < 1:
-        raise ParamOutOfRange("need l >= 2 and q >= 1")
     stages = []
     for j in range(1, d):
         source = d - j  # 0-based index of coordinate x_{d-j+1}
@@ -203,11 +194,14 @@ def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
 
 
 def _validate_index_function(a: Sequence[int], k: int, q: int) -> Tuple[int, ...]:
-    _integers(k=k, q=q)
+    require_int(k, 1, "k")
+    require_int(q, 1, "q")
     try:
-        a = tuple(map(operator.index, a))
+        a = tuple(a)
     except TypeError:
-        raise InvalidIndexFunction(f"index function must be a sequence of integers, got {a!r}") from None
+        raise InvalidIndexFunction(f"index function must be a sequence, got {a!r}") from None
+    for v in a:
+        require_int(v, None, "index function value")
     if len(a) != k:
         raise InvalidIndexFunction(f"index function has length {len(a)}, expected {k}")
     if any(not (0 <= v < q) for v in a):
@@ -242,9 +236,8 @@ def build_abc_conjugation(
     the rotation by 1/q.
     """
     a = _validate_index_function(a, k, q)
-    _integers(l=l)
-    if k < 2 or l < 1:
-        raise ParamOutOfRange("need k >= 2 and l >= 1")
+    require_int(k, 2, "k")
+    require_int(l, 1, "l")
     refine = build_grid_refine(k * l, q, d)
     unstack = build_unstack(a, k, q, d)
     return refine.then(unstack.inverse())
@@ -262,11 +255,9 @@ def build_two_cycle(k: int, q: int, l: int, d: int = 2) -> BlockSlideMap:
     per block (classes mod k), fixing everything else. Requires k >= 4,
     l >= 2; commutes with the rotation by 1/q.
     """
-    _integers(k=k, q=q, l=l)
-    if k < 4:
-        raise ParamOutOfRange(f"two-cycle needs k >= 4, got {k}")
-    if l < 2:
-        raise ParamOutOfRange(f"two-cycle needs l >= 2, got {l}")
+    require_int(k, 4, "two-cycle k")
+    require_int(q, 1, "q")
+    require_int(l, 2, "two-cycle l")
     _check_dim(d)
     f = build_interchange(k, q, d)
     band = sigma4_band(k, q, l)
@@ -304,14 +295,12 @@ def build_transposition(i: int, j: int, k: int, q: int, l: int, d: int = 2) -> B
     k >= 4 and l >= 2; (i, j) = (0, l-1) is the pivot itself and is
     rejected.
     """
-    _integers(i=i, j=j, k=k, q=q, l=l)
-    if k < 4:
-        raise ParamOutOfRange(f"transpositions need k >= 4, got {k}")
-    if l < 2:
-        raise ParamOutOfRange(f"transpositions need l >= 2, got {l}")
-    if q < 1:
-        raise ParamOutOfRange(f"transpositions need q >= 1, got {q}")
-    if not (0 <= i < k) or not (0 <= j < l):
+    require_int(k, 4, "transposition k")
+    require_int(q, 1, "q")
+    require_int(l, 2, "transposition l")
+    require_int(i, 0, "target column class i")
+    require_int(j, 0, "target row j")
+    if i >= k or j >= l:
         raise ParamOutOfRange(f"target ({i}, {j}) outside [0,{k}) x [0,{l})")
     if (i, j) == (0, l - 1):
         raise InvalidTarget("target coincides with the pivot class (0, l-1)")
@@ -348,13 +337,9 @@ def decompose_permutation(
     the pivot-transposition targets in application order together with
     the composed map. Requires k >= 4 and l >= 2.
     """
-    _integers(k=k, q=q, l=l)
-    if k < 4:
-        raise ParamOutOfRange(f"decomposition needs k >= 4, got {k}")
-    if l < 2:
-        raise ParamOutOfRange(f"decomposition needs l >= 2, got {l}")
-    if q < 1:
-        raise ParamOutOfRange(f"decomposition needs q >= 1, got {q}")
+    require_int(k, 4, "decomposition k")
+    require_int(q, 1, "q")
+    require_int(l, 2, "decomposition l")
     perm = np.asarray(perm, dtype=np.int64)
     if len(perm) == k * l:
         quot = perm  # quotient input (for q = 1 this is also the full strip)
@@ -444,10 +429,10 @@ def build_minimal_combinatorics(l: int, q: int, r: int, d: int = 2) -> BlockSlid
     For orbit-scale work use the O(1) evaluator in `minimal.py`; this
     explicit map is intended for small l and for cross-validation.
     """
-    _integers(l=l, q=q, r=r)
+    require_int(l, 2, "l")
+    require_int(q, 1, "q")
+    require_int(r, 1, "r")
     _check_dim(d)
-    if l < 2 or q < 1 or r < 1:
-        raise ParamOutOfRange("need l >= 2, q >= 1, r >= 1")
     quot = minimal_quotient_perm(l, r)
     _, composed = decompose_permutation(quot, l * l, l * q, l * r, d)
     return composed

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mp
@@ -81,10 +81,12 @@ def require_real(value, what: str) -> None:
         raise ParamOutOfRange(f"{what} must be a finite real number, got {value!r}")
 
 
-def require_int(value, low: int, what: str) -> None:
-    """Refuse anything but an integer >= low, naming `what`."""
-    if not isinstance(value, int) or value < low:
-        raise ParamOutOfRange(f"{what} must be an integer >= {low}, got {value!r}")
+def require_int(value, low: Optional[int], what: str) -> None:
+    """Refuse anything but an integer >= low (any integer when low is
+    None), naming `what`."""
+    if not isinstance(value, int) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ParamOutOfRange(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def exact_mpf(x) -> mpmath.mpf:

@@ -11,6 +11,7 @@ from mpmath import mp
 from abctorus.analytic import (
     AnalyticMove,
     EntireStep,
+    _amplitude_bounds,
     amplitude_conditions_hold,
     amplitude_lower_bounds,
     approximate_blockslide,
@@ -69,7 +70,7 @@ def test_amplitude_lower_bounds_cache_returns_the_computed_bounds():
         args = (l, Fraction(1, 82224), Fraction(1, 27408))
         cached = amplitude_lower_bounds(*args)
         assert amplitude_lower_bounds(*args) is cached
-        fresh = amplitude_lower_bounds.__wrapped__(*args)
+        fresh = _amplitude_bounds.__wrapped__(*args)
         for a, b in zip(cached, fresh):
             assert isinstance(a, mp.mpf) and a == b and a.man == b.man and a.exp == b.exp
 

@@ -3,12 +3,13 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD --tag celltable \
-        --workloads circle,translation,minimal,ledger --seeds 1-10 --seconds 20
+        --workloads circle,translation,minimal,ledger --seeds 1-10
 
 `git archive <parent>` is unpacked into a temporary directory, and for
 every workload and seed `perfbench/run.py --trace 0` runs once in that
 directory (the parent side) and once in the repository root (the change
-side), one run at a time. The side that runs first alternates from seed
+side), one run at a time, each for the `run_seconds` that
+`BENCHMARK.json` sets. The side that runs first alternates from seed
 to seed, so a drift of the machine's speed falls on both sides alike.
 
 The last JSON line of every run goes into `BENCH_<tag>.json` in the
@@ -99,10 +100,10 @@ def main() -> None:
     parser.add_argument("--tag", required=True, help="output goes to BENCH_<tag>.json")
     parser.add_argument("--workloads", default="circle,translation,minimal,ledger")
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--what", default="", help="one line on the change measured")
     args = parser.parse_args()
     workloads = args.workloads.split(",")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,7 +113,7 @@ def main() -> None:
             for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_side(sides[side], w, seed, args.seconds)
+                    result = run_side(sides[side], w, seed, seconds)
                     runs.append(record(w, seed, side, result))
                     print(json.dumps(runs[-1]), flush=True)
 
@@ -121,7 +122,7 @@ def main() -> None:
         "what": f"perfbench end-to-end metrics, parent commit {sha} against the working "
                 f"tree{': ' + args.what if args.what else ''}",
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "pairs": f"{len(args.seeds)} per workload, seeds {seeds}, the side run first "
                  f"alternating from seed to seed",
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
