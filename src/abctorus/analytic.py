@@ -552,7 +552,7 @@ def error_set(s: EntireStep) -> ErrorSet:
 
 
 # ---------------------------------------------------------------------------
-# Proximity verification and sweeps.
+# Proximity verification.
 # ---------------------------------------------------------------------------
 
 
@@ -570,21 +570,6 @@ def verify_proximity(s: EntireStep, target: StepFunction, samples: int = 10**4) 
     vals = s(np.array([float(x) for x in kept]))
     ref = np.array([float(target(x)) for x in kept])
     return float(np.max(np.abs(vals - ref)))
-
-
-def proximity_sweep(
-    s: EntireStep, target: StepFunction, samples: int = 512
-) -> Tuple[Tuple[Fraction, Fraction, float, int], ...]:
-    """(x, target(x), s(x), in_collar) rows over a mid-point grid, for
-    CSV emission and plotting."""
-    if samples < 1:
-        raise ParamOutOfRange(f"need at least one sample, got {samples}")
-    collars = error_set(s)
-    rows = []
-    for j in range(samples):
-        x = Fraction(2 * j + 1, 2 * samples)
-        rows.append((x, target(x), float(s(float(x))), int(collars.contains(x))))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -687,17 +672,10 @@ class AnalyticBlockSlide:
         return tuple(float(v) for v in col[:, 0])
 
     def transform_rational(self, coords: Sequence) -> Tuple[Fraction, ...]:
-        """Apply to an exact rational point, keeping coordinates rational.
-
-        The point is carried as integer numerators over one common
-        denominator D, at first the lcm of its coordinates' denominators.
-        Each entire-step value is evaluated through eval_at_rational on
-        the unreduced source numerator over D and taken back as the exact
-        rational of its binary float; D grows only
-        when a shift's denominator does not divide it. So the image is a
-        well-defined rational point, and shifts by exact periods of the
-        step profiles commute with this map bit for bit. A non-finite or
-        malformed coordinate is refused with ParamOutOfRange.
+        """Apply to an exact rational point, keeping coordinates rational:
+        the point goes over the lcm of its coordinates' denominators and
+        through `on_lattice`. A non-finite or malformed coordinate is
+        refused with ParamOutOfRange.
         """
         xs = as_fractions(coords)
         if len(xs) != self.dim:
@@ -705,19 +683,34 @@ class AnalyticBlockSlide:
                 f"expected a point of dimension {self.dim}, got {len(xs)}"
             )
         D = lcm(*(c.denominator for c in xs))
-        ys = [c.numerator * (D // c.denominator) % D for c in xs]
+        ys, D = self.on_lattice([c.numerator * (D // c.denominator) % D for c in xs], D)
+        return tuple(Fraction(y, D) for y in ys)
+
+    def on_lattice(self, ys, D: int):
+        """The rational analytic path in place on the numerators ys
+        (Python ints in [0, D)) of one point ys/D; returns (ys, D) with
+        the image over its possibly larger common denominator.
+
+        Each entire-step value is evaluated through eval_at_rational on
+        the unreduced source numerator over D and taken back as the exact
+        rational of its binary float; D grows only when a shift's
+        denominator does not divide it. So the image is a well-defined
+        rational point whatever the terms of the input, and shifts by
+        exact periods of the step profiles commute with this map bit for
+        bit.
+        """
         for mv in self.moves:
-            if mv.is_constant:
+            step = mv.step
+            if step is None:
                 num, den = mv.constant.numerator, mv.constant.denominator
             else:
-                val = mv.step.eval_at_rational(ys[mv.source], D)
-                num, den = val.as_integer_ratio()
+                num, den = step.eval_at_rational(ys[mv.source], D).as_integer_ratio()
             if D % den:
                 grow = den // gcd(D, den)
                 D *= grow
-                ys = [y * grow for y in ys]
+                ys[:] = [y * grow for y in ys]
             ys[mv.target] = (ys[mv.target] + mv.sign * num * (D // den)) % D
-        return tuple(Fraction(y, D) for y in ys)
+        return ys, D
 
     def in_error_set(self, x) -> bool:
         """True if the exact intermediate orbit of x feeds a collar point
@@ -836,7 +829,6 @@ __all__ = [
     "approximate_blockslide",
     "choose_amplitude",
     "error_set",
-    "proximity_sweep",
     "step_to_plateau",
     "stage_delta",
     "stage_epsilon",

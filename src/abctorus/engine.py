@@ -26,10 +26,11 @@ ledger (bounds module), not here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Protocol, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -180,10 +181,14 @@ class Conjugation(Protocol):
     boxes of the 2-torus that commutes with the previous rotation.
 
     Implemented by `BlockSlideMap` and by the O(1) minimality-stage
-    evaluator `MinimalConjugation`. Both evaluate through an integer
-    rule at a modulus M, a multiple of `denominator_lcm()`: on Python
-    ints in `__call__` and on int64 arrays in `compiled(M)`, which is
-    what the lattice oracle walks. The engine needs nothing else of a
+    evaluator `MinimalConjugation`. Both evaluate through one integer
+    rule at a modulus M, a multiple of `denominator_lcm()`, whose one
+    entry point on Python ints is `on_lattice(ys, M)`: the rule run in
+    place on one point's numerators. `__call__` is "to ints,
+    `on_lattice`, back to a `TorusPoint`", the verifiers carry their
+    samples through `on_lattice` from draw to atom index, and
+    `compiled(M)` runs the same rule on int64 arrays, which is what the
+    lattice oracle walks. The engine needs nothing else of a
     conjugation.
 
     Rigidity is also what makes the rules cheap. A map that translates
@@ -200,6 +205,12 @@ class Conjugation(Protocol):
     dim: int
 
     def __call__(self, x: TorusPoint) -> TorusPoint: ...
+
+    def on_lattice(self, ys: List[int], M: int) -> Tuple[List[int], int]:
+        """The integer rule in place on the numerators ys (Python ints in
+        [0, M)) of one point ys/M, M a multiple of `denominator_lcm()`;
+        returns (ys, M)."""
+        ...
 
     def inverse(self) -> "Conjugation": ...
 
@@ -341,6 +352,23 @@ class StageMaps:
         path (entire-step values frozen to their float rationals)."""
         return self._apply(self.conjugations_analytic, coords, stage, inverse,
                            lambda h, y: h.transform_rational(y))
+
+    def apply_lattice(
+        self, ys: List[int], M: int, stage: int, model: str = "exact", inverse: bool = False
+    ) -> Tuple[List[int], int]:
+        """H_stage (or its inverse) in place on the numerators ys of one
+        lattice point ys/M, through each conjugation's `on_lattice`;
+        returns (ys, M). The exact model keeps M, which must be a multiple
+        of every exact h_m's `denominator_lcm()`; the analytic model runs
+        the rational analytic path, which may grow M by the denominators
+        of its step values."""
+        if model == "exact":
+            hs = self.conjugations_exact
+        elif model == "analytic":
+            hs = self.conjugations_analytic
+        else:
+            raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
+        return self._apply(hs, (ys, M), stage, inverse, lambda h, y: h.on_lattice(*y))
 
 
 # ---------------------------------------------------------------------------
@@ -800,39 +828,33 @@ class StagePartition:
     atoms: Tuple[int, ...]
     samples: Tuple[Tuple[TorusPoint, ...], ...]
 
-    def diameters(self) -> Tuple[Fraction, ...]:
-        """Sup-metric diameter of each cloud (a lower bound for the atom
-        diameter; tight when the atom is a slanted box)."""
-        out = []
-        for cloud in self.samples:
-            best = Fraction(0)
-            for i_, a in enumerate(cloud):
-                for b in cloud[i_ + 1:]:
-                    d = max(
-                        min(abs(a[c] - b[c]), 1 - abs(a[c] - b[c]))
-                        for c in range(len(a.coords))
-                    )
-                    best = max(best, d)
-            out.append(best)
-        return tuple(out)
 
-
-_CLOUD_OFFSETS = tuple(
-    (Fraction(ux, 4), Fraction(vx, 4)) for ux in (1, 2, 3) for vx in (1, 2, 3)
-)
+# the 3x3 interior grid of an atom, in quarters of the atom's width and
+# of the torus's height
+_CLOUD_QUARTERS = tuple((u, v) for u in (1, 2, 3) for v in (1, 2, 3))
 
 
 def _every_atom(q: int, instead: str) -> range:
     """The indices of all q atoms, for a walk of one 3x3 cloud per atom;
     refused with ParamOutOfRange above `_GRID_POINT_BUDGET` points,
     naming the argument that picks fewer (`instead`)."""
-    points = q * len(_CLOUD_OFFSETS)
+    points = q * len(_CLOUD_QUARTERS)
     if points > _GRID_POINT_BUDGET:
         raise ParamOutOfRange(
-            f"visiting every atom takes {q} x {len(_CLOUD_OFFSETS)} = {points} "
+            f"visiting every atom takes {q} x {len(_CLOUD_QUARTERS)} = {points} "
             f"points, beyond the budget of {_GRID_POINT_BUDGET}; pass {instead}"
         )
     return range(q)
+
+
+def _atom_lattice(maps: StageMaps, stage: int, draws, grain: int):
+    """(M, points): for each (i, u, v) of `draws`, the point
+    ((i grain + u)/(q grain), v/grain) of atom i of T_q (q = q_stage) as
+    numerators over one modulus M at which the exact H_stage runs."""
+    q = maps.records[stage].q
+    M = lcm(q * grain, *(h.denominator_lcm() for h in maps.conjugations_exact[:stage]))
+    col, row = M // (q * grain), M // grain
+    return M, [[(i * grain + u) * col, v * row] for i, u, v in draws]
 
 
 def stage_partition(
@@ -840,25 +862,24 @@ def stage_partition(
 ) -> StagePartition:
     """Exact sample clouds of F_{q_stage} for the given atoms (all by
     default, which is refused with ParamOutOfRange above
-    `_GRID_POINT_BUDGET` points, 9 q; pass a subset when q is large)."""
+    `_GRID_POINT_BUDGET` points, 9 q; pass a subset when q is large).
+    The cloud points are pulled back as lattice integers and become
+    `TorusPoint`s only in the report."""
     maps._check_stage(stage)
     rec = maps.records[stage]
     try:
         chosen = tuple(_every_atom(rec.q, "atoms") if atoms is None else atoms)
     except TypeError:
         raise ParamOutOfRange(f"atoms must be a sequence of atom indices, got {atoms!r}") from None
-    clouds = []
     for i in chosen:
         if not (isinstance(i, int) and 0 <= i < rec.q):
             raise ParamOutOfRange(f"atom index {i!r} is not an integer in [0, {rec.q})")
-        cloud = []
-        for (u, v) in _CLOUD_OFFSETS:
-            w = TorusPoint((Fraction(i + u, rec.q) % 1, v))
-            cloud.append(maps.apply_exact(w, stage, inverse=True))
-        clouds.append(tuple(cloud))
-    return StagePartition(
-        level=stage, q=rec.q, p=rec.p, atoms=chosen, samples=tuple(clouds)
-    )
+    M, pts = _atom_lattice(maps, stage, ((i, u, v) for i in chosen for u, v in _CLOUD_QUARTERS), 4)
+    images = [TorusPoint(Fraction(y, M) for y in maps.apply_lattice(ys, M, stage, inverse=True)[0])
+              for ys in pts]
+    n = len(_CLOUD_QUARTERS)
+    clouds = tuple(tuple(images[j:j + n]) for j in range(0, len(images), n))
+    return StagePartition(level=stage, q=rec.q, p=rec.p, atoms=chosen, samples=clouds)
 
 
 @dataclass(frozen=True)
@@ -888,13 +909,6 @@ class ConjugacyReport:
         return self.fraction >= self.threshold
 
 
-def _classify(maps: StageMaps, x: TorusPoint, stage: int, q: int) -> int:
-    """Index of the F_q atom containing x: push forward with the exact
-    H_stage and read off the T_q block."""
-    y = maps.apply_exact(x, stage)
-    return int(y[0] * q)
-
-
 def verify_cyclic_permutation(
     maps: StageMaps,
     stage: int,
@@ -907,45 +921,53 @@ def verify_cyclic_permutation(
     With samples=None every atom is visited with a 3x3 interior cloud,
     which is refused with ParamOutOfRange above `_GRID_POINT_BUDGET`
     points (9 q); otherwise the given number of seeded random
-    (atom, interior point) pairs is drawn.  Exact model: membership must
-    be perfect.  Analytic model: the fraction must reach 1 - 2 eps_n,
-    the rest being attributable to the collar sets; sample points are
-    exact rationals moved through the rational analytic path, so the
-    verdict is deterministic.
+    (atom, interior point) pairs is drawn. Each sample is a lattice point
+    of T_q's atom i, carried as integer numerators over one modulus M
+    from the draw to its atom index: pulled back by the exact H^{-1},
+    moved by T_stage (H, the rotation by p/q as p (M/q), H^{-1}), pushed
+    forward by the exact H and read off as atom y_1 // (M/q). Exact
+    model: T_stage is exact and membership must be perfect. Analytic
+    model: T_stage runs the rational analytic path, which may grow M, and
+    the fraction must reach 1 - 2 eps_n, the rest being attributable to
+    the collar sets; the verdict is deterministic.
     """
     maps._check_stage(stage)
     if model == "exact":
-        threshold, evaluated = Fraction(1), "exact"
+        threshold = Fraction(1)
     elif model == "analytic":
-        threshold, evaluated = 1 - 2 * maps._analytic(stage).eps, "rational"
+        threshold = 1 - 2 * maps._analytic(stage).eps
     else:
         raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
     rec = maps.records[stage]
     q, p = rec.q, rec.p
-    pairs = []
     if samples is None:
-        for i in _every_atom(q, "samples"):
-            for (u, v) in _CLOUD_OFFSETS:
-                pairs.append((i, u, v))
+        grain = 4
+        draws = [(i, u, v) for i in _every_atom(q, "samples") for u, v in _CLOUD_QUARTERS]
     else:
         require_int(samples, 1, "samples")
         require_int(seed, 0, "seed")
+        grain = 2**17
         rng = np.random.default_rng(seed)
+        draws = []
         for _ in range(samples):
             i = int(rng.integers(0, q))
-            u = Fraction(2 * int(rng.integers(0, 2**16)) + 1, 2**17)
-            v = Fraction(2 * int(rng.integers(0, 2**16)) + 1, 2**17)
-            pairs.append((i, u, v))
+            u = 2 * int(rng.integers(0, 2**16)) + 1
+            v = 2 * int(rng.integers(0, 2**16)) + 1
+            draws.append((i, u, v))
+    M, pts = _atom_lattice(maps, stage, draws, grain)
     hits = 0
-    for (i, u, v) in pairs:
-        w = TorusPoint((Fraction(i + u, q) % 1, v))
-        z = maps.apply_exact(w, stage, inverse=True)
-        t = TorusPoint(eval_stage_map(maps, z, evaluated, 1, stage))
-        if _classify(maps, t, stage, q) == (i + p) % q:
+    for (i, _, _), ys in zip(draws, pts):
+        ys, _ = maps.apply_lattice(ys, M, stage, inverse=True)
+        ys, D = maps.apply_lattice(ys, M, stage, model)
+        ys[0] = (ys[0] + p * (D // q)) % D
+        ys, D = maps.apply_lattice(ys, D, stage, model, inverse=True)
+        # D is a multiple of M, so the exact H_stage runs at D too
+        ys, D = maps.apply_lattice(ys, D, stage)
+        if ys[0] // (D // q) == (i + p) % q:
             hits += 1
     return ConjugacyReport(
         scenario=maps.scenario, stage=stage, model=model, q=q, p=p,
-        samples=len(pairs), hits=hits, threshold=threshold,
+        samples=len(draws), hits=hits, threshold=threshold,
     )
 
 
@@ -977,7 +999,10 @@ def check_stage_commutation(
     in all three senses: exact rational identity on random points,
     structural periodicity of the conjugation in both models, and
     pointwise equality through the rational analytic path (an exact
-    zero, not a tolerance).
+    zero, not a tolerance). The samples are lattice integers over one
+    modulus M, a multiple of 2^24, of q_{stage-1} and of h's
+    `denominator_lcm()`, and the rotation adds p (M/q); both sides run
+    through `on_lattice`.
 
     Stages without an analytic conjugation are checked in the exact and
     structural senses only (the structural check then reads the exact
@@ -986,36 +1011,37 @@ def check_stage_commutation(
     maps._check_stage(stage)
     require_int(samples, 1, "samples")
     require_int(seed, 0, "seed")
-    alpha = maps.records[stage - 1].alpha
+    prev = maps.records[stage - 1]
     h_ex = maps.conjugations_exact[stage - 1]
     h_an = maps.conjugations_analytic[stage - 1]
+    M = lcm(2**24, prev.q, h_ex.denominator_lcm())
+    unit, shift = M // 2**24, prev.p * (M // prev.q) % M
     rng = np.random.default_rng(seed)
     exact_ok = True
     worst = Fraction(0)
     for _ in range(samples):
-        x = TorusPoint((
-            Fraction(int(rng.integers(0, 2**24)), 2**24),
-            Fraction(int(rng.integers(0, 2**24)), 2**24),
-        ))
-        lhs = h_ex(x.shifted(0, alpha))
-        rhs = h_ex(x).shifted(0, alpha)
-        if lhs.coords != rhs.coords:
+        x = [int(rng.integers(0, 2**24)) * unit, int(rng.integers(0, 2**24)) * unit]
+        lhs, _ = h_ex.on_lattice([(x[0] + shift) % M, x[1]], M)
+        rhs, _ = h_ex.on_lattice(x[:], M)
+        rhs[0] = (rhs[0] + shift) % M
+        if lhs != rhs:
             exact_ok = False
         if h_an is None:
             continue
-        la = h_an.transform_rational((x[0] + alpha, x[1]))
-        ra = h_an.transform_rational(x.coords)
-        ra = (mod1(ra[0] + alpha),) + tuple(ra[1:])
+        la, Dl = h_an.on_lattice([(x[0] + shift) % M, x[1]], M)
+        ra, Dr = h_an.on_lattice(x, M)
+        ra[0] = (ra[0] + prev.p * (Dr // prev.q)) % Dr
+        D = lcm(Dl, Dr)
         for a, b in zip(la, ra):
-            d = abs(a - b)
-            worst = max(worst, min(d, 1 - d))
-    q_prev = maps.records[stage - 1].q
-    structural = h_ex.commutes_with_rotation(q_prev) and (
-        h_an is None or h_an.commutes_with_rotation(q_prev)
+            d = abs(a * (D // Dl) - b * (D // Dr))
+            if d:
+                worst = max(worst, Fraction(min(d, D - d), D))
+    structural = h_ex.commutes_with_rotation(prev.q) and (
+        h_an is None or h_an.commutes_with_rotation(prev.q)
     )
     return CommutationReport(
         stage=stage,
-        alpha=alpha,
+        alpha=prev.alpha,
         exact_identity=exact_ok,
         structural=structural,
         analytic_residual=worst,
@@ -1082,6 +1108,16 @@ def correspondence(maps: StageMaps, level_from: int, level_to: int) -> Correspon
     return out
 
 
+def _float_atom(part: PartitionSpec, x: float) -> int:
+    """The atom of a column partition (blocks or a tower: unions of
+    full-height columns, so an atom reads x1 alone) that holds the points
+    with first coordinate x, a float in [0, 1], read exactly as n/d from
+    `float.as_integer_ratio`; 1.0, which a float reduction mod 1 can
+    round up to, is read as 0."""
+    n, d = x.as_integer_ratio()
+    return part.lattice_atom((n % d,), d)
+
+
 @dataclass(frozen=True)
 class CorrespondenceDefect:
     """Symmetric-difference bookkeeping for one conjugation step: how
@@ -1110,7 +1146,9 @@ def correspondence_defect(
     with ParamOutOfRange.  Analytic model: seeded Monte Carlo over the
     torus; each sample charges 1/samples to the source atom it leaves
     and the image atom it wrongly enters; refused for stages built
-    without an analytic conjugation.
+    without an analytic conjugation. Both atoms are read exactly off the
+    float point and its float image, as lattice integers from
+    `float.as_integer_ratio`.
     """
     maps._check_stage(stage)
     rec = maps.records[stage - 1]
@@ -1124,20 +1162,20 @@ def correspondence_defect(
         h_an = maps._analytic(stage)
         require_int(samples, 1, "samples")
         require_int(seed, 0, "seed")
-        defects = [Fraction(0)] * rec.q
+        blocks = PartitionSpec.blocks(rec.q)
+        misses = Counter()
         rng = np.random.default_rng(seed)
         pts = rng.random((2, samples))
         img = h_an.transform(pts)
-        weight = Fraction(1, samples)
-        for j in range(samples):
-            src = int(pts[0, j] * rec.q)
-            dst = tower.atom_index(
-                TorusPoint((Fraction(img[0, j]) % 1, Fraction(img[1, j]) % 1))
-            )
+        for x, y in zip(pts[0], img[0]):
+            src, dst = _float_atom(blocks, x), _float_atom(tower, y)
             if dst != src:
-                defects[src] += weight
-                defects[dst] += weight
-        return CorrespondenceDefect(stage, model, tuple(defects))
+                misses[src] += 1
+                misses[dst] += 1
+        per_atom = [Fraction(0)] * rec.q
+        for i, c in misses.items():
+            per_atom[i] = Fraction(c, samples)
+        return CorrespondenceDefect(stage, model, tuple(per_atom))
     raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
 
 

@@ -38,10 +38,13 @@ k = x[0] // pitch0 * rows + x[1] // pitch1 (row-major over the axes)
 and adds the offsets of box k. Translation's h_1 (3 grid-refinement
 shears, then 34,685 unstacking shears on 200 x 2 boxes) runs as 4 ops.
 
-`BlockSlideMap.__call__` runs the program on Python ints with
-`bisect_right` (M = lcm of L and the point's denominators) and
-`CompiledMap` on int64 arrays with `np.searchsorted`; the results are
-bit-identical to chaining `BlockSlideMove.apply`.
+`BlockSlideMap.on_lattice(ys, M)` is the one integer entry point: it
+runs the program in place on one point's numerators ys over a modulus M,
+a multiple of L, on Python ints with `bisect_right`. `__call__` puts a
+`TorusPoint` over M = lcm of L and its denominators, runs `on_lattice`
+and reads the point back; `CompiledMap` runs the same ops on int64
+arrays with `np.searchsorted`. The results are bit-identical to chaining
+`BlockSlideMove.apply`.
 """
 
 from __future__ import annotations
@@ -130,11 +133,20 @@ class BlockSlideMap:
     def __call__(self, x: TorusPoint) -> TorusPoint:
         if x.dim != self.dim:
             raise ParamOutOfRange(f"point has dim {x.dim}, map has dim {self.dim}")
-        prog = self._program
-        M = lcm(prog.L, *(c.denominator for c in x))
-        ys = [c.numerator * (M // c.denominator) for c in x]
-        _advance(ys, prog.ops(), M // prog.L, M, bisect_right)
+        M = lcm(self._program.L, *(c.denominator for c in x))
+        ys, M = self.on_lattice([c.numerator * (M // c.denominator) for c in x], M)
         return TorusPoint(Fraction(y, M) for y in ys)
+
+    def on_lattice(self, ys, M: int):
+        """The integer program in place on the numerators ys (Python ints
+        in [0, M)) of one point ys/M, where M is a multiple of
+        `denominator_lcm()`; returns (ys, M)."""
+        prog = self._program
+        c, rem = divmod(M, prog.L)
+        if rem:
+            raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")
+        _advance(ys, prog.ops(), c, M, bisect_right)
+        return ys, M
 
     def inverse(self) -> "BlockSlideMap":
         return _memo_inverse(self, lambda: BlockSlideMap(

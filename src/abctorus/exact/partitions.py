@@ -10,9 +10,10 @@ Every partition the constructions use has one of two shapes:
   of the columns [c/(kq), (c+1)/(kq)) x T^{d-1} with
   c = a(i)*k + i + m*k (mod kq); index = m.
 
-Each `PartitionSpec` provides an exact point -> atom index map (both
-scalar Fraction and vectorized integer-lattice versions) and knows the
-lcm of the denominators of its atom boundaries.
+Each `PartitionSpec` provides an exact point -> atom index map (on a
+`TorusPoint`, on one lattice point's Python-int numerators, and
+vectorized on int64 lattice arrays) and knows the lcm of the
+denominators of its atom boundaries.
 
 Grid layouts of the named constructors (documented so permutations are
 reproducible):
@@ -117,13 +118,22 @@ class PartitionSpec:
         counts = self.counts
         if x.dim != len(counts):
             raise ParamOutOfRange(f"point dim {x.dim} != partition dim {len(counts)}")
-        idx = int(x[0] * counts[0])
+        M = lcm(*(c.denominator for c in x))
+        return self.lattice_atom([c.numerator * (M // c.denominator) for c in x], M)
+
+    def lattice_atom(self, ys, M: int) -> int:
+        """Atom index of the lattice point ys/M, given by its numerators
+        ys (Python ints in [0, M)) over any positive modulus M. Trailing
+        coordinates on which the partition has one cell are not read and
+        may be left out."""
+        counts = self.counts
+        idx = ys[0] * counts[0] // M
         if self.a is not None:
             k = len(self.a)
             return (idx // k - self.a[idx % k]) % (counts[0] // k)
-        for xc, n in zip(x.coords[1:], counts[1:]):
+        for y, n in zip(ys[1:], counts[1:]):
             if n > 1:
-                idx = idx * n + int(xc * n)
+                idx = idx * n + y * n // M
         return idx
 
     def atom_index_grid(self, pts: "np.ndarray", M: int) -> "np.ndarray":

@@ -146,9 +146,10 @@ class MinimalConjugation:
     point by the cell offsets of its partner, read from a table of
     `minimal_quotient_perm`; h1 is the trapping shear run as its
     one-move block-slide program. The inverse runs the inverse shear
-    first, then the same involution. `__call__` runs the rule on Python
-    ints at M = lcm(L, the point's denominators), and `compiled(M)` on
-    int64 arrays, as `BlockSlideMap` does.
+    first, then the same involution. `on_lattice(ys, M)` runs the rule
+    on Python ints, `__call__` through it at M = lcm(L, the point's
+    denominators), and `compiled(M)` on int64 arrays, as `BlockSlideMap`
+    does.
     """
 
     dim = 2
@@ -162,9 +163,19 @@ class MinimalConjugation:
         if x.dim != 2:
             raise ParamOutOfRange(f"expected a 2-torus point, got dimension {x.dim}")
         M = lcm(self.denominator_lcm(), *(c.denominator for c in x))
-        ys = [c.numerator * (M // c.denominator) for c in x]
-        self._rule(ys, M, self._cells, self._shear._program.ops(), bisect_right)
+        ys, M = self.on_lattice([c.numerator * (M // c.denominator) for c in x], M)
         return TorusPoint(Fraction(y, M) for y in ys)
+
+    def on_lattice(self, ys, M: int):
+        """The integer rule in place on the numerators ys (two Python ints
+        in [0, M)) of one point ys/M, where M is a multiple of
+        `denominator_lcm()`; returns (ys, M)."""
+        if M % self.denominator_lcm():
+            raise ParamOutOfRange(
+                f"grid modulus {M} not a multiple of the lcm {self.denominator_lcm()}"
+            )
+        self._rule(ys, M, self._cells, self._shear._program.ops(), bisect_right)
+        return ys, M
 
     def _rule(self, x, M: int, cells, shear_ops, search):
         """The integer rule on x (a list of two ints or a (2, n) int64
@@ -209,8 +220,9 @@ class MinimalConjugation:
 
     def denominator_lcm(self) -> int:
         """The modulus L of the integer rule: the staircase's
-        denominators and the cell grid's pitches."""
-        return lcm(self.kappa.denominator_lcm(), self.comb.cols, self.comb.rows)
+        denominators (the modulus of the shear's program) and the cell
+        grid's pitches."""
+        return lcm(self._shear.denominator_lcm(), self.comb.cols, self.comb.rows)
 
     def move_count(self) -> int:
         """The involution's one cell lookup and the shear's one move."""

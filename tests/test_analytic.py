@@ -17,7 +17,6 @@ from abctorus.analytic import (
     approximate_blockslide,
     choose_amplitude,
     error_set,
-    proximity_sweep,
     step_to_plateau,
     stage_delta,
     stage_epsilon,
@@ -381,18 +380,6 @@ def test_verify_proximity_stage_profile():
 def test_verify_proximity_zero_profile():
     s = EntireStep((0.0, 0.0), 1, EPS_DEMO, DELTA_DEMO, 32)
     assert verify_proximity(s, plateau_target((Fraction(0), Fraction(0)), 1)) == 0.0
-
-
-def test_proximity_sweep_rows():
-    s = demo_step()
-    rows = proximity_sweep(s, plateau_target((Fraction(0), Fraction(1, 2)), 1), 64)
-    assert len(rows) == 64
-    flagged = [r for r in rows if r[3] == 1]
-    assert flagged  # the collars are visible at this density
-    for j, (x, tv, av, flag) in enumerate(rows):
-        assert x == Fraction(2 * j + 1, 128)
-        if not flag:
-            assert abs(av - float(tv)) < float(EPS_DEMO)
 
 
 # ---------------------------------------------------------------------------

@@ -418,13 +418,21 @@ class TestCorrespondence:
 # ---------------------------------------------------------------------------
 
 
+def _cloud_diameter(cloud) -> Fraction:
+    """Sup-metric torus diameter of a sample cloud."""
+    def gap(a, b):
+        return min(abs(a - b), 1 - abs(a - b))
+    return max((max(gap(a[c], b[c]) for c in range(a.dim))
+                for i, a in enumerate(cloud) for b in cloud[i + 1:]), default=F(0))
+
+
 class TestStagePartition:
     def test_clouds_and_diameters(self, circle2):
         part = stage_partition(circle2, 1)
         assert (part.q, part.p, part.level) == (144, 49, 1)
         assert len(part.samples) == 144
         assert all(len(c) == 9 for c in part.samples)
-        diams = part.diameters()
+        diams = [_cloud_diameter(c) for c in part.samples]
         assert max(diams) == F(13, 288)  # frozen; well under 1/2 = dim/l
         assert max(diams) <= F(1, 2)
 

@@ -18,6 +18,11 @@ layout of `BENCH_compose.json`: a header ("what", "command", "pairs",
 correctness, attempted/failed counts and the four end-to-end metrics.
 The script also prints, per workload and metric, the median of each
 side, the parent's quartile spread and how many pairs the change won.
+
+If a run fails (a non-zero exit or a timeout), no further run starts:
+`BENCH_<tag>.json` is written with the runs collected so far and a
+"failed" record naming the workload, seed, side and exit code, and the
+script exits with status 1.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ def summary(runs) -> None:
             if r["w"] == w:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if len(p) == 2]
+        if not pairs:
+            continue
         for m in METRICS:
             par = [p["parent"][m] for p in pairs]
             chg = [p["change"][m] for p in pairs]
@@ -105,17 +112,24 @@ def main() -> None:
     workloads = args.workloads.split(",")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
-    runs = []
+    runs, failed = [], None
     with tempfile.TemporaryDirectory() as tmp:
         sha = unpack(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
-        for w in workloads:
-            for i, seed in enumerate(args.seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_side(sides[side], w, seed, seconds)
-                    runs.append(record(w, seed, side, result))
-                    print(json.dumps(runs[-1]), flush=True)
+        plan = [(w, seed, side) for w in workloads for i, seed in enumerate(args.seeds)
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+        for w, seed, side in plan:
+            try:
+                result = run_side(sides[side], w, seed, seconds)
+            except subprocess.SubprocessError as exc:
+                stderr = getattr(exc, "stderr", None)
+                failed = {"w": w, "seed": seed, "side": side,
+                          "exit_code": getattr(exc, "returncode", None), "error": str(exc),
+                          "stderr_tail": stderr[-2000:] if isinstance(stderr, str) else None}
+                print(json.dumps(failed), file=sys.stderr, flush=True)
+                break
+            runs.append(record(w, seed, side, result))
+            print(json.dumps(runs[-1]), flush=True)
 
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}" if len(args.seeds) > 1 else str(args.seeds[0])
     out = {
@@ -129,10 +143,15 @@ def main() -> None:
                    f"{platform.python_version()}, one run at a time",
         "runs": runs,
     }
+    if failed is not None:
+        out["failed"] = failed
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     summary(runs)
+    if failed is not None:
+        sys.exit(f"run failed: {failed['w']} seed {failed['seed']} on the {failed['side']} "
+                 f"side (exit code {failed['exit_code']}); {len(runs)} runs kept in {path}")
 
 
 if __name__ == "__main__":
