@@ -700,11 +700,11 @@ class AnalyticBlockSlide:
         bit.
         """
         for mv in self.moves:
-            step = mv.step
-            if step is None:
+            if mv.is_constant:
                 num, den = mv.constant.numerator, mv.constant.denominator
             else:
-                num, den = step.eval_at_rational(ys[mv.source], D).as_integer_ratio()
+                val = mv.step.eval_at_rational(ys[mv.source], D)
+                num, den = val.as_integer_ratio()
             if D % den:
                 grow = den // gcd(D, den)
                 D *= grow

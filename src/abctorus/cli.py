@@ -1,19 +1,18 @@
 """Command line: build a scenario and print its stage reports as JSON.
 
-    abctorus run circle [--stages 2] [--samples 64] [--seed 0]
-    abctorus run translation
-    abctorus run minimal [--stages 1]
+    abctorus run {circle,translation,minimal}
 
-The scenarios are built at the toy sizes the benchmark uses: the circle
-scenario from q0 = 3 with l = 4, the translation scenario along
+The scenarios are built at the toy sizes the benchmark uses: two circle
+stages from q0 = 3 with l = 4, one translation stage along
 `translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)`
-(one stage of 34,688 shears, exact only) and the minimality scenario at
-n = 2, l = 4, q = 3, r = 2. For every stage the output holds the
-conjugacy report of each model, the commutation report and the
-correspondence defect of each model. A report the engine refuses (no
-analytic model, a box lattice beyond the oracle's budget) is printed as
-{"refused": "<error class>: <message>"}. Fractions are printed as
-"p/q" strings, and a defect lists only its atoms with a nonzero share.
+(34,688 shears, exact only) and one minimality stage at n = 2, l = 4,
+q = 3, r = 2. For every stage the output holds the conjugacy report of
+each model, the commutation report and the correspondence defect of each
+model, each drawn from SAMPLES verifier samples at seed SEED. A report
+the engine refuses (no analytic model, a box lattice beyond the
+oracle's budget) is printed as {"refused": "<error class>: <message>"}.
+Fractions are printed as "p/q" strings, and a defect lists only its
+atoms with a nonzero share.
 """
 
 from __future__ import annotations
@@ -30,12 +29,13 @@ from .bounds import translation_params
 from .errors import AbcTorusError
 
 SCENARIOS = {
-    "circle": lambda stages: engine.run_circle_scenario(stages, q0=3, l=4),
-    "translation": lambda stages: engine.run_translation_scenario(
-        translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), stages),
-    "minimal": lambda stages: engine.run_minimal_scenario(n=2, l=4, q=3, r=2, stages=stages),
+    "circle": lambda: engine.run_circle_scenario(2, q0=3, l=4),
+    "translation": lambda: engine.run_translation_scenario(
+        translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1),
+    "minimal": lambda: engine.run_minimal_scenario(n=2, l=4, q=3, r=2, stages=1),
 }
-DEFAULT_STAGES = {"circle": 2, "translation": 1, "minimal": 1}
+SAMPLES = 64
+SEED = 0
 
 
 def _plain(value):
@@ -54,8 +54,10 @@ def _report(make: Callable[[], object]) -> dict:
         r = make()
     except AbcTorusError as exc:
         return {"refused": f"{type(exc).__name__}: {exc}"}
-    out = {f.name: _plain(getattr(r, f.name)) for f in dataclasses.fields(r)}
-    if isinstance(r, engine.CorrespondenceDefect):
+    defect = isinstance(r, engine.CorrespondenceDefect)
+    out = {f.name: _plain(getattr(r, f.name)) for f in dataclasses.fields(r)
+           if not (defect and f.name == "per_atom")}
+    if defect:
         out["atoms"] = len(r.per_atom)
         out["per_atom"] = {i: str(d) for i, d in enumerate(r.per_atom) if d}
         out["total"] = str(r.total)
@@ -64,7 +66,7 @@ def _report(make: Callable[[], object]) -> dict:
     return out
 
 
-def stage_reports(maps: engine.StageMaps, samples: int, seed: int) -> list:
+def stage_reports(maps: engine.StageMaps) -> list:
     """Per stage: conjugacy in both models, commutation, defect in both models."""
     out = []
     for stage in range(1, maps.stage_count + 1):
@@ -74,11 +76,11 @@ def stage_reports(maps: engine.StageMaps, samples: int, seed: int) -> list:
             "p": rec.p,
             "q": rec.q,
             "conjugacy": {m: _report(lambda m=m: engine.verify_cyclic_permutation(
-                maps, stage, m, samples, seed)) for m in ("exact", "analytic")},
+                maps, stage, m, SAMPLES, SEED)) for m in ("exact", "analytic")},
             "commutation": _report(lambda: engine.check_stage_commutation(
-                maps, stage, samples, seed)),
+                maps, stage, SAMPLES, SEED)),
             "defect": {m: _report(lambda m=m: engine.correspondence_defect(
-                maps, stage, m, seed=seed)) for m in ("exact", "analytic")},
+                maps, stage, m, seed=SEED)) for m in ("exact", "analytic")},
         })
     return out
 
@@ -88,17 +90,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="build a scenario and print its stage reports")
     run.add_argument("scenario", choices=sorted(SCENARIOS))
-    run.add_argument("--stages", type=int, help="stages to build (default: 2 circle, 1 otherwise)")
-    run.add_argument("--samples", type=int, default=64, help="verifier samples per stage")
-    run.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    stages = DEFAULT_STAGES[args.scenario] if args.stages is None else args.stages
-    try:
-        maps = SCENARIOS[args.scenario](stages)
-        reports = stage_reports(maps, args.samples, args.seed)
-    except AbcTorusError as exc:
-        print(f"abctorus: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    reports = stage_reports(SCENARIOS[args.scenario]())
     json.dump({"scenario": args.scenario, "stages": reports}, sys.stdout, indent=1)
     print()
     return 0

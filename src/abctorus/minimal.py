@@ -220,9 +220,8 @@ class MinimalConjugation:
 
     def denominator_lcm(self) -> int:
         """The modulus L of the integer rule: the staircase's
-        denominators (the modulus of the shear's program) and the cell
-        grid's pitches."""
-        return lcm(self._shear.denominator_lcm(), self.comb.cols, self.comb.rows)
+        denominators and the cell grid's pitches."""
+        return lcm(self.kappa.denominator_lcm(), self.comb.cols, self.comb.rows)
 
     def move_count(self) -> int:
         """The involution's one cell lookup and the shear's one move."""

@@ -16,14 +16,14 @@ def run(capsys, *argv) -> dict:
 
 
 def test_circle_reports_every_stage(capsys):
-    out = run(capsys, "circle", "--stages", "2", "--samples", "16", "--seed", "3")
+    out = run(capsys, "circle")
     assert out["scenario"] == "circle"
     assert [(s["stage"], s["p"], s["q"]) for s in out["stages"]] == [
         (1, 49, 144), (2, 112897, 331776)]
     for s in out["stages"]:
         for model in ("exact", "analytic"):
             report = s["conjugacy"][model]
-            assert report["passed"] and report["samples"] == 16
+            assert report["passed"] and report["samples"] == 64
         assert s["commutation"]["passed"] and s["commutation"]["analytic_residual"] == "0"
         assert s["defect"]["exact"]["total"] == "0"
         assert s["defect"]["exact"]["per_atom"] == {}
@@ -31,15 +31,15 @@ def test_circle_reports_every_stage(capsys):
 
 
 def test_translation_prints_refusals(capsys):
-    out = run(capsys, "translation", "--samples", "2")
+    out = run(capsys, "translation")
     (stage,) = out["stages"]
-    assert stage["conjugacy"]["exact"]["hits"] == 2
+    assert stage["conjugacy"]["exact"]["hits"] == 64
     assert stage["conjugacy"]["analytic"]["refused"].startswith("ParamOutOfRange")
     assert stage["defect"]["exact"]["refused"].startswith("ParamOutOfRange")
 
 
 def test_minimal(capsys):
-    out = run(capsys, "minimal", "--samples", "4")
+    out = run(capsys, "minimal")
     (stage,) = out["stages"]
     assert stage["conjugacy"]["exact"]["passed"]
     assert stage["commutation"]["passed"]
@@ -49,7 +49,3 @@ def test_unknown_scenario_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["run", "sphere"])
 
-
-def test_refused_build_exits_nonzero(capsys):
-    assert main(["run", "circle", "--stages", "0"]) == 2
-    assert "ParamOutOfRange" in capsys.readouterr().err
