@@ -91,7 +91,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -99,7 +99,7 @@ from mpmath import mp
 
 from .errors import ParamOutOfRange, RangeOverflow
 from .exact.blockslide import BlockSlideMap
-from .exact.points import TorusPoint, as_fraction, as_fractions, mod1
+from .exact.points import TorusPoint, as_fraction, from_lattice, mod1, to_lattice
 from .exact.steps import StepFunction
 from .towers import WORK_PREC, exact_mpf, require_int, require_real
 
@@ -677,14 +677,7 @@ class AnalyticBlockSlide:
         through `on_lattice`. A non-finite or malformed coordinate is
         refused with ParamOutOfRange.
         """
-        xs = as_fractions(coords)
-        if len(xs) != self.dim:
-            raise ParamOutOfRange(
-                f"expected a point of dimension {self.dim}, got {len(xs)}"
-            )
-        D = lcm(*(c.denominator for c in xs))
-        ys, D = self.on_lattice([c.numerator * (D // c.denominator) % D for c in xs], D)
-        return tuple(Fraction(y, D) for y in ys)
+        return from_lattice(*self.on_lattice(*to_lattice(coords, self.dim))).coords
 
     def on_lattice(self, ys, D: int):
         """The rational analytic path in place on the numerators ys

@@ -347,10 +347,6 @@ class GapBound:
             raise ParamOutOfRange("neglog gap certificate must be positive")
 
     @classmethod
-    def exact_zero(cls) -> "GapBound":
-        return cls(zero=True)
-
-    @classmethod
     def from_fraction(cls, f) -> "GapBound":
         f = Fraction(f)
         if f == 0:

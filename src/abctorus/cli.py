@@ -54,12 +54,8 @@ def _report(make: Callable[[], object]) -> dict:
         r = make()
     except AbcTorusError as exc:
         return {"refused": f"{type(exc).__name__}: {exc}"}
-    defect = isinstance(r, engine.CorrespondenceDefect)
-    out = {f.name: _plain(getattr(r, f.name)) for f in dataclasses.fields(r)
-           if not (defect and f.name == "per_atom")}
-    if defect:
-        out["atoms"] = len(r.per_atom)
-        out["per_atom"] = {i: str(d) for i, d in enumerate(r.per_atom) if d}
+    out = {f.name: _plain(getattr(r, f.name)) for f in dataclasses.fields(r)}
+    if isinstance(r, engine.CorrespondenceDefect):
         out["total"] = str(r.total)
     else:
         out["passed"] = r.passed

@@ -54,7 +54,7 @@ from .exact.builders import (
 )
 from .exact.oracle import _GRID_POINT_BUDGET, misplaced_boxes
 from .exact.partitions import PartitionSpec
-from .exact.points import TorusPoint, mod1
+from .exact.points import TorusPoint, from_lattice, mod1, to_lattice
 from .minimal import minimal_stage
 from .towers import require_int
 
@@ -180,26 +180,29 @@ class Conjugation(Protocol):
     """An exact stage conjugation h_n: a rigid permutation of lattice
     boxes of the 2-torus that commutes with the previous rotation.
 
-    Implemented by `BlockSlideMap` and by the O(1) minimality-stage
-    evaluator `MinimalConjugation`. Both evaluate through one integer
-    rule at a modulus M, a multiple of `denominator_lcm()`, whose one
-    entry point on Python ints is `on_lattice(ys, M)`: the rule run in
-    place on one point's numerators. `__call__` is "to ints,
-    `on_lattice`, back to a `TorusPoint`", the verifiers carry their
-    samples through `on_lattice` from draw to atom index, and
-    `compiled(M)` runs the same rule on int64 arrays, which is what the
-    lattice oracle walks. The engine needs nothing else of a
+    Implemented by `BlockSlideMap` and by the minimality-stage
+    conjugation `MinimalConjugation`. Both are one kind of integer
+    program (`exact.blockslide._Program`) at a modulus M, a multiple of
+    `denominator_lcm()`, whose one entry point on Python ints is
+    `on_lattice(ys, M)`: the program run in place on one point's
+    numerators. `__call__` is "to ints, `on_lattice`, back to a
+    `TorusPoint`", the verifiers carry their samples through
+    `on_lattice` from draw to atom index, and `compiled(M)` (a
+    `CompiledMap`) runs the same program on int64 arrays, which is what
+    the lattice oracle walks. The engine needs nothing else of a
     conjugation.
 
-    Rigidity is also what makes the rules cheap. A map that translates
-    every box of a lattice rigidly onto a box moves each point by the
-    displacement of its box's corner, so one lookup of the box
-    k = x1 // pitch1 * rows + x2 // pitch2 in a table of per-box offsets
-    replaces it. `MinimalConjugation` runs its involution that way, and
-    a `BlockSlideMap` runs each run of moves whose joint lattice has at
-    most 2^16 boxes as one such table (translation's 34,685 unstacking
-    shears on 200 x 2 boxes become one lookup); `move_count()` still
-    counts the moves.
+    Rigidity is also what makes the programs cheap. A map that
+    translates every box of a lattice rigidly onto a box moves each
+    point by the displacement of its box's corner, so one lookup of the
+    box k = x1 // pitch1 % cols * rows + x2 // pitch2 % rows in a table
+    of signed per-box offsets replaces it, a table that may repeat along
+    an axis. `MinimalConjugation` runs its involution as one such table
+    on the l^2 x l r class grid, repeating with period 1/(l q) along x1,
+    and a `BlockSlideMap` runs each run of moves whose joint lattice has
+    at most 2^16 boxes as one (translation's 34,685 unstacking shears on
+    200 x 2 boxes become one lookup); `move_count()` still counts the
+    moves.
     """
 
     dim: int
@@ -246,7 +249,7 @@ class StageIncrement:
     """One built conjugation plus the parameter advance it entails.
 
     exact is the stage conjugation in the exact model (a block-slide map,
-    or the O(1) minimality-stage evaluator).  analytic may be None for
+    or the minimality-stage conjugation).  analytic may be None for
     stages whose entire counterpart was not built (oversized
     realizations); exact-model workflows are unaffected.
     """
@@ -335,8 +338,17 @@ class StageMaps:
             x = step(h, x)
         return x
 
+    def _lattice_lcm(self, stage: int) -> int:
+        """The lcm of h_1, ..., h_stage's exact `denominator_lcm()`: the
+        smallest modulus at which the exact H_stage runs."""
+        return lcm(*(h.denominator_lcm() for h in self.conjugations_exact[:stage]))
+
     def apply_exact(self, x: TorusPoint, stage: int, inverse: bool = False) -> TorusPoint:
-        return self._apply(self.conjugations_exact, x, stage, inverse, lambda h, y: h(y))
+        """H_stage (or its inverse) on an exact point, through
+        `apply_lattice` over M = lcm of the point's denominators and the
+        stack's `_lattice_lcm`."""
+        ys, M = to_lattice(x, self.dim, self._lattice_lcm(self._check_stage(stage)))
+        return from_lattice(*self.apply_lattice(ys, M, stage, inverse=inverse))
 
     def apply_analytic(
         self, pts: np.ndarray, stage: int, inverse: bool = False
@@ -349,9 +361,10 @@ class StageMaps:
         self, coords: Sequence, stage: int, inverse: bool = False
     ) -> Tuple[Fraction, ...]:
         """H_stage (or its inverse) through the exact-rational analytic
-        path (entire-step values frozen to their float rationals)."""
-        return self._apply(self.conjugations_analytic, coords, stage, inverse,
-                           lambda h, y: h.transform_rational(y))
+        path (entire-step values frozen to their float rationals), through
+        `apply_lattice` over the lcm of the point's denominators."""
+        ys, D = to_lattice(coords, self.dim)
+        return from_lattice(*self.apply_lattice(ys, D, stage, "analytic", inverse)).coords
 
     def apply_lattice(
         self, ys: List[int], M: int, stage: int, model: str = "exact", inverse: bool = False
@@ -762,9 +775,11 @@ def eval_stage_map(
     analytic model takes a coordinate sequence or (dim, n) array of
     floats and returns the matching shape; the rational model runs the
     exact-rational analytic path on a coordinate sequence and returns a
-    tuple of Fractions.  The rotation is applied as one exact multiple
-    power*alpha mod 1, so the guard on |power| only protects against
-    meaninglessly large requests.
+    tuple of Fractions.  The exact and rational models carry the point
+    as lattice integers through `StageMaps.apply_lattice`, with one
+    conversion in and one out.  The rotation is applied as one exact
+    multiple power*alpha mod 1, so the guard on |power| only protects
+    against meaninglessly large requests.
     """
     stage = maps.stage_count if stage is None else stage
     maps._check_stage(stage)
@@ -774,13 +789,17 @@ def eval_stage_map(
             f"power must be an integer with |power| <= q_n * {ROTATION_POWER_CAP}, "
             f"got {power!r}"
         )
-    shift = mod1(power * rec.alpha)
-    if model == "exact":
-        if not isinstance(x, TorusPoint):
-            x = TorusPoint(x)
-        y = maps.apply_exact(x, stage)
-        y = y.shifted(0, shift)
-        return maps.apply_exact(y, stage, inverse=True)
+    if model in ("exact", "rational"):
+        # one conversion in and one out, at a modulus M that q divides
+        # (the rational path only grows M by factors), so the rotation is
+        # the integer power p (M/q)
+        exact = model == "exact"
+        lattice = "exact" if exact else "analytic"
+        ys, M = to_lattice(x, maps.dim, lcm(rec.q, maps._lattice_lcm(stage)) if exact else rec.q)
+        ys, M = maps.apply_lattice(ys, M, stage, lattice)
+        ys[0] = (ys[0] + power * rec.p * (M // rec.q)) % M
+        y = from_lattice(*maps.apply_lattice(ys, M, stage, lattice, inverse=True))
+        return y if exact else y.coords
     if model == "analytic":
         try:
             arr = np.asarray(x, dtype=float)
@@ -789,13 +808,9 @@ def eval_stage_map(
         single = arr.ndim == 1
         pts = arr.reshape(-1, 1) if single else arr
         out = maps.apply_analytic(pts, stage).copy()
-        out[0] = (out[0] + float(shift)) % 1.0
+        out[0] = (out[0] + float(mod1(power * rec.alpha))) % 1.0
         out = maps.apply_analytic(out, stage, inverse=True)
         return tuple(float(v) for v in out[:, 0]) if single else out
-    if model == "rational":
-        y = maps.apply_analytic_rational(x, stage)
-        y = (mod1(y[0] + shift),) + tuple(y[1:])
-        return maps.apply_analytic_rational(y, stage, inverse=True)
     raise ParamOutOfRange(
         f"model must be 'exact', 'analytic' or 'rational', got {model!r}"
     )
@@ -852,7 +867,7 @@ def _atom_lattice(maps: StageMaps, stage: int, draws, grain: int):
     ((i grain + u)/(q grain), v/grain) of atom i of T_q (q = q_stage) as
     numerators over one modulus M at which the exact H_stage runs."""
     q = maps.records[stage].q
-    M = lcm(q * grain, *(h.denominator_lcm() for h in maps.conjugations_exact[:stage]))
+    M = lcm(q * grain, maps._lattice_lcm(stage))
     col, row = M // (q * grain), M // grain
     return M, [[(i * grain + u) * col, v * row] for i, u, v in draws]
 
@@ -875,8 +890,7 @@ def stage_partition(
         if not (isinstance(i, int) and 0 <= i < rec.q):
             raise ParamOutOfRange(f"atom index {i!r} is not an integer in [0, {rec.q})")
     M, pts = _atom_lattice(maps, stage, ((i, u, v) for i in chosen for u, v in _CLOUD_QUARTERS), 4)
-    images = [TorusPoint(Fraction(y, M) for y in maps.apply_lattice(ys, M, stage, inverse=True)[0])
-              for ys in pts]
+    images = [from_lattice(*maps.apply_lattice(ys, M, stage, inverse=True)) for ys in pts]
     n = len(_CLOUD_QUARTERS)
     clouds = tuple(tuple(images[j:j + n]) for j in range(0, len(images), n))
     return StagePartition(level=stage, q=rec.q, p=rec.p, atoms=chosen, samples=clouds)
@@ -1121,15 +1135,18 @@ def _float_atom(part: PartitionSpec, x: float) -> int:
 @dataclass(frozen=True)
 class CorrespondenceDefect:
     """Symmetric-difference bookkeeping for one conjugation step: how
-    much of h^{-1} R_i differs from the coarse atom Delta_i."""
+    much of h^{-1} R_i differs from the coarse atom Delta_i, for each of
+    the `atoms` atoms. `nonzero` holds the (i, defect) pairs of the atoms
+    with a nonzero defect, in increasing i; every other atom's is 0."""
 
     stage: int
     model: str
-    per_atom: Tuple[Fraction, ...]
+    atoms: int
+    nonzero: Tuple[Tuple[int, Fraction], ...]
 
     @property
     def total(self) -> Fraction:
-        return sum(self.per_atom, Fraction(0))
+        return sum((d for _, d in self.nonzero), Fraction(0))
 
 
 def correspondence_defect(
@@ -1156,8 +1173,8 @@ def correspondence_defect(
     if model == "exact":
         h = maps.conjugations_exact[stage - 1]
         misplaced, boxes = misplaced_boxes(h, PartitionSpec.blocks(rec.q), tower)
-        return CorrespondenceDefect(
-            stage, model, tuple(Fraction(int(c), boxes) for c in misplaced))
+        return CorrespondenceDefect(stage, model, rec.q, tuple(
+            (int(i), Fraction(int(misplaced[i]), boxes)) for i in np.flatnonzero(misplaced)))
     if model == "analytic":
         h_an = maps._analytic(stage)
         require_int(samples, 1, "samples")
@@ -1172,10 +1189,8 @@ def correspondence_defect(
             if dst != src:
                 misses[src] += 1
                 misses[dst] += 1
-        per_atom = [Fraction(0)] * rec.q
-        for i, c in misses.items():
-            per_atom[i] = Fraction(c, samples)
-        return CorrespondenceDefect(stage, model, tuple(per_atom))
+        return CorrespondenceDefect(stage, model, rec.q, tuple(
+            (i, Fraction(c, samples)) for i, c in sorted(misses.items())))
     raise ParamOutOfRange(f"model must be 'exact' or 'analytic', got {model!r}")
 
 

@@ -2,8 +2,11 @@
 
 Everything in this subpackage is exact and uses no floating point.
 Points and step data are `fractions.Fraction`s; block-slide maps also
-run as integer programs, on Python ints and on int64 arrays, with every
-coordinate a numerator over one common modulus. Points live on the
+run as integer programs of shear moves and cell tables, on Python ints
+and on int64 arrays, with every coordinate a numerator over one common
+modulus (`points.to_lattice` and `points.from_lattice` convert), and
+the minimality conjugation of `abctorus.minimal` runs as the same kind
+of program. Points live on the
 d-torus with coordinates in [0, 1), step functions are finite
 piecewise-constant functions with rational breakpoints and values, and
 the maps are compositions of coordinate shears ("block-slide" moves)

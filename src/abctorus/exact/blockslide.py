@@ -33,17 +33,23 @@ lattice rigidly too, so the whole run moves every point by the
 displacement of its box's corner. `_Program.build` cuts the move list
 greedily into maximal runs of at most `_TABLE_BOXES` joint boxes, and a
 run of two or more moves becomes a `_CellTable`: per box, its image's
-offset along each axis in boxes. The op finds the box of x with
-k = x[0] // pitch0 * rows + x[1] // pitch1 (row-major over the axes)
-and adds the offsets of box k. Translation's h_1 (3 grid-refinement
-shears, then 34,685 unstacking shears on 200 x 2 boxes) runs as 4 ops.
+signed offset along each axis in boxes. With n_a boxes along axis a,
+the op finds the box of x with k = x[0] // pitch0 % n0 * n1 +
+x[1] // pitch1 % n1 (row-major over the axes) and adds the offsets of
+box k. Translation's h_1 (3 grid-refinement shears, then 34,685
+unstacking shears on 200 x 2 boxes) runs as 4 ops. A table need not
+cover the torus: one that is periodic along an axis stores one period
+and repeats, which is how the minimality involution runs as one table
+on its l^2 x l r class grid.
 
-`BlockSlideMap.on_lattice(ys, M)` is the one integer entry point: it
-runs the program in place on one point's numerators ys over a modulus M,
-a multiple of L, on Python ints with `bisect_right`. `__call__` puts a
-`TorusPoint` over M = lcm of L and its denominators, runs `on_lattice`
-and reads the point back; `CompiledMap` runs the same ops on int64
-arrays with `np.searchsorted`. The results are bit-identical to chaining
+`on_lattice(ys, M)` is the one integer entry point of a map with a
+program (`_ProgramMap`: a `BlockSlideMap`, or the minimality conjugation
+of `abctorus.minimal`): it runs the program in place on one point's
+numerators ys over a modulus M, a multiple of L, on Python ints with
+`bisect_right`. `__call__` puts a `TorusPoint` over M = lcm of L and its
+denominators (`points.to_lattice`), runs `on_lattice` and reads the
+point back; `CompiledMap` runs the same ops on int64 arrays with
+`np.searchsorted`. The results are bit-identical to chaining
 `BlockSlideMove.apply`.
 """
 
@@ -62,7 +68,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParamOutOfRange
-from .points import TorusPoint, mod1
+from .points import TorusPoint, from_lattice, mod1, to_lattice
 from .steps import StepFunction
 
 _TABLE_BOXES = 1 << 16  # largest joint box lattice a run of moves is tabulated on
@@ -116,8 +122,56 @@ class BlockSlideMove:
         return x.shifted(self.target, self.sign * self.step(x[self.source]))
 
 
+class _ProgramMap:
+    """What a map with an integer program reads off that program.
+
+    A subclass builds its forward program in `_build_program()`; an
+    inverse made by `_memo_inverse` derives its program from its forward
+    map's while that map is alive."""
+
+    def on_lattice(self, ys, M: int):
+        """The integer program in place on the numerators ys (Python ints
+        in [0, M)) of one point ys/M, where M is a multiple of
+        `denominator_lcm()`; returns (ys, M)."""
+        prog = self._program
+        c, rem = divmod(M, prog.L)
+        if rem:
+            raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")
+        _advance(ys, prog.ops(), c, M, bisect_right)
+        return ys, M
+
+    @cached_property
+    def _program(self) -> "_Program":
+        ref = self.__dict__.get("_inverse_of")
+        forward = ref() if ref is not None else None
+        return forward._program.inverse() if forward is not None else self._build_program()
+
+    def denominator_lcm(self) -> int:
+        """Smallest L such that every op's data lies on the 1/L lattice:
+        the modulus of the map's integer program. The map sends the 1/L
+        coordinate lattice bijectively to itself."""
+        return self._program.L
+
+    def compiled(self, M: int) -> "CompiledMap":
+        return CompiledMap.build(self, M)
+
+    def box_grid(self) -> Tuple[int, int]:
+        """(cols, rows) of a box lattice on which every op translates
+        boxes rigidly: pitch 1/cols on the first coordinate and 1/rows on
+        every other one, the joint lattice of the program's ops (the
+        moves' `_move_pitches` and the tables' pitches).
+
+        On each axis the lattice is fine enough for the breakpoints and
+        periods of steps *sourced* there and the shift values of steps
+        *targeting* it, so a single interior point certifies its whole
+        box.
+        """
+        L, (col, row) = self._program.L, self._program.pitches
+        return L // col, L // row
+
+
 @dataclass(frozen=True)
-class BlockSlideMap:
+class BlockSlideMap(_ProgramMap):
     """Composition of block-slide moves; moves[0] is applied first."""
 
     dim: int
@@ -131,34 +185,14 @@ class BlockSlideMap:
                 raise ParamOutOfRange("move touches a coordinate outside the torus")
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
-        if x.dim != self.dim:
-            raise ParamOutOfRange(f"point has dim {x.dim}, map has dim {self.dim}")
-        M = lcm(self._program.L, *(c.denominator for c in x))
-        ys, M = self.on_lattice([c.numerator * (M // c.denominator) for c in x], M)
-        return TorusPoint(Fraction(y, M) for y in ys)
-
-    def on_lattice(self, ys, M: int):
-        """The integer program in place on the numerators ys (Python ints
-        in [0, M)) of one point ys/M, where M is a multiple of
-        `denominator_lcm()`; returns (ys, M)."""
-        prog = self._program
-        c, rem = divmod(M, prog.L)
-        if rem:
-            raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")
-        _advance(ys, prog.ops(), c, M, bisect_right)
-        return ys, M
+        return from_lattice(*self.on_lattice(*to_lattice(x, self.dim, self._program.L)))
 
     def inverse(self) -> "BlockSlideMap":
         return _memo_inverse(self, lambda: BlockSlideMap(
             self.dim, tuple(map(BlockSlideMove.inverse, reversed(self.moves)))))
 
-    @cached_property
-    def _program(self) -> "_Program":
-        """The integer program, built on first use; an inverse derives
-        it from its forward map's program while that map is alive."""
-        ref = self.__dict__.get("_inverse_of")
-        forward = ref() if ref is not None else None
-        return forward._program.inverse() if forward is not None else _Program.build(self)
+    def _build_program(self) -> "_Program":
+        return _Program.build(self)
 
     def then(self, other: "BlockSlideMap") -> "BlockSlideMap":
         """The composition other o self (this map runs first)."""
@@ -184,16 +218,6 @@ class BlockSlideMap:
 
     # -- exact lattice machinery ------------------------------------------
 
-    def denominator_lcm(self) -> int:
-        """Smallest L such that every move's step data (breakpoints,
-        values, period) lies on the 1/L lattice: the modulus of the
-        map's integer program. Every move maps the 1/L coordinate lattice
-        bijectively to itself."""
-        return self._program.L
-
-    def compiled(self, L: int) -> "CompiledMap":
-        return CompiledMap.build(self, L)
-
     def move_count(self) -> int:
         return len(self.moves)
 
@@ -209,18 +233,16 @@ class BlockSlideMap:
         fed = {id(mv.step): mv.step for mv in self.moves if mv.source == 0}
         return all(st.is_periodic_with(period) for st in fed.values())
 
-    def box_grid(self) -> Tuple[int, int]:
-        """(cols, rows) of a box lattice on which every move translates
-        boxes rigidly: pitch 1/cols on the first coordinate and 1/rows on
-        every other one.
 
-        On each axis the lattice is fine enough for the breakpoints and
-        periods of steps *sourced* there and the shift values of steps
-        *targeting* it, so a single interior point certifies its whole
-        box. It is the joint lattice of the moves' `_move_pitches`.
-        """
-        L, (col, row) = self._program.L, self._program.pitches
-        return L // col, L // row
+def _step_entry(step: StepFunction, sign: int, L: int) -> Tuple[int, tuple, tuple]:
+    """A move's step entry (P, B, V) on the 1/L lattice: the period, the
+    breakpoints and the shifts sign * value mod 1, in units of 1/L."""
+
+    def units(f: Fraction) -> int:
+        return f.numerator * (L // f.denominator)
+
+    return (units(step.period), tuple(map(units, step.breakpoints)),
+            tuple(sign * units(v) % L for v in step.values))
 
 
 def _move_pitches(L: int, t: int, s: int, entry) -> Tuple[int, int]:
@@ -257,14 +279,19 @@ _searchsorted_right = partial(np.searchsorted, side="right")
 
 @dataclass(frozen=True, eq=False)
 class _CellTable:
-    """A run of moves as one op on its joint box lattice.
+    """A rigid permutation of boxes as one op: a run of block-slide moves
+    on its joint box lattice, or the minimality involution on its class
+    grid.
 
     `counts[a]` boxes of pitch `pitches[a]` (in units of 1/L) along axis
     a, numbered row-major with the last axis fastest. Box k goes onto box
-    `image[k]`, translated by `offsets[a][k]` boxes along axis a (modulo
-    counts[a]); an axis no box moves along has offsets None. The offsets
-    are an `array` of C ints (read as Python ints), or int64 arrays in
-    the table `arrays` returns.
+    `image[k]`, translated by the signed `offsets[a][k]` boxes along axis
+    a; an axis no box moves along has offsets None. The table covers
+    counts[a] * pitches[a] / L of axis a and repeats with that period, so
+    a point's box along axis a is x[a] // pitch % counts[a] (a table of
+    block-slide moves covers the whole torus). The offsets are an `array`
+    of C ints (read as Python ints), or int64 arrays in the table
+    `arrays` returns.
     """
 
     pitches: Tuple[int, ...]
@@ -298,7 +325,7 @@ class _CellTable:
     @staticmethod
     def from_image(pitches, counts, image: "np.ndarray") -> "_CellTable":
         idx = np.indices(counts).reshape(len(counts), -1)
-        offsets = tuple((idx[a][image] - idx[a]) % n for a, n in enumerate(counts))
+        offsets = tuple(idx[a][image] - idx[a] for a in range(len(counts)))
         return _CellTable(pitches, counts, image,
                           tuple(array("i", o.tolist()) if o.any() else None for o in offsets))
 
@@ -318,7 +345,7 @@ class _CellTable:
         M = c L by the offsets of its box."""
         k = 0
         for xa, p, n in zip(x, self.pitches, self.counts):
-            k = k * n + xa // (p * c)
+            k = k * n + xa // (p * c) % n
         for a, (p, off) in enumerate(zip(self.pitches, self.offsets)):
             if off is not None:
                 x[a] = (x[a] + off[k] * (p * c)) % M
@@ -326,7 +353,7 @@ class _CellTable:
 
 @dataclass(frozen=True)
 class _Program:
-    """A block-slide map as integer ops on its 1/L lattice.
+    """A map as integer ops on its 1/L lattice.
 
     Op i is a move or a cell table. A move reads coordinate source[i],
     shifts coordinate target[i] and uses step entry step[i]; an entry is
@@ -349,18 +376,12 @@ class _Program:
         for mv in m.moves:
             distinct.setdefault(id(mv.step), mv.step)
         L = lcm(*(st.denominator_lcm() for st in distinct.values()))
-
-        def on_lattice(f: Fraction) -> int:
-            return f.numerator * (L // f.denominator)
-
         by_value, by_object = {}, {}  # entry -> its index; (id(step), sign) -> index
         by_move = {}  # id(move) -> (target, source, entry index)
         for mv in {id(mv): mv for mv in m.moves}.values():
             key = (id(mv.step), mv.sign)
             if key not in by_object:
-                st = mv.step
-                entry = (on_lattice(st.period), tuple(map(on_lattice, st.breakpoints)),
-                         tuple(mv.sign * on_lattice(v) % L for v in st.values))
+                entry = _step_entry(mv.step, mv.sign, L)
                 by_object[key] = by_value.setdefault(entry, len(by_value))
             by_move[id(mv)] = (mv.target, mv.source, by_object[key])
         moves = list(map(by_move.__getitem__, map(id, m.moves)))
@@ -420,7 +441,7 @@ class _Program:
 
 @dataclass(frozen=True)
 class CompiledMap:
-    """A block-slide map's integer program on int64 point clouds.
+    """A map's integer program on int64 point clouds.
 
     Points are integer vectors modulo M (coordinate j representing j/M),
     given as an array of shape (dim, n). Each move advances the whole
@@ -438,7 +459,7 @@ class CompiledMap:
     entries: tuple
 
     @staticmethod
-    def build(m: BlockSlideMap, M: int) -> "CompiledMap":
+    def build(m: _ProgramMap, M: int) -> "CompiledMap":
         prog = m._program
         if M % prog.L != 0:
             raise ParamOutOfRange(f"grid modulus {M} not a multiple of the lcm {prog.L}")

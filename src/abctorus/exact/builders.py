@@ -48,11 +48,7 @@ from ..errors import (
 )
 from ..towers import require_int
 from .blockslide import BlockSlideMap, BlockSlideMove, rotation_map
-from .oracle import induced_atom_permutation
-from .partitions import PartitionSpec
 from .permutations import (
-    chain,
-    identity_perm,
     is_permutation,
     quotient_of,
     star_factorization,
@@ -360,25 +356,6 @@ def decompose_permutation(
         maps.append(cache[t])
     composed = BlockSlideMap.compose(maps) if maps else BlockSlideMap.identity(d)
     return targets, composed
-
-
-def realized_strip_permutation(
-    targets: Sequence[Tuple[int, int]], k: int, q: int, l: int, d: int = 2
-) -> "np.ndarray":
-    """Predicted full strip permutation of a pivot-transposition product,
-    computed by verifying each distinct transposition once with the exact
-    box oracle and composing the induced permutations (valid because
-    every gadget maps strip atoms rigidly onto strip atoms)."""
-    strips = PartitionSpec.strips(k, q, l)
-    cache: Dict[Tuple[int, int], "np.ndarray"] = {}
-    out = identity_perm(k * q * l)
-    for t in targets:
-        t = (int(t[0]), int(t[1]))
-        if t not in cache:
-            gadget = build_transposition(t[0], t[1], k, q, l, d)
-            cache[t] = induced_atom_permutation(gadget, strips)
-        out = chain(out, cache[t])
-    return out
 
 
 # ---------------------------------------------------------------------------

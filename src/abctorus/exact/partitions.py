@@ -12,8 +12,7 @@ Every partition the constructions use has one of two shapes:
 
 Each `PartitionSpec` provides an exact point -> atom index map (on a
 `TorusPoint`, on one lattice point's Python-int numerators, and
-vectorized on int64 lattice arrays) and knows the lcm of the
-denominators of its atom boundaries.
+vectorized on int64 lattice arrays), all through one atom rule.
 
 Grid layouts of the named constructors (documented so permutations are
 reproducible):
@@ -33,14 +32,13 @@ reproducible):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import InvalidIndexFunction, ParamOutOfRange
-from .points import TorusPoint
+from .points import TorusPoint, to_lattice
 
 
 @dataclass(frozen=True)
@@ -109,66 +107,39 @@ class PartitionSpec:
             return self.counts[0] // len(self.a)
         return prod(self.counts)
 
-    def boundary_denominator_lcm(self) -> int:
-        return lcm(*self.counts)
-
     # -- exact indexing ------------------------------------------------------
 
     def atom_index(self, x: TorusPoint) -> int:
-        counts = self.counts
-        if x.dim != len(counts):
-            raise ParamOutOfRange(f"point dim {x.dim} != partition dim {len(counts)}")
-        M = lcm(*(c.denominator for c in x))
-        return self.lattice_atom([c.numerator * (M // c.denominator) for c in x], M)
+        return self.lattice_atom(*to_lattice(x, self.dim))
 
     def lattice_atom(self, ys, M: int) -> int:
         """Atom index of the lattice point ys/M, given by its numerators
         ys (Python ints in [0, M)) over any positive modulus M. Trailing
         coordinates on which the partition has one cell are not read and
         may be left out."""
+        return self._atom(ys, M, self.a)
+
+    def atom_index_grid(self, pts: "np.ndarray", M: int) -> "np.ndarray":
+        """Vectorized atom indices for integer lattice points (dim, n) mod M."""
+        return self._atom(pts, M, None if self.a is None else np.array(self.a, dtype=np.int64))
+
+    def _atom(self, ys, M: int, a):
+        """The atom rule on numerators ys over M, one point's Python ints
+        or the rows of an int64 array; `a` is the tower's index function,
+        as a tuple or as its int64 array, so both paths share one
+        formula. Axes with one cell add nothing, which keeps the block
+        partitions at a single array expression on large lattices."""
         counts = self.counts
         idx = ys[0] * counts[0] // M
         if self.a is not None:
             k = len(self.a)
-            return (idx // k - self.a[idx % k]) % (counts[0] // k)
+            return (idx // k - a[idx % k]) % (counts[0] // k)
         for y, n in zip(ys[1:], counts[1:]):
             if n > 1:
                 idx = idx * n + y * n // M
         return idx
 
-    def atom_index_grid(self, pts: "np.ndarray", M: int) -> "np.ndarray":
-        """Vectorized atom indices for integer lattice points (dim, n) mod M."""
-        n = self.counts[0]
-        idx = pts[0] * n // M
-        if self.a is not None:
-            k = len(self.a)
-            lut = np.array(self.a, dtype=np.int64)
-            return (idx // k - lut[idx % k]) % (n // k)
-        # axes with one cell add nothing; skipping them keeps the block
-        # partitions at a single array expression on large lattices
-        for row, n in zip(pts[1:], self.counts[1:]):
-            if n > 1:
-                idx = idx * n + row * n // M
-        return idx
-
     # -- geometry helpers ----------------------------------------------------
-
-    def atom_box(self, index: int) -> Tuple[Optional[Tuple[Fraction, Fraction]], ...]:
-        """Bounding box of a grid atom: per coordinate either (lo, hi) or
-        None for a coordinate with a single cell. Raises for towers,
-        whose atoms are not boxes."""
-        if self.a is not None:
-            raise ParamOutOfRange("tower atoms are not boxes")
-        if not (0 <= index < self.atom_count):
-            raise ParamOutOfRange("atom index out of range")
-        box = []
-        for n in reversed(self.counts):
-            if n == 1:
-                box.append(None)
-            else:
-                index, cell = divmod(index, n)
-                box.append((Fraction(cell, n), Fraction(cell + 1, n)))
-        return tuple(reversed(box))
 
     def tower_columns(self, index: int) -> Tuple[int, ...]:
         """For a tower: the sorted fine-column indices (at pitch 1/(kq))

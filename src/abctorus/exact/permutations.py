@@ -14,7 +14,7 @@ of the pivot transpositions realize.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -140,16 +140,3 @@ def star_factorization(quot: "np.ndarray", l: int) -> Tuple[Tuple[int, int], ...
             order.extend(cyc)
             order.append(cyc[0])
     return tuple((int(t) // l, int(t) % l) for t in order)
-
-
-def apply_star(targets: Sequence[Tuple[int, int]], k: int, l: int) -> "np.ndarray":
-    """Compose the pivot transpositions on the k*l classes (pure array
-    arithmetic; used to cross-check star_factorization)."""
-    p = identity_perm(k * l)
-    pivot = l - 1
-    for (c, j) in targets:
-        t = c * l + j
-        swap = identity_perm(k * l)
-        swap[pivot], swap[t] = t, pivot
-        p = chain(p, swap)
-    return p

@@ -2,13 +2,16 @@
 
 A point is a tuple of `fractions.Fraction` coordinates, each reduced to
 the fundamental domain [0, 1). Arithmetic never leaves the rationals.
+The integer programs take a point as numerators over one modulus:
+`to_lattice` and `from_lattice` convert a point to that form and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from math import lcm
+from typing import Iterable, List, Tuple, Union
 
 from ..errors import ParamOutOfRange
 
@@ -90,3 +93,20 @@ def rotate(x: TorusPoint, t: Rat) -> TorusPoint:
     TorusPoint((5/12, 1/4))
     """
     return x.shifted(0, Fraction(t))
+
+
+def to_lattice(x, dim: int, L: int = 1) -> Tuple[List[int], int]:
+    """(ys, M): the point x (a `TorusPoint` or a sequence of rationals)
+    as numerators ys in [0, M) over M = lcm(L, its denominators), the
+    coordinates taken mod 1. A point of another dimension than `dim` is
+    refused with ParamOutOfRange."""
+    cs = x.coords if isinstance(x, TorusPoint) else as_fractions(x)
+    if len(cs) != dim:
+        raise ParamOutOfRange(f"expected a point of dimension {dim}, got {len(cs)}")
+    M = lcm(L, *(c.denominator for c in cs))
+    return [c.numerator * (M // c.denominator) % M for c in cs], M
+
+
+def from_lattice(ys, M: int) -> TorusPoint:
+    """The point ys/M of numerators ys over the modulus M."""
+    return TorusPoint(Fraction(y, M) for y in ys)

@@ -33,30 +33,34 @@ of l^3 q columns (pitch 1/(l^3 q)) by l r rows (pitch 1/(l r)):
 `build_minimal_combinatorics` (exact.builders) realizes h2 as an
 explicit block-slide composition; that route grows quickly with l and
 exists for cross-validation.  The evaluators here act in O(1) per point
-and are the production route for orbit-scale diagnostics.
+and are the production route for orbit-scale diagnostics:
+`MinimalCombinatorics` is h2's Fraction definition, and
+`MinimalConjugation` runs h as a two-op integer program of
+`exact.blockslide`, h2's cell permutation as one cell table on the
+l^2 x l r class grid and h1 as one shear move (Anosov-Katok 1970 and
+Fayad-Katok 2004 describe both conjugations as permutations of lattice
+cells).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Tuple, Union
-
-import numpy as np
 
 from .errors import ParamOutOfRange
 from .exact.blockslide import (
-    BlockSlideMap,
-    BlockSlideMove,
-    CompiledMap,
-    _advance,
-    _searchsorted_right,
+    _CellTable,
+    _memo_inverse,
+    _move_pitches,
+    _Program,
+    _ProgramMap,
+    _step_entry,
 )
 from .exact.builders import minimal_cell_image, minimal_quotient_perm
-from .exact.points import TorusPoint
+from .exact.points import TorusPoint, from_lattice, to_lattice
 from .exact.steps import StepFunction, build_trapping_step
 
 Zone = Union[Tuple[str, int, int], Tuple[str, int, int, int]]
@@ -136,20 +140,19 @@ class MinimalCombinatorics:
 
 
 @dataclass(frozen=True)
-class MinimalConjugation:
+class MinimalConjugation(_ProgramMap):
     """One minimality-stage conjugation, h = h1 o h2 with h2 first.
 
     Implements the engine's `Conjugation` protocol at O(1) cost per
-    point. It evaluates through one integer rule at a modulus M, a
-    multiple of `denominator_lcm()`, with coordinate j standing for j/M:
-    h2 reads the cell (col, row) of the l^3 q x l r grid and moves the
-    point by the cell offsets of its partner, read from a table of
-    `minimal_quotient_perm`; h1 is the trapping shear run as its
-    one-move block-slide program. The inverse runs the inverse shear
-    first, then the same involution. `on_lattice(ys, M)` runs the rule
-    on Python ints, `__call__` through it at M = lcm(L, the point's
-    denominators), and `compiled(M)` on int64 arrays, as `BlockSlideMap`
-    does.
+    point, as a two-op integer program on the 1/L lattice,
+    L = `denominator_lcm()`, the same kind of program a `BlockSlideMap`
+    runs. h2 is one cell table (`exact.blockslide._CellTable`) on the
+    l^2 x l r class grid of `minimal_quotient_perm`, pitches 1/(l^3 q)
+    and 1/(l r), repeating along x1 with period 1/(l q); h1 is the
+    trapping shear's one move. The inverse program runs the inverse
+    shear first, then the same involution. `on_lattice(ys, M)` runs the
+    program on Python ints, `__call__` through it at M = lcm(L, the
+    point's denominators), and `compiled(M)` on int64 arrays.
     """
 
     dim = 2
@@ -158,84 +161,26 @@ class MinimalConjugation:
     inverted: bool = False
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
-        if not isinstance(x, TorusPoint):
-            x = TorusPoint(x)
-        if x.dim != 2:
-            raise ParamOutOfRange(f"expected a 2-torus point, got dimension {x.dim}")
-        M = lcm(self.denominator_lcm(), *(c.denominator for c in x))
-        ys, M = self.on_lattice([c.numerator * (M // c.denominator) for c in x], M)
-        return TorusPoint(Fraction(y, M) for y in ys)
+        return from_lattice(*self.on_lattice(*to_lattice(x, self.dim, self._program.L)))
 
-    def on_lattice(self, ys, M: int):
-        """The integer rule in place on the numerators ys (two Python ints
-        in [0, M)) of one point ys/M, where M is a multiple of
-        `denominator_lcm()`; returns (ys, M)."""
-        if M % self.denominator_lcm():
-            raise ParamOutOfRange(
-                f"grid modulus {M} not a multiple of the lcm {self.denominator_lcm()}"
-            )
-        self._rule(ys, M, self._cells, self._shear._program.ops(), bisect_right)
-        return ys, M
-
-    def _rule(self, x, M: int, cells, shear_ops, search):
-        """The integer rule on x (a list of two ints or a (2, n) int64
-        array) at modulus M; `cells` holds the involution's column and
-        row offsets as Python ints or as arrays."""
-        c = M // self._shear.denominator_lcm()
-        if self.inverted:
-            _advance(x, shear_ops, c, M, search)
+    def _build_program(self) -> _Program:
         comb = self.comb
-        col_pitch, row_pitch = M // comb.cols, M // comb.rows
-        cls = x[0] // col_pitch % (comb.l * comb.l) * comb.rows + x[1] // row_pitch
-        x[0] = x[0] + cells[0][cls] * col_pitch
-        x[1] = x[1] + cells[1][cls] * row_pitch
-        if not self.inverted:
-            _advance(x, shear_ops, c, M, search)
-        return x
-
-    @cached_property
-    def _cells(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Column and row offsets of the involution per strip class
-        c * (l r) + y, as Python ints."""
-        lr = self.comb.rows
-        perm = minimal_quotient_perm(self.comb.l, self.comb.r).tolist()
-        return (tuple(j // lr - i // lr for i, j in enumerate(perm)),
-                tuple(j % lr - i % lr for i, j in enumerate(perm)))
-
-    @cached_property
-    def _shear(self) -> BlockSlideMap:
-        """h1 (or its inverse) as a one-move block-slide map."""
-        return BlockSlideMap(2, (BlockSlideMove(1, 0, -1 if self.inverted else 1, self.kappa),))
+        L = lcm(self.kappa.denominator_lcm(), comb.cols, comb.rows)
+        cells = (L // comb.cols, L // comb.rows)
+        table = _CellTable.from_image(cells, (comb.l * comb.l, comb.rows),
+                                      minimal_quotient_perm(comb.l, comb.r))
+        shear = _step_entry(self.kappa, 1, L)
+        pitches = tuple(map(gcd, cells, _move_pitches(L, 1, 0, shear)))
+        prog = _Program(L, pitches, array("i", (-1, 1)), array("i", (0, 0)),
+                        array("i", (1, 0)), (shear, table))
+        return prog.inverse() if self.inverted else prog
 
     def inverse(self) -> "MinimalConjugation":
-        inv = self.__dict__.get("_inverse")
-        if inv is None:
-            inv = replace(self, inverted=not self.inverted)
-            # the involution's table and the shear's program are shared,
-            # and the inverse is kept here for the next call
-            inv.__dict__["_cells"] = self._cells
-            inv.__dict__["_shear"] = self._shear.inverse()
-            object.__setattr__(self, "_inverse", inv)
-        return inv
-
-    def denominator_lcm(self) -> int:
-        """The modulus L of the integer rule: the staircase's
-        denominators and the cell grid's pitches."""
-        return lcm(self.kappa.denominator_lcm(), self.comb.cols, self.comb.rows)
+        return _memo_inverse(self, lambda: replace(self, inverted=not self.inverted))
 
     def move_count(self) -> int:
         """The involution's one cell lookup and the shear's one move."""
         return 2
-
-    def compiled(self, M: int) -> "CompiledMinimal":
-        """The integer rule on int64 arrays at modulus M, a multiple of
-        `denominator_lcm()` below 2^62."""
-        if M % self.denominator_lcm() != 0:
-            raise ParamOutOfRange(
-                f"grid modulus {M} not a multiple of the lcm {self.denominator_lcm()}"
-            )
-        cells = tuple(np.array(t, dtype=np.int64) for t in self._cells)
-        return CompiledMinimal(self, M, cells, self._shear.compiled(M))
 
     def commutes_with_rotation(self, q: int) -> bool:
         """Structural commutation with the rotation by 1/q of x1.
@@ -248,35 +193,6 @@ class MinimalConjugation:
         if q < 1:
             raise ParamOutOfRange(f"q must be >= 1, got {q}")
         return (self.comb.l * self.comb.q) % q == 0
-
-    def box_grid(self) -> Tuple[int, int]:
-        """(cols, rows) of a box lattice that h translates rigidly.
-
-        h2 moves whole cells of its l^3 q x l r grid by multiples of the
-        cell pitch, and the shear's own box grid makes h1 rigid; the same
-        lattice serves the inverse.
-        """
-        cols, rows = self._shear.box_grid()
-        return lcm(cols, self.comb.cols), lcm(rows, self.comb.rows)
-
-
-@dataclass(frozen=True)
-class CompiledMinimal:
-    """`MinimalConjugation`'s integer rule on int64 point clouds (2, n)
-    modulo M, with the involution's offsets as arrays and the shear as
-    its `CompiledMap` (which enforces M < 2^62)."""
-
-    h: MinimalConjugation
-    M: int
-    cells: Tuple["np.ndarray", "np.ndarray"]
-    shear: CompiledMap
-
-    def apply(self, pts: "np.ndarray") -> "np.ndarray":
-        """Apply to an array of shape (2, n) of int64 lattice points."""
-        out = np.asarray(pts, dtype=np.int64) % self.M
-        shear = self.shear
-        return self.h._rule(out, self.M, self.cells, shear.program.ops(shear.entries),
-                            _searchsorted_right)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +248,6 @@ class MinimalStage:
     def conjugation(self) -> MinimalConjugation:
         return MinimalConjugation(comb=self.comb, kappa=self.kappa)
 
-    @property
-    def a_zone_count(self) -> int:
-        """A-zones, enumerated as l q blocks x l stripes."""
-        return self.l * self.q * self.l
-
-    @property
-    def b_zone_count(self) -> int:
-        """B-zones: r bands x l q blocks x (l^2 - l) columns."""
-        return self.r * self.l * self.q * (self.l * self.l - self.l)
-
     def locate(self, y: TorusPoint) -> Optional[Zone]:
         """Zone of y — ('A', s, i), ('B', t, s, i) — or None in a collar."""
         if not isinstance(y, TorusPoint):
@@ -388,7 +294,6 @@ def minimal_stage(
 
 
 __all__ = [
-    "CompiledMinimal",
     "MinimalCombinatorics",
     "MinimalConjugation",
     "MinimalStage",

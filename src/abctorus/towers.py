@@ -83,8 +83,9 @@ def require_real(value, what: str) -> None:
 
 def require_int(value, low: Optional[int], what: str) -> None:
     """Refuse anything but an integer >= low (any integer when low is
-    None), naming `what`."""
-    if not isinstance(value, int) or (low is not None and value < low):
+    None), naming `what`; a bool is not a count and is refused too."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
         raise ParamOutOfRange(f"{what} must be an integer{bound}, got {value!r}")
 
@@ -326,10 +327,6 @@ def tower(height: int, mantissa) -> TowerReal:
     return TowerReal(height, mantissa)
 
 
-def tower_compare(a: Number, b: Number) -> int:
-    return TowerReal.from_number(a).compare(b)
-
-
 def tower_max(a: Number, b: Number) -> TowerReal:
     ta, tb = TowerReal.from_number(a), TowerReal.from_number(b)
     return ta if ta.compare(tb) >= 0 else tb
@@ -342,6 +339,5 @@ __all__ = [
     "require_int",
     "require_real",
     "tower",
-    "tower_compare",
     "tower_max",
 ]

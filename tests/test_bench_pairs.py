@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py keeps the runs it has when a run fails."""
+"""tools/bench_pairs.py: it keeps the runs it has when a run fails, and it
+labels each metric against its bound."""
 
 from __future__ import annotations
 
@@ -48,3 +49,45 @@ def test_a_failing_run_writes_the_runs_so_far(tmp_path, monkeypatch):
     assert out["failed"]["exit_code"] == 3
     assert "boom" in out["failed"]["stderr_tail"]
     assert len(calls) == 3
+
+
+def _runs(parent, change):
+    """Synthetic runs of the circle workload: one pair per seed, with the
+    given setup_s values and 1.0 for the other metrics."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        for side, v in (("parent", p), ("change", c)):
+            runs.append({"w": "circle", "seed": seed, "side": side, "setup_s": v,
+                         "build_s": 1.0, "verify_s": 1.0, "peak_rss_mb": 1.0})
+    return runs
+
+
+BOUNDS = {"setup_s": 0.25, "build_s": 0.24, "verify_s": 0.24, "peak_rss_mb": 0.1}
+
+
+def _setup_label(capsys, parent, change) -> str:
+    tool = load_tool()
+    tool.summary(_runs(parent, change), BOUNDS)
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [s for s in lines if s.startswith("circle setup_s:")]
+    assert all(s.endswith(": ok") for s in lines if s is not line)
+    return line.rsplit(": ", 1)[1]
+
+
+def test_a_median_beyond_the_bound_is_worse(capsys):
+    # median 1.0 -> 1.3, beyond 1.0 x (1 + 0.25); the parent is tight
+    assert _setup_label(capsys, [1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3]) == "worse"
+    assert load_tool().verdict([1.0] * 4, [1.25] * 4, 0.25) == "ok"  # on the bound
+
+
+def test_a_wide_parent_without_a_clean_win_is_unresolved(capsys):
+    # parent quartiles 0.7-1.3 (IQR 0.6 > 0.25 x median 1.0); the change
+    # median is lower, but one change run is slower than a parent run
+    parent = [0.6, 0.8, 1.0, 1.2, 1.4]
+    assert _setup_label(capsys, parent, [0.7, 0.8, 0.9, 0.9, 0.9]) == "unresolved"
+    # every change run below every parent run decides it despite the spread
+    assert load_tool().verdict(parent, [0.5, 0.5, 0.5, 0.5, 0.5], 0.25) == "ok"
+
+
+def test_a_tight_parent_within_the_bound_is_ok(capsys):
+    assert _setup_label(capsys, [1.0, 1.02, 0.98, 1.0], [1.1, 1.1, 1.1, 1.1]) == "ok"

@@ -211,7 +211,7 @@ class TestGapBound:
         tiny = GapBound.from_fraction(F(1, 10**9))
         assert tiny.below_exp_neg(20) is True       # e^-20 > 1e-9
         assert tiny.below_exp_neg(21) is False      # e^-21 < 1e-9
-        assert GapBound.exact_zero().below_exp_neg(tower(5, 2)) is True
+        assert GapBound.from_fraction(0).below_exp_neg(tower(5, 2)) is True
         sym = GapBound.from_neglog(tower(3, 2))
         assert sym.below_exp_neg(tower(2, 2)) is True
         assert sym.below_exp_neg(tower(4, 2)) is False

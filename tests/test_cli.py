@@ -26,7 +26,7 @@ def test_circle_reports_every_stage(capsys):
             assert report["passed"] and report["samples"] == 64
         assert s["commutation"]["passed"] and s["commutation"]["analytic_residual"] == "0"
         assert s["defect"]["exact"]["total"] == "0"
-        assert s["defect"]["exact"]["per_atom"] == {}
+        assert s["defect"]["exact"]["nonzero"] == []
         assert s["defect"]["analytic"]["atoms"] == [3, 144][s["stage"] - 1]
 
 

@@ -4,20 +4,46 @@ import numpy as np
 import pytest
 
 from abctorus.errors import NotEquivariant
-from abctorus.exact.builders import (
-    decompose_permutation,
-    realized_strip_permutation,
-)
+from abctorus.exact.builders import build_transposition, decompose_permutation
 from abctorus.exact.oracle import commutes_with_rotation, induced_atom_permutation
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.permutations import (
-    apply_star,
+    chain,
     identity_perm,
     lift_quotient,
     quotient_of,
     rotation_shift_perm,
     star_factorization,
 )
+
+
+def apply_star(targets, k: int, l: int) -> "np.ndarray":
+    """Reference: the pivot transpositions composed on the k*l classes,
+    by array arithmetic alone."""
+    p = identity_perm(k * l)
+    pivot = l - 1
+    for (c, j) in targets:
+        t = c * l + j
+        swap = identity_perm(k * l)
+        swap[pivot], swap[t] = t, pivot
+        p = chain(p, swap)
+    return p
+
+
+def realized_strip_permutation(targets, k: int, q: int, l: int, d: int = 2) -> "np.ndarray":
+    """Reference: the strip permutation of a pivot-transposition product,
+    each distinct transposition verified once with the exact box oracle
+    and the induced permutations composed (every gadget maps strip atoms
+    rigidly onto strip atoms)."""
+    strips = PartitionSpec.strips(k, q, l)
+    cache = {}
+    out = identity_perm(k * q * l)
+    for t in targets:
+        t = (int(t[0]), int(t[1]))
+        if t not in cache:
+            cache[t] = induced_atom_permutation(build_transposition(t[0], t[1], k, q, l, d), strips)
+        out = chain(out, cache[t])
+    return out
 
 
 def test_lift_and_quotient_are_inverse():

@@ -373,7 +373,7 @@ class TestCorrespondence:
         for stage in (1, 2):
             d = correspondence_defect(circle2, stage, "exact")
             assert d.total == 0
-            assert all(v == 0 for v in d.per_atom)
+            assert d.atoms == circle2.records[stage - 1].q and d.nonzero == ()
 
     def test_analytic_defect_below_budget(self, circle2):
         d = correspondence_defect(circle2, 1, "analytic", samples=2000, seed=11)
@@ -392,7 +392,7 @@ class TestCorrespondence:
     def test_exact_defect_on_circle_stage_3_is_certified(self, circle3):
         # 5308416 x 4 boxes, within the lattice oracle's budget
         d = correspondence_defect(circle3, 3, "exact")
-        assert len(d.per_atom) == circle3.records[2].q and d.total == 0
+        assert d.atoms == circle3.records[2].q and d.nonzero == () and d.total == 0
 
     def test_exact_defect_beyond_budget_is_refused(self, translation_oversized):
         # 2000000 x 1000 boxes; refused before any box is visited

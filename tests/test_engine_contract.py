@@ -121,6 +121,13 @@ def test_correspondence_defect(stage, model, samples, seed):
     returns_or_typed(correspondence_defect, MAPS, stage, model, samples, seed)
 
 
+def test_a_bool_sample_count_is_refused():
+    # found by the sweep above: samples=True passed the integer check and
+    # numpy refused the shape (2, True) with a TypeError
+    with pytest.raises(ParamOutOfRange):
+        correspondence_defect(MAPS, 1, "analytic", True, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(stage=stages, atoms=mostly(st.lists(mostly(st.integers(-1, 150)), max_size=3)))
 def test_stage_partition(stage, atoms):

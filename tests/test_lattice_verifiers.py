@@ -4,10 +4,14 @@
 `correspondence_defect(..., "analytic")` and `stage_partition` carry every
 sample as integer numerators over one modulus. The references below are
 the per-sample loops they replaced: each sample a `TorusPoint` of
-Fractions, moved through `StageMaps.apply_exact`, `eval_stage_map` and
-`transform_rational`, and classified with `int(x * q)`. The reference
-defect reads the source atom exactly, as `int(Fraction(x) * q)`. Every
-report must equal its reference field by field.
+Fractions, moved through the exact conjugations by their Fraction
+definitions (a block-slide map chains `BlockSlideMove.apply`; the
+minimality conjugation runs `MinimalCombinatorics` and then the shear)
+and through `transform_rational` stage by stage, rotated by a Fraction
+and classified with `int(x * q)`; no reference runs
+`StageMaps.apply_lattice`. The reference defect reads the source atom
+exactly, as `int(Fraction(x) * q)`. Every report must equal its
+reference field by field.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from abctorus.engine import (
     check_stage_commutation,
     circle_params,
     correspondence_defect,
-    eval_stage_map,
     run_circle_scenario,
     run_minimal_scenario,
     run_translation_scenario,
@@ -48,6 +51,7 @@ from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.points import TorusPoint, mod1
 from abctorus.exact.steps import StepFunction
+from abctorus.minimal import MinimalConjugation
 
 F = Fraction
 _CLOUD_OFFSETS = tuple((F(u, 4), F(v, 4)) for u in (1, 2, 3) for v in (1, 2, 3))
@@ -58,12 +62,57 @@ _CLOUD_OFFSETS = tuple((F(u, 4), F(v, 4)) for u in (1, 2, 3) for v in (1, 2, 3))
 # ---------------------------------------------------------------------------
 
 
+# (id(h), x) -> (h, h(x)); the entry keeps h alive, so its id is not
+# reused. The translation references repeat their points across seeds.
+_REF_IMAGES = {}
+
+
+def ref_conjugation(h, x: TorusPoint) -> TorusPoint:
+    """h(x) by the Fraction definition of the exact conjugation h."""
+    key = (id(h), x)
+    if key not in _REF_IMAGES:
+        if isinstance(h, MinimalConjugation):
+            if h.inverted:
+                y = h.comb(x.shifted(1, -h.kappa(x[0])))
+            else:
+                y = h.comb(x)
+                y = y.shifted(1, h.kappa(y[0]))
+        else:
+            y = x
+            for mv in h.moves:
+                y = mv.apply(y)
+        _REF_IMAGES[key] = (h, y)
+    return _REF_IMAGES[key][1]
+
+
+def ref_stack(maps, x, stage, inverse=False, model="exact"):
+    """H_stage (or its inverse) of x, one conjugation at a time: the exact
+    model by `ref_conjugation`, the analytic one by `transform_rational`."""
+    if model == "exact":
+        hs, step = maps.conjugations_exact[:stage], ref_conjugation
+    else:
+        hs = maps.conjugations_analytic[:stage]
+
+        def step(h, y):
+            return TorusPoint(h.transform_rational(y.coords))
+    if inverse:
+        hs = [h.inverse() for h in reversed(hs)]
+    for h in hs:
+        x = step(h, x)
+    return x
+
+
+def ref_stage_map(maps, x, stage, model):
+    """T_stage(x) = H^{-1}(rotation by alpha(H(x))) in one model."""
+    y = ref_stack(maps, x, stage, model=model)
+    return ref_stack(maps, y.shifted(0, maps.records[stage].alpha), stage, True, model)
+
+
 def _classify(maps, x, stage, q):
-    return int(maps.apply_exact(x, stage)[0] * q)
+    return int(ref_stack(maps, x, stage)[0] * q)
 
 
 def ref_verify(maps, stage, model="exact", samples=None, seed=0):
-    evaluated = "exact" if model == "exact" else "rational"
     threshold = F(1) if model == "exact" else 1 - 2 * maps._analytic(stage).eps
     rec = maps.records[stage]
     q, p = rec.q, rec.p
@@ -80,8 +129,8 @@ def ref_verify(maps, stage, model="exact", samples=None, seed=0):
     hits = 0
     for (i, u, v) in pairs:
         w = TorusPoint((F(i + u, q) % 1, v))
-        z = maps.apply_exact(w, stage, inverse=True)
-        t = TorusPoint(eval_stage_map(maps, z, evaluated, 1, stage))
+        z = ref_stack(maps, w, stage, inverse=True)
+        t = ref_stage_map(maps, z, stage, model)
         if _classify(maps, t, stage, q) == (i + p) % q:
             hits += 1
     return ConjugacyReport(maps.scenario, stage, model, q, p, len(pairs), hits, threshold)
@@ -97,7 +146,7 @@ def ref_commutation(maps, stage, samples=1000, seed=0):
     for _ in range(samples):
         x = TorusPoint((F(int(rng.integers(0, 2**24)), 2**24),
                         F(int(rng.integers(0, 2**24)), 2**24)))
-        if h_ex(x.shifted(0, alpha)).coords != h_ex(x).shifted(0, alpha).coords:
+        if ref_conjugation(h_ex, x.shifted(0, alpha)) != ref_conjugation(h_ex, x).shifted(0, alpha):
             exact_ok = False
         if h_an is None:
             continue
@@ -116,22 +165,22 @@ def ref_commutation(maps, stage, samples=1000, seed=0):
 def ref_defect(maps, stage, samples=4096, seed=0):
     rec = maps.records[stage - 1]
     tower = PartitionSpec.tower(rec.a, rec.k, rec.q)
-    defects = [F(0)] * rec.q
+    defects = {}
     pts = np.random.default_rng(seed).random((2, samples))
     img = maps._analytic(stage).transform(pts)
     for j in range(samples):
         src = int(F(pts[0, j]) * rec.q)
         dst = tower.atom_index(TorusPoint((F(img[0, j]) % 1, F(img[1, j]) % 1)))
         if dst != src:
-            defects[src] += F(1, samples)
-            defects[dst] += F(1, samples)
-    return CorrespondenceDefect(stage, "analytic", tuple(defects))
+            defects[src] = defects.get(src, 0) + F(1, samples)
+            defects[dst] = defects.get(dst, 0) + F(1, samples)
+    return CorrespondenceDefect(stage, "analytic", rec.q, tuple(sorted(defects.items())))
 
 
 def ref_partition(maps, stage, atoms):
     rec = maps.records[stage]
     clouds = tuple(
-        tuple(maps.apply_exact(TorusPoint((F(i + u, rec.q) % 1, v)), stage, inverse=True)
+        tuple(ref_stack(maps, TorusPoint((F(i + u, rec.q) % 1, v)), stage, inverse=True)
               for (u, v) in _CLOUD_OFFSETS)
         for i in atoms)
     return StagePartition(stage, rec.q, rec.p, tuple(atoms), clouds)

@@ -1,5 +1,6 @@
 """Constant-time minimality-stage evaluators vs the block-slide route."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,19 @@ def random_points(count: int, seed: int = 0):
         ))
         for _ in range(count)
     ]
+
+
+# (n, l, q, r) of the minimality stages the integer program is checked on
+PARAMETER_SETS = [(2, 2, 1, 2), (2, 4, 3, 2), (3, 2, 3, 3), (2, 4, 576, 2), (4, 6, 5, 3)]
+
+
+def reference_conjugation(st, x: TorusPoint, inverse: bool = False) -> TorusPoint:
+    """h = h1 o h2 (or its inverse) by its Fraction definition:
+    `MinimalCombinatorics` and the trapping shear as one
+    `BlockSlideMove`."""
+    if inverse:
+        return st.comb(BlockSlideMove(1, 0, -1, st.kappa).apply(x))
+    return BlockSlideMove(1, 0, 1, st.kappa).apply(st.comb(x))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +138,37 @@ class TestMinimalConjugation:
         for x in random_points(60, seed=6):
             assert h(x).coords == bs(x).coords
 
+    @pytest.mark.parametrize("n,l,q,r", PARAMETER_SETS)
+    @pytest.mark.parametrize("inverse", (False, True), ids=("forward", "inverse"))
+    def test_integer_program_matches_the_layers(self, n, l, q, r, inverse):
+        # on_lattice at M = L and 3 L and compiled(M).apply at M = L
+        # against MinimalCombinatorics and the shear as a Fraction move,
+        # on every cell corner of one column period and random points
+        st = minimal_stage(n, l, q, r)
+        h = st.conjugation()
+        h = h.inverse() if inverse else h
+        L = h.denominator_lcm()
+        cols, rows = st.comb.cols, st.comb.rows
+        for M in (L, 3 * L):
+            draw = random.Random(M).randrange
+            pts = [[c * (M // cols), y * (M // rows)]
+                   for c in range(l * l + 1) for y in range(rows)]
+            pts += [[draw(M), draw(M)] for _ in range(40)]
+            want = [reference_conjugation(st, TorusPoint((F(a, M), F(b, M))), inverse)
+                    for a, b in pts]
+            got = [h.on_lattice(list(p), M) for p in pts]
+            assert [TorusPoint((F(a, M), F(b, M))) for (a, b), _ in got] == want
+            if M < 2**62:
+                out = h.compiled(M).apply(np.array(pts, dtype=np.int64).T)
+                assert [TorusPoint((F(int(a), M), F(int(b), M))) for a, b in out.T] == want
+
+    def test_box_grid_and_lcm_are_pinned(self):
+        h = minimal_stage(2, 4, 3, 2).conjugation()
+        assert h.box_grid() == (768, 1048576)
+        assert h.denominator_lcm() == 3145728
+        assert h.inverse().box_grid() == (768, 1048576)
+        assert h.inverse().denominator_lcm() == 3145728
+
     def test_commutes_with_stage_rotations(self):
         st = minimal_stage(n=2, l=2, q=3, r=2)
         h = st.conjugation()
@@ -149,9 +194,19 @@ class TestStageGeometry:
             trapping_exponent(1, 4, 1)
 
     def test_zone_counts(self):
-        st = minimal_stage(n=4, l=12, q=2, r=2)
-        assert st.a_zone_count == 12 * 2 * 12
-        assert st.b_zone_count == 2 * 24 * (144 - 12)
+        # the cell centres, sheared by kappa, meet every zone: l q blocks
+        # x l stripes of A-zones and r bands x l q blocks x (l^2 - l)
+        # columns of B-zones
+        st = minimal_stage(n=2, l=3, q=2, r=2)
+        cols, rows = st.comb.cols, st.comb.rows
+        zones = set()
+        for c in range(cols):
+            x1 = F(2 * c + 1, 2 * cols)
+            for y in range(rows):
+                zones.add(st.locate(TorusPoint((x1, F(2 * y + 1, 2 * rows) + st.kappa(x1)))))
+        assert sum(z[0] == "A" for z in zones) == 3 * 2 * 3
+        assert sum(z[0] == "B" for z in zones) == 2 * 6 * (9 - 3)
+        assert None not in zones
 
     def test_locate_reference_points(self):
         st = minimal_stage(n=2, l=2, q=1, r=2)  # delta = 2^-7

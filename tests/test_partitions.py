@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def test_grid_min_layout():
     assert part.atom_index(P(F(7, 8), F(1, 4))) == 29
 
 
+def _atom_box(part, index):
+    """The bounding box of a grid atom: per coordinate (lo, hi), or None
+    for a coordinate with a single cell (mixed radix, last axis fastest)."""
+    box = []
+    for n in reversed(part.counts):
+        if n == 1:
+            box.append(None)
+        else:
+            index, cell = divmod(index, n)
+            box.append((F(cell, n), F(cell + 1, n)))
+    return tuple(reversed(box))
+
+
 def test_atom_box_roundtrip():
     for part in [
         PartitionSpec.blocks(5, 2),
@@ -98,7 +112,7 @@ def test_atom_box_roundtrip():
         PartitionSpec.grid_min(2, 1, 2),
     ]:
         for idx in range(part.atom_count):
-            box = part.atom_box(idx)
+            box = _atom_box(part, idx)
             centre = []
             for rng in box:
                 if rng is None:
@@ -112,14 +126,11 @@ def test_atom_box_roundtrip():
 def test_single_cell_axes_are_free():
     # an axis with one cell is the whole circle, whatever built it
     assert PartitionSpec.blocks(7, 1) == PartitionSpec.circle(7)
-    assert PartitionSpec.grid(1, 3, 2).atom_box(2) == ((F(2, 3), F(1)), None)
-    assert PartitionSpec.blocks(1, 2).atom_box(0) == (None, None)
-
-
-def test_tower_has_no_boxes():
-    part = PartitionSpec.tower((0, 1), 2, 2, 2)
-    with pytest.raises(ParamOutOfRange):
-        part.atom_box(0)
+    # atom 2 of grid(1, 3, 2) is [2/3, 1) x T^1; blocks(1, 2) is one atom
+    for y in (F(0), F(1, 3), F(5, 7)):
+        assert PartitionSpec.grid(1, 3, 2).atom_index(TorusPoint((F(2, 3), y))) == 2
+        assert PartitionSpec.grid(1, 3, 2).atom_index(TorusPoint((F(2, 3) - F(1, 99), y))) == 1
+        assert PartitionSpec.blocks(1, 2).atom_index(TorusPoint((F(8, 9), y))) == 0
 
 
 def test_grid_index_matches_vectorised_indexer():
@@ -133,23 +144,13 @@ def test_grid_index_matches_vectorised_indexer():
         PartitionSpec.strips(4, 1, 2),
         PartitionSpec.grid_min(2, 1, 2),
     ]:
-        M = part.boundary_denominator_lcm() * 4
+        M = lcm(*part.counts) * 4
         rng = np.random.default_rng(11)
         pts = rng.integers(0, M, size=(part.dim, 300), dtype=np.int64)
         fast = part.atom_index_grid(pts, M)
         for col in range(0, 300, 17):
             x = TorusPoint(tuple(F(int(pts[c, col]), M) for c in range(part.dim)))
             assert part.atom_index(x) == fast[col]
-
-
-def test_boundary_denominator_lcm():
-    assert PartitionSpec.blocks(6, 2).boundary_denominator_lcm() == 6
-    assert PartitionSpec.circle(7).boundary_denominator_lcm() == 7
-    assert PartitionSpec.grid(2, 3, 2).boundary_denominator_lcm() == 6
-    assert PartitionSpec.grid_stage(2, 2, 3, 3).boundary_denominator_lcm() == 12
-    assert PartitionSpec.tower((0, 1), 2, 3, 2).boundary_denominator_lcm() == 6
-    assert PartitionSpec.strips(4, 3, 5).boundary_denominator_lcm() == 60
-    assert PartitionSpec.grid_min(2, 1, 3).boundary_denominator_lcm() == 24  # lcm(8, 6)
 
 
 @pytest.mark.parametrize(

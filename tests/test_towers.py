@@ -10,7 +10,7 @@ from mpmath import mp
 
 from abctorus.bounds import convergence_ledger, ledger_recipe
 from abctorus.errors import AmbiguousComparison, ParamOutOfRange, RangeOverflow
-from abctorus.towers import WORK_PREC, TowerReal, tower, tower_compare, tower_max
+from abctorus.towers import WORK_PREC, TowerReal, tower, tower_max
 
 REF_PREC = 200
 
@@ -58,7 +58,7 @@ def test_iterated_exponential_comparison():
     a = TowerReal.from_number(10).exp().exp()  # e^(e^10)
     b = TowerReal.from_number(1000).exp()  # e^1000
     assert a > b
-    assert tower_compare(a, b) == 1
+    assert a.compare(b) == 1
     assert tower_max(a, b) is a
 
 

@@ -17,7 +17,16 @@ layout of `BENCH_compose.json`: a header ("what", "command", "pairs",
 "machine") and one flat record per run with the workload, seed, side,
 correctness, attempted/failed counts and the four end-to-end metrics.
 The script also prints, per workload and metric, the median of each
-side, the parent's quartile spread and how many pairs the change won.
+side, the parent's quartile spread, how many pairs the change won and
+a verdict against the metric's `bound` in `BENCHMARK.json` (lower is
+better for every metric here):
+
+- `worse`: the change's median exceeds the parent's by more than
+  bound x the parent's median;
+- `unresolved`: the parent's quartile spread exceeds bound x its median
+  and not every change run beats every parent run, so the runs spread
+  too widely to tell;
+- `ok`: neither.
 
 If a run fails (a non-zero exit or a timeout), no further run starts:
 `BENCH_<tag>.json` is written with the runs collected so far and a
@@ -77,9 +86,28 @@ def record(workload: str, seed: int, side: str, result: dict) -> dict:
     return rec
 
 
-def summary(runs) -> None:
-    """Per workload and metric: medians, the parent's quartile spread and
-    the pairs the change won (lower is better for every metric here)."""
+def iqr(values) -> float:
+    """The spread between the quartiles (0 for fewer than two values)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(par, chg, bound: float) -> str:
+    """`worse`, `unresolved` or `ok` for one metric's parent and change
+    runs (lower is better), as the module docstring defines them."""
+    pm = statistics.median(par)
+    if statistics.median(chg) > pm * (1 + bound):
+        return "worse"
+    if iqr(par) > bound * pm and not max(chg) < min(par):
+        return "unresolved"
+    return "ok"
+
+
+def summary(runs, bounds) -> None:
+    """Per workload and metric: medians, the parent's quartile spread,
+    the pairs the change won and the `verdict` against `bounds[metric]`."""
     for w in dict.fromkeys(r["w"] for r in runs):
         pairs = {}
         for r in runs:
@@ -92,13 +120,10 @@ def summary(runs) -> None:
             par = [p["parent"][m] for p in pairs]
             chg = [p["change"][m] for p in pairs]
             wins = sum(c < p for p, c in zip(par, chg))
-            spread = 0.0
-            if len(par) >= 2:
-                q1, _, q3 = statistics.quantiles(par, n=4)
-                spread = q3 - q1
             pm, cm = statistics.median(par), statistics.median(chg)
             print(f"{w} {m}: parent {pm:.5g}, change {cm:.5g} ({(cm - pm) / pm:+.1%}), "
-                  f"parent IQR {spread:.4g}, change won {wins}/{len(pairs)}")
+                  f"parent IQR {iqr(par):.4g}, change won {wins}/{len(pairs)}: "
+                  f"{verdict(par, chg, bounds[m])}")
 
 
 def main() -> None:
@@ -110,7 +135,9 @@ def main() -> None:
     parser.add_argument("--what", default="", help="one line on the change measured")
     args = parser.parse_args()
     workloads = args.workloads.split(",")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     runs, failed = [], None
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,7 +175,7 @@ def main() -> None:
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
-    summary(runs)
+    summary(runs, bounds)
     if failed is not None:
         sys.exit(f"run failed: {failed['w']} seed {failed['seed']} on the {failed['side']} "
                  f"side (exit code {failed['exit_code']}); {len(runs)} runs kept in {path}")
