@@ -183,44 +183,22 @@ def stage_delta(n: int) -> Fraction:
     return Fraction(1, 2 ** (n + 1))
 
 
-def choose_amplitude(l: int, eps=None, delta=None, *, stage: Optional[int] = None) -> int:
-    """Amplitude for the entire approximation.
+def stage_amplitude(n: int, l: int) -> int:
+    """Stage-n amplitude 2^(2n+5) * l^2 of the stage schedule, for an even
+    cell count l >= 4. It clears the amplitude conditions at the stage
+    budgets split over a circle stage's three shears, (eps_n/4, delta_n/4);
+    `EntireStep` checks that for every step built from it."""
+    require_int(n, 1, "stage index")
+    require_int(l, 4, "stage cell count l")
+    if l % 2:
+        raise ParamOutOfRange(f"stage cell count l must be even, got {l}")
+    return 2 ** (2 * n + 5) * l * l
 
-    General mode (stage=None): the smallest power of two strictly
-    exceeding both amplitude lower bounds for the given (l, eps, delta).
 
-    Stage mode (stage=n): the fixed schedule A = 2^(2n+5) * l^2 used by
-    the iterative constructions, which requires l >= 4 and pairs with
-    the stage budgets eps_n = 1/(3*2^(n+1)), delta_n = 1/2^(n+1). If
-    eps/delta are passed they must match that schedule. The returned
-    amplitude is verified against (A1)/(A2) in either mode.
-    """
-    if stage is not None:
-        n = stage
-        require_int(n, 1, "stage index")
-        if not isinstance(l, int) or l < 4 or l % 2:
-            raise ParamOutOfRange(
-                f"stage amplitude schedule needs even l >= 4, got {l}"
-            )
-        sched_eps = stage_epsilon(n)
-        sched_delta = stage_delta(n)
-        for given, sched, name in ((eps, sched_eps, "eps"), (delta, sched_delta, "delta")):
-            if given is None:
-                continue
-            require_real(given, name)
-            if Fraction(given) != sched and abs(float(given) - float(sched)) > 1e-15:
-                raise ParamOutOfRange(
-                    f"stage mode fixes {name}={sched}, got {given}"
-                )
-        A = 2 ** (2 * n + 5) * l * l
-        if not amplitude_conditions_hold(l, sched_eps, sched_delta, A):
-            raise ParamOutOfRange(
-                f"stage amplitude {A} fails the amplitude conditions at n={n}, l={l}"
-            )
-        return A
-
-    if eps is None or delta is None:
-        raise ParamOutOfRange("general mode needs explicit eps and delta")
+def choose_amplitude(l: int, eps, delta) -> int:
+    """The smallest power of two strictly exceeding both amplitude lower
+    bounds for (l, eps, delta). The stage schedule's fixed amplitude is
+    `stage_amplitude`."""
     # checked before the cached bounds, whose key must be hashable
     _check_profile_params(l, eps, delta)
     a1, a2 = amplitude_lower_bounds(l, eps, delta)
@@ -628,10 +606,9 @@ class AnalyticBlockSlide:
     coordinate against its collars — every point moves within eps of the
     exact image. The exact moves preserve measure, so that set measures
     at most `error_measure_bound()`, the sum of the moves' own collar
-    measures. That sum is below delta for the maps of
-    `approximate_blockslide`, which splits delta over the moves, but
-    3 delta_n on the circle stages, whose three shears each carry the
-    full delta_n.
+    measures. For the maps of `approximate_blockslide` and of the circle
+    stages that sum is below delta: both give each move one share of
+    delta, with one share to spare.
     """
 
     dim: int
@@ -717,9 +694,9 @@ class AnalyticBlockSlide:
 
     def error_measure_bound(self) -> Fraction:
         """Sum of the per-move collar measures, >= the measure of the
-        pulled-back error set. Below delta for `approximate_blockslide`'s
-        maps; each move counts its own step's delta, so on the circle
-        stages, whose three shears each carry delta_n, it is 3 delta_n."""
+        pulled-back error set. Below delta for the maps of
+        `approximate_blockslide` and of the circle stages, which give each
+        move one share of delta with one share to spare."""
         return sum(
             (error_set(mv.step).total_measure() for mv in self.moves if mv.step is not None),
             Fraction(0),
@@ -823,6 +800,7 @@ __all__ = [
     "choose_amplitude",
     "error_set",
     "step_to_plateau",
+    "stage_amplitude",
     "stage_delta",
     "stage_epsilon",
     "verify_proximity",

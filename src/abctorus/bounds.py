@@ -572,9 +572,7 @@ def convergence_ledger(
 
 
 def ledger_recipe(
-    stages: int = 5,
-    rho: float = 0.1,
-    undersized_final_gap: bool = False,
+    stages: int = 5, rho: float = 0.1
 ) -> Tuple[Tuple[StageBounds, ...], Tuple[GapBound, ...]]:
     """Generate stage data and gap certificates that drive the ledger.
 
@@ -587,10 +585,6 @@ def ledger_recipe(
     gap certificates exceed the L4 threshold by one more exponential — the
     margins survive the absorption rules of deep tower sums, so the ledger
     can certify every link soundly.
-
-    With ``undersized_final_gap`` the last stage's certificate is exp(-T_n)
-    instead of exp(-exp(exp(T_n))): too large by two exponentials, so the
-    ledger fails that stage's final link.
     """
     require_int(stages, 1, "stage count")
     require_real(rho, "initial width")
@@ -615,13 +609,8 @@ def ledger_recipe(
         a1 = _stage_amplitude(n, l_t)
         rho_next = rho_prime_bound(rho_t, a1)
         stage = StageBounds(n=n, l=l_n, q=q_n, rho=rho_t, dh=dh_t, rho_prime=rho_next)
-        t_n = stage_gap_threshold(stage)
-        if undersized_final_gap and n == stages:
-            gap = GapBound.from_neglog(t_n)  # misses the required exp(T_n)
-        else:
-            gap = GapBound.from_neglog(t_n.exp().exp())
         out_stages.append(stage)
-        out_gaps.append(gap)
+        out_gaps.append(GapBound.from_neglog(stage_gap_threshold(stage).exp().exp()))
         # grow the derivative bound through the three shears of stage n+1
         a2 = a1
         nq = _product(l_t, q_n)
@@ -1029,13 +1018,17 @@ def verify_translation_params(tp: TranslationParams) -> Tuple[str, ...]:
     return tuple(bad)
 
 
+#: How often `translation_params` doubles s (within its congruence class)
+#: before it gives up on a level.
+MAX_ESCALATIONS = 64
+
+
 def translation_params(
     h: int = 2,
     levels: int = 3,
     gamma1: Optional[Sequence[int]] = None,
     p1: int = 1,
     q1: int = 2,
-    max_escalations: int = 64,
     l_base: Optional[int] = None,
 ) -> TranslationParams:
     """Search integer parameters satisfying items (1)-(8) for `levels` levels.
@@ -1064,13 +1057,12 @@ def translation_params(
     For h = 1 everything degenerates (gamma = (1,), sigma = 0, d = 0); for
     h > 2 the geometric items (7)-(8) are not searched or checked and the
     returned notes say so.  Raises SearchExhausted if no admissible vector
-    appears within `max_escalations` escalations of s.
+    appears within `MAX_ESCALATIONS` escalations of s.
     """
     require_int(h, 1, "torus dimension h")
     require_int(levels, 1, "level count")
     require_int(p1, 1, "p1")
     require_int(q1, 1, "q1")
-    require_int(max_escalations, 0, "max_escalations")
     if l_base is not None:
         if not isinstance(l_base, int) or l_base < 2 or l_base % 2:
             raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
@@ -1113,7 +1105,7 @@ def translation_params(
                 floor_s = max(floor_s, (2 ** n * q * q) // gh)
             s = _next_in_class(floor_s + 1, mod)
             found = None
-            for _ in range(max_escalations):
+            for _ in range(MAX_ESCALATIONS):
                 cand = _advance_gamma(gamma, q, s, n)
                 if cand is not None:
                     found = (s, cand)
@@ -1122,7 +1114,7 @@ def translation_params(
             if found is None:
                 raise SearchExhausted(
                     f"level {n}: no primitive advance of gamma within the "
-                    f"item-(8) window after {max_escalations} escalations of s "
+                    f"item-(8) window after {MAX_ESCALATIONS} escalations of s "
                     f"(items (1)/(8))"
                 )
             s, gamma_next = found

@@ -18,7 +18,8 @@ finite and verifiable — the exact model in rational arithmetic and the
 analytic model up to the collar sets of its entire steps.
 
 Stage schedules pair eps_n = 1/(3*2^{n+1}) and delta_n = 1/2^{n+1} with
-the amplitude 2^{2n+5} l_n^2, matching the analytic layer's stage mode.
+the amplitude 2^{2n+5} l_n^2 (`analytic.stage_epsilon`, `stage_delta` and
+`stage_amplitude`).
 Parameters are deliberately toy-sized: the inequalities that force the
 true construction's astronomically large l_n, q_n live in the symbolic
 ledger (bounds module), not here.
@@ -39,7 +40,7 @@ from .analytic import (
     AnalyticMove,
     EntireStep,
     approximate_blockslide,
-    choose_amplitude,
+    stage_amplitude,
     stage_delta,
     stage_epsilon,
     step_to_plateau,
@@ -123,40 +124,25 @@ class AbCParams:
         return Fraction(self.p, self.q)
 
 
-def advance_params(
-    params: AbCParams,
-    k: Optional[int] = None,
-    l: Optional[int] = None,
-    s: Optional[int] = None,
-    a: Optional[Sequence[int]] = None,
-) -> AbCParams:
+def advance_params(params: AbCParams) -> AbCParams:
     """Next-stage record under p' = s k l q p + 1, q' = s k l q^2.
 
-    The multipliers default to the input record's own; overrides redefine
-    them for this step and are carried forward.  The new rotation number
-    is alpha + 1/(s k l q^2) exactly, automatically in lowest terms since
-    p' = 1 mod every prime factor of q'.
+    k, l and s carry over from the input record, and the next index
+    function starts at zero (a stage builder fills it in).  The new
+    rotation number is alpha + 1/(s k l q^2) exactly, automatically in
+    lowest terms since p' = 1 mod every prime factor of q'.
     """
-    k = params.k if k is None else int(k)
-    l = params.l if l is None else int(l)
-    s = params.s if s is None else int(s)
-    if k < 1 or l < 1 or s < 1:
-        raise ParamOutOfRange(f"k, l, s must be >= 1, got k={k}, l={l}, s={s}")
-    if l % 2:
-        raise ParamOutOfRange(f"l must be even, got {l}")
+    k, l, s = params.k, params.l, params.s
     step = s * k * l * params.q
-    p_next = step * params.p + 1
-    q_next = step * params.q
-    n_next = params.n + 1
-    a_next = tuple(int(v) for v in a) if a is not None else (0,) * k
-    return AbCParams(n=n_next, p=p_next, q=q_next, k=k, l=l, s=s, a=a_next)
+    return AbCParams(n=params.n + 1, p=step * params.p + 1, q=step * params.q,
+                     k=k, l=l, s=s, a=(0,) * k)
 
 
-def circle_params(q0: int = 3, p0: int = 1, l: int = 4, s: int = 1) -> AbCParams:
-    """Starting record of the two-torus circle-factor scenario: k is
-    coupled to l and the column combinatorics are trivial."""
+def circle_params(q0: int = 3, l: int = 4) -> AbCParams:
+    """Starting record 1/q0 of the two-torus circle-factor scenario: k is
+    coupled to l, s = 1 and the column combinatorics are trivial."""
     require_int(l, 1, "l")
-    return AbCParams(n=1, p=p0, q=q0, k=l, l=l, s=s, a=(0,) * l)
+    return AbCParams(n=1, p=1, q=q0, k=l, l=l, s=1, a=(0,) * l)
 
 
 def meets_strict_epsilon(params: AbCParams) -> bool:
@@ -277,8 +263,9 @@ class StageMaps:
     conjugations_analytic: Tuple[Optional[AnalyticBlockSlide], ...]
 
     @staticmethod
-    def start(scenario: str, params: AbCParams, dim: int = 2) -> "StageMaps":
-        return StageMaps(scenario, dim, (params,), (), ())
+    def start(scenario: str, params: AbCParams) -> "StageMaps":
+        """An empty stack on the 2-torus, headed by `params`."""
+        return StageMaps(scenario, 2, (params,), (), ())
 
     @property
     def stage_count(self) -> int:
@@ -343,12 +330,11 @@ class StageMaps:
         smallest modulus at which the exact H_stage runs."""
         return lcm(*(h.denominator_lcm() for h in self.conjugations_exact[:stage]))
 
-    def apply_exact(self, x: TorusPoint, stage: int, inverse: bool = False) -> TorusPoint:
-        """H_stage (or its inverse) on an exact point, through
-        `apply_lattice` over M = lcm of the point's denominators and the
-        stack's `_lattice_lcm`."""
+    def apply_exact(self, x: TorusPoint, stage: int) -> TorusPoint:
+        """H_stage on an exact point, through `apply_lattice` over M = lcm
+        of the point's denominators and the stack's `_lattice_lcm`."""
         ys, M = to_lattice(x, self.dim, self._lattice_lcm(self._check_stage(stage)))
-        return from_lattice(*self.apply_lattice(ys, M, stage, inverse=inverse))
+        return from_lattice(*self.apply_lattice(ys, M, stage))
 
     def apply_analytic(
         self, pts: np.ndarray, stage: int, inverse: bool = False
@@ -357,14 +343,12 @@ class StageMaps:
         return self._apply(self.conjugations_analytic, pts, stage, inverse,
                            lambda h, y: h.transform(y))
 
-    def apply_analytic_rational(
-        self, coords: Sequence, stage: int, inverse: bool = False
-    ) -> Tuple[Fraction, ...]:
-        """H_stage (or its inverse) through the exact-rational analytic
-        path (entire-step values frozen to their float rationals), through
-        `apply_lattice` over the lcm of the point's denominators."""
+    def apply_analytic_rational(self, coords: Sequence, stage: int) -> Tuple[Fraction, ...]:
+        """H_stage through the exact-rational analytic path (entire-step
+        values frozen to their float rationals), through `apply_lattice`
+        over the lcm of the point's denominators."""
         ys, D = to_lattice(coords, self.dim)
-        return from_lattice(*self.apply_lattice(ys, D, stage, "analytic", inverse)).coords
+        return from_lattice(*self.apply_lattice(ys, D, stage, "analytic")).coords
 
     def apply_lattice(
         self, ys: List[int], M: int, stage: int, model: str = "exact", inverse: bool = False
@@ -405,23 +389,20 @@ def build_stage_circle(params: AbCParams) -> StageIncrement:
         beta^(3) = (0, 1/(l^2 q), ..., (l-1)/(l^2 q)),      N = 1
 
     read off the exact step functions.  The analytic counterparts use
-    the stage schedule (eps_n, delta_n) and amplitude 2^{2n+5} l^2; all
-    three commute with phi^{alpha} for every alpha with denominator q
-    because their x_1-sourced profile has period 1/(l q).
+    the amplitude 2^{2n+5} l^2 of the stage schedule and split its budget
+    (eps_n, delta_n) as `approximate_blockslide` does for three shears:
+    each step gets (eps_n/4, delta_n/4), so the summed collar measure
+    3 delta_n/4 stays below delta_n.  All three commute with phi^{alpha}
+    for every alpha with denominator q because their x_1-sourced profile
+    has period 1/(l q).
     """
     n, l, q = params.n, params.l, params.q
-    if n < 1:
-        raise ParamOutOfRange(f"stage schedules start at n = 1, got {n}")
-    if l < 4 or l % 2:
-        raise ParamOutOfRange(
-            f"the circle scenario needs even l >= 4 (amplitude lemma), got {l}"
-        )
     if params.k != params.l:
         raise ParamOutOfRange(
             f"the circle scenario couples k to l, got k={params.k}, l={params.l}"
         )
     eps, delta = stage_epsilon(n), stage_delta(n)
-    A = choose_amplitude(l, stage=n)
+    A = stage_amplitude(n, l)  # refuses an l below 4 (the amplitude lemma)
 
     exact = build_grid_refine(l, q, 2)
     moves = []
@@ -431,7 +412,7 @@ def build_stage_circle(params: AbCParams) -> StageIncrement:
             raise ParamOutOfRange(
                 f"refinement profile has {cells} cells, expected l={l}"
             )
-        estep = EntireStep(tuple(float(b) for b in beta), N, eps, delta, A)
+        estep = EntireStep(tuple(float(b) for b in beta), N, eps / 4, delta / 4, A)
         moves.append(AnalyticMove(mv.target, mv.source, mv.sign, estep))
     analytic = AnalyticBlockSlide(
         dim=2, moves=tuple(moves), exact=exact, eps=eps, delta=delta
@@ -445,12 +426,10 @@ def build_stage_circle(params: AbCParams) -> StageIncrement:
     )
 
 
-def run_circle_scenario(
-    stages: int, q0: int = 3, p0: int = 1, l: int = 4, s: int = 1
-) -> StageMaps:
+def run_circle_scenario(stages: int, q0: int = 3, l: int = 4) -> StageMaps:
     """Build the circle-factor scenario for the given number of stages."""
     require_int(stages, 1, "stage count")
-    maps = StageMaps.start("circle", circle_params(q0=q0, p0=p0, l=l, s=s))
+    maps = StageMaps.start("circle", circle_params(q0=q0, l=l))
     for _ in range(stages):
         maps = maps.extend(build_stage_circle(maps.records[-1]))
     return maps
@@ -713,8 +692,6 @@ def build_stage_minimal(params: AbCParams, r: int) -> StageIncrement:
         raise ParamOutOfRange(
             f"the minimality scenario couples k to l^2, got k={params.k}, l={l}"
         )
-    if r < 1:
-        raise ParamOutOfRange(f"need r >= 1 bands, got {r}")
     stage = minimal_stage(n, l, q, r)
     exact = stage.conjugation()
     built_analytic = None
@@ -731,26 +708,18 @@ def build_stage_minimal(params: AbCParams, r: int) -> StageIncrement:
     )
 
 
-def run_minimal_scenario(
-    n: int,
-    l: int,
-    q: int,
-    r: int,
-    p: int = 1,
-    s: int = 1,
-    stages: int = 1,
-) -> StageMaps:
+def run_minimal_scenario(n: int, l: int, q: int, r: int, stages: int = 1) -> StageMaps:
     """Build the minimality scenario at a prescribed toy scale.
 
     n sets the staircase sharpness (n^2 micro-steps per column), l the
-    grid multiplier, p/q the starting rotation number, r the number of
-    ergodic-limit bands.  The stage index starts at n directly — the
-    scenario is studied one stage at a time at a chosen sharpness, not
-    accumulated from stage 1.
+    grid multiplier, 1/q the starting rotation number (s = 1), r the
+    number of ergodic-limit bands.  The stage index starts at n directly
+    — the scenario is studied one stage at a time at a chosen sharpness,
+    not accumulated from stage 1.
     """
     require_int(stages, 1, "stage count")
     require_int(l, 1, "grid multiplier l")
-    start = AbCParams(n=n, p=p, q=q, k=l * l, l=l, s=s, a=(0,) * (l * l))
+    start = AbCParams(n=n, p=1, q=q, k=l * l, l=l, s=1, a=(0,) * (l * l))
     maps = StageMaps.start("minimal", start)
     for _ in range(stages):
         maps = maps.extend(build_stage_minimal(maps.records[-1], r))

@@ -48,11 +48,7 @@ from ..errors import (
 )
 from ..towers import require_int
 from .blockslide import BlockSlideMap, BlockSlideMove, rotation_map
-from .permutations import (
-    is_permutation,
-    quotient_of,
-    star_factorization,
-)
+from .permutations import is_permutation, star_factorization
 from .steps import (
     StepFunction,
     plateau_target,
@@ -327,23 +323,19 @@ def decompose_permutation(
     """Realize a rotation-equivariant permutation of the kq x l strip
     atoms as an explicit block-slide map.
 
-    `perm` is either a permutation of the k*l column classes or a full
-    permutation of the kq*l strip atoms, which must then be the
-    blockwise lift of its quotient (NotEquivariant otherwise). Returns
-    the pivot-transposition targets in application order together with
-    the composed map. Requires k >= 4 and l >= 2.
+    `perm` is the permutation's quotient on the k*l strip classes (its
+    blockwise lift permutes the kq*l atoms); anything else is refused
+    with NotEquivariant. Returns the pivot-transposition targets in
+    application order together with the composed map. Requires k >= 4
+    and l >= 2.
     """
     require_int(k, 4, "decomposition k")
     require_int(q, 1, "q")
     require_int(l, 2, "decomposition l")
-    perm = np.asarray(perm, dtype=np.int64)
-    if len(perm) == k * l:
-        quot = perm  # quotient input (for q = 1 this is also the full strip)
-    elif len(perm) == k * q * l:
-        quot = quotient_of(perm, k, q, l)
-    else:
+    quot = np.asarray(perm, dtype=np.int64)
+    if len(quot) != k * l:
         raise NotEquivariant(
-            f"permutation length {len(perm)} matches neither k*l={k*l} nor kq*l={k*q*l}"
+            f"a quotient permutation has k*l={k*l} entries, got {len(quot)}"
         )
     if not is_permutation(quot):
         raise NotEquivariant("input is not a permutation")

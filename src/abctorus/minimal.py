@@ -62,6 +62,7 @@ from .exact.blockslide import (
 from .exact.builders import minimal_cell_image, minimal_quotient_perm
 from .exact.points import TorusPoint, from_lattice, to_lattice
 from .exact.steps import StepFunction, build_trapping_step
+from .towers import require_int
 
 Zone = Union[Tuple[str, int, int], Tuple[str, int, int, int]]
 
@@ -209,10 +210,9 @@ def trapping_exponent(n: int, l: int, q: int) -> int:
     bookkeeping uses.  Any smaller delta works equally well; a fixed
     deterministic choice keeps reports reproducible.
     """
-    if n < 2:
-        raise ParamOutOfRange(f"the staircase needs n >= 2, got {n}")
-    if l < 2 or q < 1:
-        raise ParamOutOfRange(f"need l >= 2 and q >= 1, got l={l}, q={q}")
+    require_int(n, 2, "staircase sharpness n")
+    require_int(l, 2, "grid multiplier l")
+    require_int(q, 1, "denominator q")
     return l * q + (n ** 4 - 1).bit_length() + 1
 
 
@@ -267,27 +267,11 @@ class MinimalStage:
         return ("B", row // l, s, i)
 
 
-def minimal_stage(
-    n: int, l: int, q: int, r: int, delta: Optional[Fraction] = None
-) -> MinimalStage:
-    """Assemble the geometry of one minimality stage.
-
-    delta defaults to 2^-trapping_exponent(n, l, q); an explicit value
-    (including 0, which collapses the staircase collars) is accepted for
-    closed-form measure tests.
-    """
-    if n < 2:
-        raise ParamOutOfRange(f"the staircase needs n >= 2, got {n}")
-    if l < 2 or q < 1 or r < 1:
-        raise ParamOutOfRange(
-            f"need l >= 2, q >= 1, r >= 1, got l={l}, q={q}, r={r}"
-        )
-    if delta is None:
-        delta = Fraction(1, 2 ** trapping_exponent(n, l, q))
-    else:
-        delta = Fraction(delta)
-        if not (0 <= delta < 1):
-            raise ParamOutOfRange(f"delta must lie in [0, 1), got {delta}")
+def minimal_stage(n: int, l: int, q: int, r: int) -> MinimalStage:
+    """Assemble the geometry of one minimality stage, with the collar
+    width delta = 2^-trapping_exponent(n, l, q)."""
+    delta = Fraction(1, 2 ** trapping_exponent(n, l, q))
+    require_int(r, 1, "band count r")
     kappa = build_trapping_step(n, l, q, r, delta)
     comb = MinimalCombinatorics(l=l, q=q, r=r)
     return MinimalStage(n=n, l=l, q=q, r=r, delta=delta, comb=comb, kappa=kappa)

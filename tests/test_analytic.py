@@ -18,6 +18,7 @@ from abctorus.analytic import (
     choose_amplitude,
     error_set,
     step_to_plateau,
+    stage_amplitude,
     stage_delta,
     stage_epsilon,
     verify_proximity,
@@ -89,24 +90,33 @@ def test_choose_amplitude_general_smallest_power_of_two():
 
 
 def test_choose_amplitude_stage_schedule():
-    assert choose_amplitude(4, stage=1) == 2048
-    assert choose_amplitude(4, stage=2) == 8192
-    assert choose_amplitude(8, stage=1) == 8192
-    # explicit budgets are accepted only when they match the schedule
-    assert choose_amplitude(4, Fraction(1, 12), Fraction(1, 4), stage=1) == 2048
-    with pytest.raises(ParamOutOfRange):
-        choose_amplitude(4, Fraction(1, 13), Fraction(1, 4), stage=1)
+    assert stage_amplitude(1, 4) == 2048
+    assert stage_amplitude(2, 4) == 8192
+    assert stage_amplitude(1, 8) == 8192
+    # the schedule is a fixed amplitude, at or above the smallest power of
+    # two that the stage budgets need
+    for n in (1, 2, 3):
+        for l in (4, 8):
+            assert choose_amplitude(l, stage_epsilon(n), stage_delta(n)) <= stage_amplitude(n, l)
+
+
+@pytest.mark.parametrize("l", [4, 6, 8])
+def test_stage_amplitude_clears_the_circle_split_budget(l):
+    # a circle stage gives each of its three shears (eps_n/4, delta_n/4)
+    for n in range(1, 9):
+        assert amplitude_conditions_hold(
+            l, stage_epsilon(n) / 4, stage_delta(n) / 4, stage_amplitude(n, l))
 
 
 def test_choose_amplitude_rejections():
     with pytest.raises(ParamOutOfRange):
-        choose_amplitude(2, stage=1)  # stage schedule needs l >= 4
+        stage_amplitude(1, 2)  # the stage schedule needs l >= 4
+    with pytest.raises(ParamOutOfRange):
+        stage_amplitude(1, 5)  # and an even l
+    with pytest.raises(ParamOutOfRange):
+        stage_amplitude(0, 4)
     with pytest.raises(ParamOutOfRange):
         choose_amplitude(5, Fraction(1, 10), Fraction(1, 4))  # odd l
-    with pytest.raises(ParamOutOfRange):
-        choose_amplitude(4, stage=0)
-    with pytest.raises(ParamOutOfRange):
-        choose_amplitude(2)  # general mode needs budgets
     with pytest.raises(ParamOutOfRange):
         choose_amplitude(2, Fraction(1, 8), Fraction(1, 4))  # eps too large
     with pytest.raises(ParamOutOfRange):
@@ -249,7 +259,7 @@ def test_derivative_small_off_collars():
     beta, N, _ = step_to_plateau(psi1_refine(4, 144))
     s = EntireStep(
         tuple(float(b) for b in beta), N, stage_epsilon(1), stage_delta(1),
-        choose_amplitude(4, stage=1),
+        stage_amplitude(1, 4),
     )
     collars = error_set(s)
     h = 1e-6
@@ -346,13 +356,14 @@ def test_error_set_twelve_collars():
     assert es.total_measure() == DELTA_DEMO
 
 
-def test_circle_collar_measure_is_three_stage_deltas():
-    # each of the three shears of a circle stage carries the full
-    # delta_n, so the summed collar measure is 3 delta_n, not below delta_n
+def test_circle_collar_measure_is_below_stage_delta():
+    # each of the three shears of a circle stage carries delta_n/4, so the
+    # summed collar measure is 3 delta_n/4 < delta_n
     hs = run_circle_scenario(3).conjugations_analytic
     assert [h.delta for h in hs] == [stage_delta(n) for n in (1, 2, 3)]
     assert [h.error_measure_bound() for h in hs] == [
-        Fraction(3, 4), Fraction(3, 8), Fraction(3, 16)]
+        Fraction(3, 16), Fraction(3, 32), Fraction(3, 64)]
+    assert all(h.error_measure_bound() < h.delta for h in hs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,7 @@ def test_verify_proximity_stage_profile():
     beta, N, l = step_to_plateau(target)
     s = EntireStep(
         tuple(float(b) for b in beta), N, stage_epsilon(1), stage_delta(1),
-        choose_amplitude(4, stage=1),
+        stage_amplitude(1, 4),
     )
     assert verify_proximity(s, target, 10**4) < float(stage_epsilon(1))
 

@@ -53,11 +53,13 @@ def test_a_failing_run_writes_the_runs_so_far(tmp_path, monkeypatch):
 
 def _runs(parent, change):
     """Synthetic runs of the circle workload: one pair per seed, with the
-    given setup_s values and 1.0 for the other metrics."""
+    given setup_s values, 1.0 for the other metrics, and 20 ops attempted
+    of which none failed, all correct."""
     runs = []
     for seed, (p, c) in enumerate(zip(parent, change)):
         for side, v in (("parent", p), ("change", c)):
-            runs.append({"w": "circle", "seed": seed, "side": side, "setup_s": v,
+            runs.append({"w": "circle", "seed": seed, "side": side, "correct": True,
+                         "attempted": 20, "failed": 0, "setup_s": v,
                          "build_s": 1.0, "verify_s": 1.0, "peak_rss_mb": 1.0})
     return runs
 
@@ -91,3 +93,35 @@ def test_a_wide_parent_without_a_clean_win_is_unresolved(capsys):
 
 def test_a_tight_parent_within_the_bound_is_ok(capsys):
     assert _setup_label(capsys, [1.0, 1.02, 0.98, 1.0], [1.1, 1.1, 1.1, 1.1]) == "ok"
+
+
+def _flag_lines(capsys, runs):
+    load_tool().summary(runs, BOUNDS)
+    lines = capsys.readouterr().out.splitlines()
+    return [s for s in lines if s.startswith("circle: ")]
+
+
+def test_a_clean_change_raises_no_flag(capsys):
+    assert _flag_lines(capsys, _runs([1.0] * 3, [1.0] * 3)) == []
+
+
+def test_an_incorrect_change_run_is_flagged(capsys):
+    runs = _runs([1.0] * 3, [1.0] * 3)
+    runs[3]["correct"] = False  # the change run of seed 1
+    (line,) = _flag_lines(capsys, runs)
+    assert line.startswith("circle: incorrect") and line.endswith("[1]")
+    # a parent run that reads false is the parent's fault, not the change's
+    runs = _runs([1.0] * 3, [1.0] * 3)
+    runs[2]["correct"] = False
+    assert _flag_lines(capsys, runs) == []
+
+
+def test_a_larger_failed_share_than_the_paired_parent_is_flagged(capsys):
+    runs = _runs([1.0] * 3, [1.0] * 3)
+    runs[4]["failed"] = 1                            # parent of seed 2: 1/20
+    runs[5].update(attempted=10, failed=1)           # its change run: 1/10
+    (line,) = _flag_lines(capsys, runs)
+    assert line.startswith("circle: more failed ops") and line.endswith("[2]")
+    # the same share on both sides is no flag, whatever the counts
+    runs[5].update(attempted=40, failed=2)
+    assert _flag_lines(capsys, runs) == []

@@ -17,7 +17,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from abctorus import analytic
+from abctorus import analytic, bounds
 from abctorus.bounds import (
     GapBound,
     LiouvilleLevel,
@@ -260,8 +260,11 @@ class TestLedger:
             assert cur.rho == prev.rho_prime
             assert TowerReal.from_number(cur.dh) > TowerReal.from_number(prev.dh)
 
-    def test_undersized_final_gap_fails_final_link(self):
-        stages, gaps = ledger_recipe(stages=5, undersized_final_gap=True)
+    def test_undersized_final_gap_fails_final_link(self, recipe5):
+        # the last certificate exp(-T_n) instead of exp(-exp(exp(T_n))) is
+        # too large by two exponentials, so the final link fails
+        stages, gaps = recipe5
+        gaps = gaps[:-1] + (GapBound.from_neglog(stage_gap_threshold(stages[-1])),)
         with pytest.raises(LinkFailed) as exc:
             convergence_ledger(stages, gaps)
         assert exc.value.stage == 5
@@ -582,11 +585,12 @@ class TestTranslationParams:
         mut = TranslationParams(h=2, levels=(tp_h2.levels[0], tp_h2.levels[1], bad))
         assert any(m.startswith("item (7)") for m in verify_translation_params(mut))
 
-    def test_search_exhaustion(self):
+    def test_search_exhaustion(self, monkeypatch):
         # the level-2 -> level-3 advance needs one escalation of s (gcd
         # failure at s = 1921), so a budget of one attempt must exhaust
+        monkeypatch.setattr(bounds, "MAX_ESCALATIONS", 1)
         with pytest.raises(SearchExhausted) as exc:
-            translation_params(h=2, levels=3, gamma1=(1, 6), max_escalations=1)
+            translation_params(h=2, levels=3, gamma1=(1, 6))
         assert "item" in str(exc.value)
 
     def test_domain_errors(self):

@@ -58,10 +58,9 @@ reals = mostly(st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(stages=mostly(st.integers(-1, 6)),
-       rho=mostly(st.one_of(st.floats(-1, 12), st.fractions(0, 12))),
-       undersized=st.booleans())
-def test_ledger_recipe(stages, rho, undersized):
-    returns_or_typed(ledger_recipe, stages, rho=rho, undersized_final_gap=undersized)
+       rho=mostly(st.one_of(st.floats(-1, 12), st.fractions(0, 12))))
+def test_ledger_recipe(stages, rho):
+    returns_or_typed(ledger_recipe, stages, rho=rho)
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,11 +73,10 @@ def test_liouville_generate(levels, k_target):
 @given(h=mostly(st.integers(0, 3)), levels=mostly(st.integers(0, 4)),
        gamma1=st.one_of(st.none(), mostly(st.lists(mostly(st.integers(-1, 12)), max_size=4))),
        p1=mostly(st.integers(0, 5)), q1=mostly(st.integers(0, 8)),
-       max_escalations=mostly(st.integers(0, 8)),
        l_base=st.one_of(st.none(), mostly(st.integers(0, 8))))
-def test_translation_params(h, levels, gamma1, p1, q1, max_escalations, l_base):
+def test_translation_params(h, levels, gamma1, p1, q1, l_base):
     returns_or_typed(translation_params, h=h, levels=levels, gamma1=gamma1, p1=p1, q1=q1,
-                     max_escalations=max_escalations, l_base=l_base)
+                     l_base=l_base)
 
 
 @settings(max_examples=150, deadline=None)

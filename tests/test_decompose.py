@@ -102,25 +102,17 @@ def test_decomposition_realizes_quotient_exactly(k, q, l, seed):
         assert m.commutes_with_rotation(q)
 
 
-def test_decomposition_accepts_full_equivariant_input():
-    rng = random.Random(4)
-    k, q, l = 4, 2, 2
-    quot = list(range(k * l))
-    rng.shuffle(quot)
-    full = list(lift_quotient(quot, k, q, l))
-    targets_a, _ = decompose_permutation(quot, k, q, l)
-    targets_b, _ = decompose_permutation(full, k, q, l)
-    assert targets_a == targets_b
-
-
 def test_decomposition_rejects_bad_lengths_and_shears():
     k, q, l = 4, 2, 2
     with pytest.raises(NotEquivariant):
         decompose_permutation(list(range(5)), k, q, l)
-    full = list(range(k * q * l))
-    full[0], full[2] = full[2], full[0]
+    # a permutation of all kq*l atoms is not a quotient
     with pytest.raises(NotEquivariant):
-        decompose_permutation(full, k, q, l)
+        decompose_permutation(list(range(k * q * l)), k, q, l)
+    quot = list(range(k * l))
+    quot[0] = 1
+    with pytest.raises(NotEquivariant):
+        decompose_permutation(quot, k, q, l)
 
 
 def test_fast_realization_route_matches_lift():

@@ -126,14 +126,12 @@ class TestParams:
             assert nxt.q == s * k * l * q * q
             assert nxt.p == s * k * l * q * p + 1
 
-    def test_advance_overrides_and_index_function(self):
-        base = circle_params()
-        nxt = advance_params(base, k=2, l=6, s=3, a=(1, 0))
+    def test_advance_carries_multipliers_and_zeroes_index_function(self):
+        base = AbCParams(n=1, p=1, q=3, k=2, l=6, s=3, a=(1, 0))
+        nxt = advance_params(base)
         assert (nxt.k, nxt.l, nxt.s) == (2, 6, 3)
-        assert nxt.a == (1, 0)
+        assert nxt.a == (0, 0)
         assert nxt.q == 3 * 2 * 6 * 9
-        with pytest.raises(ParamOutOfRange):
-            advance_params(base, l=5)
 
     def test_validation_errors(self):
         with pytest.raises(ParamOutOfRange):

@@ -4,8 +4,8 @@ do the `analytic` calls the engine hands its arguments to.
 Hypothesis draws toy-sized arguments, mostly in or near each domain and
 one time in ten malformed (wrong types, nan and inf, fractional sizes),
 with explicit size caps: circle stacks of at most 2 stages with q0 <= 5
-and l <= 6, at most 8 verifier samples, 64 Monte Carlo samples and 3
-partition atoms. The verifiers run on one `run_circle_scenario(2)` stack.
+and l <= 6, minimality stages with n <= 4 and l, q <= 6, at most 8
+verifier samples, 64 Monte Carlo samples and 3 partition atoms. The verifiers run on one `run_circle_scenario(2)` stack.
 `stage_partition` with atoms=None visits every atom of stage 1 (144) and
 is refused at stage 2 (331,776 atoms, beyond the point budget).
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abctorus.analytic import (
     ErrorSet,
@@ -31,6 +31,7 @@ from abctorus.analytic import (
     amplitude_lower_bounds,
     approximate_blockslide,
     choose_amplitude,
+    stage_amplitude,
     stage_delta,
     stage_epsilon,
 )
@@ -48,6 +49,7 @@ from abctorus.engine import (
 )
 from abctorus.errors import AbcTorusError, ParamOutOfRange
 from abctorus.exact import builders
+from abctorus.minimal import minimal_stage, trapping_exponent
 from abctorus.towers import TowerReal
 
 MAPS = run_circle_scenario(2)
@@ -83,18 +85,18 @@ budgets = mostly(st.fractions(0, Fraction(6, 5), max_denominator=10**6))
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=mostly(st.integers(-1, 40)))
-def test_stage_schedule(n):
+@given(n=mostly(st.integers(-1, 40)), l=mostly(st.integers(-1, 8)))
+def test_stage_schedule(n, l):
     returns_or_typed(stage_epsilon, n)
     returns_or_typed(stage_delta, n)
+    returns_or_typed(stage_amplitude, n, l)
 
 
 @settings(max_examples=60, deadline=None)
 @given(stages=mostly(st.integers(-1, 2)), q0=mostly(st.integers(0, 5)),
-       p0=mostly(st.integers(-1, 4)), l=mostly(st.integers(0, 6)),
-       s=mostly(st.integers(0, 2)))
-def test_run_circle_scenario(stages, q0, p0, l, s):
-    returns_or_typed(run_circle_scenario, stages, q0=q0, p0=p0, l=l, s=s)
+       l=mostly(st.integers(0, 6)))
+def test_run_circle_scenario(stages, q0, l):
+    returns_or_typed(run_circle_scenario, stages, q0=q0, l=l)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,10 +149,9 @@ def test_error_set_contains(x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(l=mostly(st.integers(0, 8)), eps=st.one_of(st.none(), budgets),
-       delta=st.one_of(st.none(), budgets), stage=st.one_of(st.none(), mostly(st.integers(0, 4))))
-def test_choose_amplitude(l, eps, delta, stage):
-    returns_or_typed(choose_amplitude, l, eps, delta, stage=stage)
+@given(l=mostly(st.integers(0, 8)), eps=budgets, delta=budgets)
+def test_choose_amplitude(l, eps, delta):
+    returns_or_typed(choose_amplitude, l, eps, delta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,10 +180,30 @@ def test_run_translation_scenario(chain, stages):
 
 @settings(max_examples=80, deadline=None)
 @given(n=mostly(st.integers(0, 3)), l=mostly(st.integers(0, 3)), q=mostly(st.integers(0, 4)),
-       r=mostly(st.integers(0, 3)), p=mostly(st.integers(-1, 3)), s=mostly(st.integers(0, 2)),
-       stages=mostly(st.integers(0, 2)))
-def test_run_minimal_scenario(n, l, q, r, p, s, stages):
-    returns_or_typed(run_minimal_scenario, n, l, q, r, p, s, stages)
+       r=mostly(st.integers(0, 3)), stages=mostly(st.integers(0, 2)))
+@example(n=2, l=4, q=3, r=2.5, stages=1)
+def test_run_minimal_scenario(n, l, q, r, stages):
+    returns_or_typed(run_minimal_scenario, n, l, q, r, stages)
+
+
+minimal_sizes = dict(n=mostly(st.integers(0, 4)), l=mostly(st.integers(0, 6)),
+                     q=mostly(st.integers(0, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=mostly(st.integers(0, 4)), **minimal_sizes)
+@example(n=2, l=4, q=3, r=2.5)
+@example(n=2.5, l=4, q=3, r=2)
+@example(n=2, l="4", q=3, r=2)
+def test_minimal_stage(n, l, q, r):
+    returns_or_typed(minimal_stage, n, l, q, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**minimal_sizes)
+@example(n=2.5, l=4, q=3)
+def test_trapping_exponent(n, l, q):
+    returns_or_typed(trapping_exponent, n, l, q)
 
 
 BUILDERS = {

@@ -1,6 +1,7 @@
 """Constant-time minimality-stage evaluators vs the block-slide route."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -228,7 +229,8 @@ class TestStageGeometry:
         assert st.locate(TorusPoint((F(1, 16), F(1, 4) + d / 16))) is None
 
     def test_zero_delta_collapses_collars(self):
-        st = minimal_stage(n=2, l=2, q=1, r=2, delta=F(0))
+        st = replace(minimal_stage(n=2, l=2, q=1, r=2), delta=F(0),
+                     kappa=build_trapping_step(2, 2, 1, 2, F(0)))
         assert all(v == 0 for v in st.kappa.values)
         for x in random_points(20, seed=8):
             assert st.locate(x) is not None
@@ -253,6 +255,6 @@ class TestStageGeometry:
         with pytest.raises(ParamOutOfRange):
             minimal_stage(n=1, l=2, q=1, r=2)
         with pytest.raises(ParamOutOfRange):
-            minimal_stage(n=2, l=2, q=1, r=2, delta=F(1))
-        with pytest.raises(ParamOutOfRange):
             minimal_stage(n=2, l=1, q=1, r=2)
+        with pytest.raises(ParamOutOfRange):
+            minimal_stage(n=2, l=2, q=1, r=0)

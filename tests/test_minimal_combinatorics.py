@@ -11,7 +11,8 @@ from abctorus.exact.builders import (
 from abctorus.exact.oracle import commutes_with_rotation, induced_atom_permutation
 from abctorus.exact.partitions import PartitionSpec
 from abctorus.exact.permutations import lift_quotient
-from abctorus.minimal import minimal_stage
+from abctorus.exact.steps import build_trapping_step
+from abctorus.minimal import MinimalCombinatorics, MinimalConjugation
 
 F = Fraction
 
@@ -68,7 +69,8 @@ def test_realized_map_matches_quotient():
 def test_minimal_conjugation_induces_the_lifted_quotient(n, l, q, r):
     # with delta = 0 the trapping shear is the identity, so the O(1)
     # conjugation permutes the grid cells exactly as the quotient does
-    h = minimal_stage(n, l, q, r, delta=0).conjugation()
+    h = MinimalConjugation(comb=MinimalCombinatorics(l, q, r),
+                           kappa=build_trapping_step(n, l, q, r, 0))
     got = induced_atom_permutation(h, PartitionSpec.grid_min(l, q, r))
     want = lift_quotient(minimal_quotient_perm(l, r), l * l, l * q, l * r)
     assert np.array_equal(got, want)

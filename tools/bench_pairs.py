@@ -28,6 +28,11 @@ better for every metric here):
   too widely to tell;
 - `ok`: neither.
 
+Before those lines it flags a workload whose change side went wrong:
+`incorrect` when a change run reads `correct: false`, and `more failed
+ops` when a change run fails a larger share of its attempted ops than
+the parent run of its pair.
+
 If a run fails (a non-zero exit or a timeout), no further run starts:
 `BENCH_<tag>.json` is written with the runs collected so far and a
 "failed" record naming the workload, seed, side and exit code, and the
@@ -105,15 +110,38 @@ def verdict(par, chg, bound: float) -> str:
     return "ok"
 
 
+def failed_share(run: dict) -> float:
+    return run["failed"] / max(run["attempted"], 1)
+
+
+def flags(w: str, runs, pairs) -> list:
+    """The module docstring's `incorrect` and `more failed ops` lines for
+    workload w, each naming the seeds of the change runs at fault."""
+    out = []
+    wrong = [r["seed"] for r in runs if r["w"] == w and r["side"] == "change"
+             and not r["correct"]]
+    if wrong:
+        out.append(f"{w}: incorrect: change runs read correct: false at seeds {wrong}")
+    worse = [p["change"]["seed"] for p in pairs
+             if failed_share(p["change"]) > failed_share(p["parent"])]
+    if worse:
+        out.append(f"{w}: more failed ops: change runs fail a larger share of their ops "
+                   f"than their parent runs at seeds {worse}")
+    return out
+
+
 def summary(runs, bounds) -> None:
-    """Per workload and metric: medians, the parent's quartile spread,
-    the pairs the change won and the `verdict` against `bounds[metric]`."""
+    """Per workload: the `flags`, then per metric the medians, the
+    parent's quartile spread, the pairs the change won and the `verdict`
+    against `bounds[metric]`."""
     for w in dict.fromkeys(r["w"] for r in runs):
         pairs = {}
         for r in runs:
             if r["w"] == w:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
         pairs = [p for p in pairs.values() if len(p) == 2]
+        for line in flags(w, runs, pairs):
+            print(line)
         if not pairs:
             continue
         for m in METRICS:
