@@ -611,20 +611,17 @@ class AnalyticBlockSlide:
     delta, with one share to spare.
     """
 
-    dim: int
     moves: Tuple[AnalyticMove, ...]
     exact: BlockSlideMap
     eps: Fraction
     delta: Fraction
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to a (dim, n) float array of points (mod 1); a non-finite
-        coordinate is refused with ParamOutOfRange."""
+        """Apply to a (2, n) float array of points (mod 1); another shape
+        or a non-finite coordinate is refused with ParamOutOfRange."""
         out = np.array(pts, dtype=float, copy=True)
-        if out.ndim != 2 or out.shape[0] != self.dim:
-            raise ParamOutOfRange(
-                f"expected a ({self.dim}, n) coordinate array, got shape {out.shape}"
-            )
+        if out.ndim != 2 or out.shape[0] != 2:
+            raise ParamOutOfRange(f"expected a (2, n) coordinate array, got shape {out.shape}")
         if not np.isfinite(out).all():
             raise ParamOutOfRange("a coordinate is not finite")
         out %= 1.0
@@ -641,11 +638,9 @@ class AnalyticBlockSlide:
             coords = [float(c) for c in x]
         except (TypeError, ValueError, OverflowError):
             raise ParamOutOfRange(f"point {x!r} is not a sequence of reals") from None
-        if len(coords) != self.dim:
-            raise ParamOutOfRange(
-                f"expected a point of dimension {self.dim}, got {len(coords)}"
-            )
-        col = self.transform(np.array(coords, dtype=float).reshape(self.dim, 1))
+        if len(coords) != 2:
+            raise ParamOutOfRange(f"expected a point of the 2-torus, got {len(coords)} coordinates")
+        col = self.transform(np.array(coords, dtype=float).reshape(2, 1))
         return tuple(float(v) for v in col[:, 0])
 
     def transform_rational(self, coords: Sequence) -> Tuple[Fraction, ...]:
@@ -654,7 +649,7 @@ class AnalyticBlockSlide:
         through `on_lattice`. A non-finite or malformed coordinate is
         refused with ParamOutOfRange.
         """
-        return from_lattice(*self.on_lattice(*to_lattice(coords, self.dim))).coords
+        return from_lattice(*self.on_lattice(*to_lattice(coords))).coords
 
     def on_lattice(self, ys, D: int):
         """The rational analytic path in place on the numerators ys
@@ -724,7 +719,6 @@ class AnalyticBlockSlide:
                 for mv in reversed(self.moves)
             )
             inv = AnalyticBlockSlide(
-                dim=self.dim,
                 moves=moves,
                 exact=self.exact.inverse(),
                 eps=self.eps,
@@ -781,7 +775,6 @@ def approximate_blockslide(m: BlockSlideMap, eps, delta) -> AnalyticBlockSlide:
             approx = built[mv.step] = approximate(mv.step)
         moves.append(AnalyticMove(mv.target, mv.source, mv.sign, *approx))
     return AnalyticBlockSlide(
-        dim=m.dim,
         moves=tuple(moves),
         exact=m,
         eps=eps_total,

@@ -191,8 +191,6 @@ class Conjugation(Protocol):
     moves.
     """
 
-    dim: int
-
     def __call__(self, x: TorusPoint) -> TorusPoint: ...
 
     def on_lattice(self, ys: List[int], M: int) -> Tuple[List[int], int]:
@@ -225,7 +223,7 @@ class Conjugation(Protocol):
 
     def compiled(self, M: int):
         """The integer rule at modulus M (a multiple of L, below 2^62)
-        as an object whose `apply` maps a (dim, n) int64 array of
+        as an object whose `apply` maps a (2, n) int64 array of
         lattice points j/M to their images."""
         ...
 
@@ -257,7 +255,6 @@ class StageMaps:
     """
 
     scenario: str
-    dim: int
     records: Tuple[AbCParams, ...]
     conjugations_exact: Tuple[Conjugation, ...]
     conjugations_analytic: Tuple[Optional[AnalyticBlockSlide], ...]
@@ -265,7 +262,7 @@ class StageMaps:
     @staticmethod
     def start(scenario: str, params: AbCParams) -> "StageMaps":
         """An empty stack on the 2-torus, headed by `params`."""
-        return StageMaps(scenario, 2, (params,), (), ())
+        return StageMaps(scenario, (params,), (), ())
 
     @property
     def stage_count(self) -> int:
@@ -286,7 +283,6 @@ class StageMaps:
             records = records[:-1] + (inc.params_before,)
         return StageMaps(
             scenario=self.scenario,
-            dim=self.dim,
             records=records + (inc.params_after,),
             conjugations_exact=self.conjugations_exact + (inc.exact,),
             conjugations_analytic=self.conjugations_analytic + (inc.analytic,),
@@ -333,13 +329,13 @@ class StageMaps:
     def apply_exact(self, x: TorusPoint, stage: int) -> TorusPoint:
         """H_stage on an exact point, through `apply_lattice` over M = lcm
         of the point's denominators and the stack's `_lattice_lcm`."""
-        ys, M = to_lattice(x, self.dim, self._lattice_lcm(self._check_stage(stage)))
+        ys, M = to_lattice(x, self._lattice_lcm(self._check_stage(stage)))
         return from_lattice(*self.apply_lattice(ys, M, stage))
 
     def apply_analytic(
         self, pts: np.ndarray, stage: int, inverse: bool = False
     ) -> np.ndarray:
-        """H_stage (or its inverse) on a (dim, n) float array."""
+        """H_stage (or its inverse) on a (2, n) float array."""
         return self._apply(self.conjugations_analytic, pts, stage, inverse,
                            lambda h, y: h.transform(y))
 
@@ -347,7 +343,7 @@ class StageMaps:
         """H_stage through the exact-rational analytic path (entire-step
         values frozen to their float rationals), through `apply_lattice`
         over the lcm of the point's denominators."""
-        ys, D = to_lattice(coords, self.dim)
+        ys, D = to_lattice(coords)
         return from_lattice(*self.apply_lattice(ys, D, stage, "analytic")).coords
 
     def apply_lattice(
@@ -376,7 +372,7 @@ class StageMaps:
 def build_stage_circle(params: AbCParams) -> StageIncrement:
     """One stage of the two-torus circle-factor scenario.
 
-    The conjugation is the d = 2 grid refinement: three shears
+    The conjugation is the grid refinement: three shears
 
         h_1(x) = (x_1 + psi_1(x_2), x_2)
         h_2(x) = (x_1, x_2 + psi_2(x_1))
@@ -404,7 +400,7 @@ def build_stage_circle(params: AbCParams) -> StageIncrement:
     eps, delta = stage_epsilon(n), stage_delta(n)
     A = stage_amplitude(n, l)  # refuses an l below 4 (the amplitude lemma)
 
-    exact = build_grid_refine(l, q, 2)
+    exact = build_grid_refine(l, q)
     moves = []
     for mv in exact.moves:
         beta, N, cells = step_to_plateau(mv.step)
@@ -414,9 +410,7 @@ def build_stage_circle(params: AbCParams) -> StageIncrement:
             )
         estep = EntireStep(tuple(float(b) for b in beta), N, eps / 4, delta / 4, A)
         moves.append(AnalyticMove(mv.target, mv.source, mv.sign, estep))
-    analytic = AnalyticBlockSlide(
-        dim=2, moves=tuple(moves), exact=exact, eps=eps, delta=delta
-    )
+    analytic = AnalyticBlockSlide(moves=tuple(moves), exact=exact, eps=eps, delta=delta)
     return StageIncrement(
         scenario="circle",
         params_before=params,
@@ -631,7 +625,7 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
         )
     a = translation_index_function(lv.gamma, nxt.gamma, k, q)
     before = replace(params, a=a)
-    exact = build_abc_conjugation(a, k, l, q, 2)
+    exact = build_abc_conjugation(a, k, l, q)
     after = AbCParams(n=n + 1, p=nxt.p, q=nxt.q, k=k_fwd, l=l_fwd, s=s_fwd,
                       a=(0,) * k_fwd)
     return StageIncrement(
@@ -696,8 +690,8 @@ def build_stage_minimal(params: AbCParams, r: int) -> StageIncrement:
     exact = stage.conjugation()
     built_analytic = None
     if l <= 4:
-        shear = BlockSlideMap(2, (BlockSlideMove(1, 0, 1, stage.kappa),))
-        realization = build_minimal_combinatorics(l, q, r, 2).then(shear)
+        shear = BlockSlideMap((BlockSlideMove(1, 0, 1, stage.kappa),))
+        realization = build_minimal_combinatorics(l, q, r).then(shear)
         built_analytic = _capped_analytic(realization, n)
     return StageIncrement(
         scenario="minimal",
@@ -741,7 +735,7 @@ def eval_stage_map(
     """T_stage^power(x) — conjugate, rotate by power*alpha, unconjugate.
 
     The exact model takes and returns TorusPoint (rational); the
-    analytic model takes a coordinate sequence or (dim, n) array of
+    analytic model takes a coordinate sequence or (2, n) array of
     floats and returns the matching shape; the rational model runs the
     exact-rational analytic path on a coordinate sequence and returns a
     tuple of Fractions.  The exact and rational models carry the point
@@ -764,7 +758,7 @@ def eval_stage_map(
         # the integer power p (M/q)
         exact = model == "exact"
         lattice = "exact" if exact else "analytic"
-        ys, M = to_lattice(x, maps.dim, lcm(rec.q, maps._lattice_lcm(stage)) if exact else rec.q)
+        ys, M = to_lattice(x, lcm(rec.q, maps._lattice_lcm(stage)) if exact else rec.q)
         ys, M = maps.apply_lattice(ys, M, stage, lattice)
         ys[0] = (ys[0] + power * rec.p * (M // rec.q)) % M
         y = from_lattice(*maps.apply_lattice(ys, M, stage, lattice, inverse=True))

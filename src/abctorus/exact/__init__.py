@@ -7,10 +7,10 @@ and on int64 arrays, with every coordinate a numerator over one common
 modulus (`points.to_lattice` and `points.from_lattice` convert), and
 the minimality conjugation of `abctorus.minimal` runs as the same kind
 of program. Points live on the
-d-torus with coordinates in [0, 1), step functions are finite
+2-torus with coordinates in [0, 1), step functions are finite
 piecewise-constant functions with rational breakpoints and values, and
-the maps are compositions of coordinate shears ("block-slide" moves)
-which preserve Lebesgue measure exactly.
+the maps are compositions of shears between the two coordinates
+("block-slide" moves) which preserve Lebesgue measure exactly.
 """
 
 from .points import TorusPoint, mod1, rotate

@@ -26,7 +26,7 @@ lattice.
 Runs of moves that live on a small box lattice run as one cell-table op.
 A move's box lattice has pitch gcd(L, P, B) on its source axis and
 gcd(L, V) on its target axis (in units of 1/L; 1/cols on the first
-coordinate and 1/rows on every other one): its step is constant on
+coordinate and 1/rows on the second): its step is constant on
 every box and shifts by whole boxes, so it translates each box rigidly
 onto a box. The moves of a run translate the boxes of their joint
 lattice rigidly too, so the whole run moves every point by the
@@ -58,7 +58,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
@@ -68,7 +68,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParamOutOfRange
-from .points import TorusPoint, from_lattice, mod1, to_lattice
+from .points import TorusPoint, as_fraction, from_lattice, mod1, to_lattice
 from .steps import StepFunction
 
 _TABLE_BOXES = 1 << 16  # largest joint box lattice a run of moves is tabulated on
@@ -94,8 +94,9 @@ def _memo_inverse(obj, make):
 class BlockSlideMove:
     """x[target] += sign * step(x[source]) (mod 1).
 
-    `target` and `source` are 0-based coordinate indices and must differ;
-    `sign` is +1 or -1.
+    `target` and `source` are the coordinates 0 (x1) or 1 (x2) of the
+    2-torus and must differ unless the step is constant; `sign` is +1 or
+    -1.
     """
 
     target: int
@@ -104,12 +105,17 @@ class BlockSlideMove:
     step: StepFunction
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ParamOutOfRange("sign must be +1 or -1")
+        t, s = self.target, self.source
+        if type(t) is not int or type(s) is not int or not (0 <= t <= 1 and 0 <= s <= 1):
+            raise ParamOutOfRange(
+                f"a move reads and shifts coordinate 0 or 1 of the 2-torus, got "
+                f"target {t!r} and source {s!r}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ParamOutOfRange(f"sign must be the integer +1 or -1, got {self.sign!r}")
+        if not isinstance(self.step, StepFunction):
+            raise ParamOutOfRange(f"a move's step must be a StepFunction, got {self.step!r}")
         if self.target == self.source and self.step_is_nonconstant():
             raise ParamOutOfRange("a move may not read the coordinate it shifts")
-        if self.target < 0 or self.source < 0:
-            raise ParamOutOfRange("coordinate indices must be non-negative")
 
     def step_is_nonconstant(self) -> bool:
         return len(self.step.values) > 1
@@ -158,7 +164,7 @@ class _ProgramMap:
     def box_grid(self) -> Tuple[int, int]:
         """(cols, rows) of a box lattice on which every op translates
         boxes rigidly: pitch 1/cols on the first coordinate and 1/rows on
-        every other one, the joint lattice of the program's ops (the
+        the second, the joint lattice of the program's ops (the
         moves' `_move_pitches` and the tables' pitches).
 
         On each axis the lattice is fine enough for the breakpoints and
@@ -172,24 +178,17 @@ class _ProgramMap:
 
 @dataclass(frozen=True)
 class BlockSlideMap(_ProgramMap):
-    """Composition of block-slide moves; moves[0] is applied first."""
+    """Composition of block-slide moves on the 2-torus; moves[0] is
+    applied first."""
 
-    dim: int
-    moves: Tuple[BlockSlideMove, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ParamOutOfRange("dimension must be >= 1")
-        for m in self.moves:
-            if m.target >= self.dim or m.source >= self.dim:
-                raise ParamOutOfRange("move touches a coordinate outside the torus")
+    moves: Tuple[BlockSlideMove, ...] = ()
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
-        return from_lattice(*self.on_lattice(*to_lattice(x, self.dim, self._program.L)))
+        return from_lattice(*self.on_lattice(*to_lattice(x, self._program.L)))
 
     def inverse(self) -> "BlockSlideMap":
         return _memo_inverse(self, lambda: BlockSlideMap(
-            self.dim, tuple(map(BlockSlideMove.inverse, reversed(self.moves)))))
+            tuple(map(BlockSlideMove.inverse, reversed(self.moves)))))
 
     def _build_program(self) -> "_Program":
         return _Program.build(self)
@@ -199,22 +198,14 @@ class BlockSlideMap(_ProgramMap):
         return BlockSlideMap.compose((self, other))
 
     @staticmethod
-    def identity(dim: int) -> "BlockSlideMap":
-        return BlockSlideMap(dim, ())
-
-    @staticmethod
     def compose(maps: Sequence["BlockSlideMap"]) -> "BlockSlideMap":
-        """Compose left-to-right: maps[0] is applied first.
+        """Compose left-to-right: maps[0] is applied first, and an empty
+        list composes to the identity.
 
-        One concatenation of the move tuples after a single dimension
-        check: no intermediate map is built, and the result holds the
-        maps' own move objects, in order."""
-        if not maps:
-            raise ParamOutOfRange("cannot compose an empty list without a dimension")
-        dim = maps[0].dim
-        if any(m.dim != dim for m in maps):
-            raise ParamOutOfRange("dimension mismatch in composition")
-        return BlockSlideMap(dim, tuple(chain.from_iterable(m.moves for m in maps)))
+        One concatenation of the move tuples: no intermediate map is
+        built, and the result holds the maps' own move objects, in
+        order."""
+        return BlockSlideMap(tuple(chain.from_iterable(m.moves for m in maps)))
 
     # -- exact lattice machinery ------------------------------------------
 
@@ -250,7 +241,7 @@ def _move_pitches(L: int, t: int, s: int, entry) -> Tuple[int, int]:
     entry (P, B, V) translates rigidly: its step is constant on cells of
     gcd(L, P, B) along its source axis and shifts by multiples of
     gcd(L, V) along its target axis; the first coordinate has the col
-    pitch, every other one the row pitch."""
+    pitch, the second the row pitch."""
     P, B, V = entry
     read, shift = gcd(L, P, *B), gcd(L, *V)
     return (gcd(read if s == 0 else L, shift if t == 0 else L),
@@ -388,7 +379,7 @@ class _Program:
         entries = tuple(by_value)
 
         def boxes(col: int, row: int) -> int:
-            return (L // col) * (L // row) ** (m.dim - 1)
+            return (L // col) * (L // row)
 
         # greedy runs (start, stop, col pitch, row pitch) of moves whose
         # joint lattice fits the table budget; a move beyond it runs alone,
@@ -413,8 +404,7 @@ class _Program:
                 target.append(-1)
                 source.append(0)
                 step.append(len(entries) + len(tables))
-                pitches = (c,) + (r,) * (m.dim - 1)
-                tables.append(_CellTable.tabulate(moves[start:stop], pitches, L, entries))
+                tables.append(_CellTable.tabulate(moves[start:stop], (c, r), L, entries))
             elif stop > start:
                 ts, ss, es = zip(*moves[start:stop])
                 target.extend(ts)
@@ -444,7 +434,7 @@ class CompiledMap:
     """A map's integer program on int64 point clouds.
 
     Points are integer vectors modulo M (coordinate j representing j/M),
-    given as an array of shape (dim, n). Each move advances the whole
+    given as an array of shape (2, n). Each move advances the whole
     cloud with one `np.searchsorted` of the source row over the step's
     breakpoints and one gather from its shifts, and each cell table with
     one gather per moved axis: no length-M table is built, so memory is
@@ -453,7 +443,6 @@ class CompiledMap:
     `build` enforces both.
     """
 
-    dim: int
     M: int
     program: _Program
     entries: tuple
@@ -468,24 +457,23 @@ class CompiledMap:
         entries = tuple(e.arrays if isinstance(e, _CellTable)
                         else (e[0], np.array(e[1], dtype=np.int64), np.array(e[2], dtype=np.int64))
                         for e in prog.entries)
-        return CompiledMap(m.dim, M, prog, entries)
+        return CompiledMap(M, prog, entries)
 
     def apply(self, pts: "np.ndarray") -> "np.ndarray":
-        """Apply to an array of shape (dim, n) of int64 lattice points."""
+        """Apply to an array of shape (2, n) of int64 lattice points."""
         out = np.asarray(pts, dtype=np.int64) % self.M
         return _advance(out, self.program.ops(self.entries), self.M // self.program.L,
                         self.M, _searchsorted_right)
 
 
-def rotation_map(t, dim: int = 2) -> BlockSlideMap:
-    """The rigid rotation phi^t of the first coordinate as a block-slide map."""
-    t = mod1(Fraction(t))
-    if dim < 2:
-        raise ParamOutOfRange("rotation as a move needs a second coordinate to read")
+def rotation_map(t) -> BlockSlideMap:
+    """The rigid rotation phi^t of the first coordinate as a block-slide
+    map; a t that is not a finite rational is refused with
+    ParamOutOfRange."""
+    t = mod1(as_fraction(t))
     if t == 0:
-        return BlockSlideMap.identity(dim)
-    move = BlockSlideMove(0, 1, 1, StepFunction.constant(t))
-    return BlockSlideMap(dim, (move,))
+        return BlockSlideMap()
+    return BlockSlideMap((BlockSlideMove(0, 1, 1, StepFunction.constant(t)),))
 
 
 __all__ = ["BlockSlideMove", "BlockSlideMap", "CompiledMap", "rotation_map"]

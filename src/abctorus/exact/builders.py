@@ -1,7 +1,7 @@
 """Builders for the named exact torus maps.
 
-All constructions return `BlockSlideMap`s over the d-torus (d >= 2,
-first coordinate distinguished). The non-obvious ones:
+All constructions return `BlockSlideMap`s over the 2-torus (first
+coordinate distinguished). The non-obvious ones:
 
 - `build_interchange(k, q)`: the measure-preserving map that swaps the
   vertical blocks ik <-> ik+1 (mod kq) for i < q and fixes the rest,
@@ -13,13 +13,11 @@ first coordinate distinguished). The non-obvious ones:
   rotations to slide the columns congruent to `column` (mod k) forward
   `shift` blocks of size k, fixing all other columns.
 
-- `build_grid_refine(l, q, d)`: three shears per consumed coordinate
-  turn the product grid into the fine vertical partition, one
-  coordinate at a time (last coordinate first). Stage j uses profile
-  parameters (l, l^{j-1} q) because the first coordinate's pitch has
-  already been refined j-1 times.
+- `build_grid_refine(l, q)`: three shears fold the l digits of x2 into
+  the subdivision of x1, turning the product grid into the fine
+  vertical partition into l^2 q columns.
 
-- `build_abc_conjugation(a, k, l, q, d)`: grid refinement for parameter
+- `build_abc_conjugation(a, k, l, q)`: grid refinement for parameter
   k*l followed by the inverse of the unstacking map; sends the block
   partition to the tower partition prescribed by the index function a
   and commutes with the rotation by p/q.
@@ -40,14 +38,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import (
-    InvalidIndexFunction,
-    InvalidTarget,
-    NotEquivariant,
-    ParamOutOfRange,
-)
+from ..errors import InvalidTarget, NotEquivariant, ParamOutOfRange
 from ..towers import require_int
 from .blockslide import BlockSlideMap, BlockSlideMove, rotation_map
+from .partitions import check_index_function
 from .permutations import is_permutation, star_factorization
 from .steps import (
     StepFunction,
@@ -63,16 +57,12 @@ from .steps import (
 )
 
 
-def _check_dim(d: int, minimum: int = 2):
-    require_int(d, minimum, "dimension")
-
-
 # ---------------------------------------------------------------------------
 # Interchange.
 # ---------------------------------------------------------------------------
 
 
-def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
+def build_interchange(k: int, q: int) -> BlockSlideMap:
     """Interchange of neighbouring vertical blocks: on the block partition
     into kq columns, swaps ik <-> ik+1 for 0 <= i < q and fixes every
     other column (pointwise). Commutes with the rotation by 1/q.
@@ -81,7 +71,6 @@ def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
     """
     require_int(k, 2, "k")
     require_int(q, 1, "q")
-    _check_dim(d)
     s1 = sigma1_interchange(k, q)
     s2 = sigma2_interchange(k, q)
     s3 = sigma3_interchange(k, q)
@@ -97,7 +86,7 @@ def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
         BlockSlideMove(0, 1, +1, s1),
         BlockSlideMove(1, 0, +1, s4),
     )
-    return BlockSlideMap(d, moves)
+    return BlockSlideMap(moves)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +94,7 @@ def build_interchange(k: int, q: int, d: int = 2) -> BlockSlideMap:
 # ---------------------------------------------------------------------------
 
 
-def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> BlockSlideMap:
+def build_rearrange(shift: int, column: int, k: int, q: int) -> BlockSlideMap:
     """Slide the columns congruent to `column` (mod k) forward by `shift`
     blocks: on the kq-column partition, column c + k*b goes to
     c + k*(b + shift mod q) for c = column mod k; all other columns are
@@ -117,9 +106,8 @@ def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> Bloc
     require_int(q, 1, "q")
     if shift >= q:
         raise ParamOutOfRange(f"shift must lie in [0, {q}), got {shift}")
-    _check_dim(d)
     if shift == 0:
-        return BlockSlideMap.identity(d)
+        return BlockSlideMap()
     kq = k * q
     # One-block slide: k-1 neighbour interchanges walk the chosen class up
     # one full block while every other column is bumped down exactly once;
@@ -127,13 +115,10 @@ def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> Bloc
     # the block step. Larger shifts iterate the one-block slide (the
     # bystander bookkeeping only cancels one block at a time).
     parts: List[BlockSlideMap] = []
-    f = build_interchange(k, q, d)
+    f = build_interchange(k, q)
     for m in range(column, column + k - 1):
-        conj = rotation_map(Fraction(-m, kq), d).then(f).then(
-            rotation_map(Fraction(m, kq), d)
-        )
-        parts.append(conj)
-    parts.append(rotation_map(Fraction(1, kq), d))
+        parts.append(rotation_map(Fraction(-m, kq)).then(f).then(rotation_map(Fraction(m, kq))))
+    parts.append(rotation_map(Fraction(1, kq)))
     one_block = BlockSlideMap.compose(parts)
     return BlockSlideMap.compose([one_block] * shift)
 
@@ -143,41 +128,18 @@ def build_rearrange(shift: int, column: int, k: int, q: int, d: int = 2) -> Bloc
 # ---------------------------------------------------------------------------
 
 
-def refine_stage(source_coord: int, l: int, q: int, d: int = 2) -> BlockSlideMap:
-    """One stage of grid refinement: three shears between the first
-    coordinate and `source_coord` (0-based, must be >= 1) that fold that
-    coordinate's l digits into the first coordinate's subdivision."""
-    require_int(source_coord, 1, "source coordinate")
+def build_grid_refine(l: int, q: int) -> BlockSlideMap:
+    """The map taking the product grid (x1 at pitch 1/(lq), x2 at pitch
+    1/l) to the fine vertical partition into l^2 q columns, one atom onto
+    one atom: three shears between x1 and x2 that fold the l digits of x2
+    into the subdivision of x1."""
     require_int(l, 2, "l")
     require_int(q, 1, "q")
-    _check_dim(d)
-    if source_coord >= d:
-        raise ParamOutOfRange("source coordinate out of range")
-    moves = (
-        BlockSlideMove(0, source_coord, +1, psi1_refine(l, q)),
-        BlockSlideMove(source_coord, 0, +1, psi2_refine(l, q)),
-        BlockSlideMove(0, source_coord, -1, psi3_refine(l, q)),
-    )
-    return BlockSlideMap(d, moves)
-
-
-def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
-    """The map taking the product grid (first coordinate at pitch 1/(lq),
-    others at pitch 1/l) to the fine vertical partition into l^d q
-    columns, one atom onto one atom.
-
-    Consumes the last coordinate first; inner stage j (1-based) uses
-    profile parameters (l, l^(j-1) q) since the first coordinate has
-    been refined j-1 times already.
-    """
-    require_int(l, 2, "l")
-    require_int(q, 1, "q")
-    _check_dim(d)
-    stages = []
-    for j in range(1, d):
-        source = d - j  # 0-based index of coordinate x_{d-j+1}
-        stages.append(refine_stage(source, l, l ** (j - 1) * q, d))
-    return BlockSlideMap.compose(stages)
+    return BlockSlideMap((
+        BlockSlideMove(0, 1, +1, psi1_refine(l, q)),
+        BlockSlideMove(1, 0, +1, psi2_refine(l, q)),
+        BlockSlideMove(0, 1, -1, psi3_refine(l, q)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -185,53 +147,31 @@ def build_grid_refine(l: int, q: int, d: int = 2) -> BlockSlideMap:
 # ---------------------------------------------------------------------------
 
 
-def _validate_index_function(a: Sequence[int], k: int, q: int) -> Tuple[int, ...]:
-    require_int(k, 1, "k")
-    require_int(q, 1, "q")
-    try:
-        a = tuple(a)
-    except TypeError:
-        raise InvalidIndexFunction(f"index function must be a sequence, got {a!r}") from None
-    for v in a:
-        require_int(v, None, "index function value")
-    if len(a) != k:
-        raise InvalidIndexFunction(f"index function has length {len(a)}, expected {k}")
-    if any(not (0 <= v < q) for v in a):
-        raise InvalidIndexFunction("index function values must lie in [0, q)")
-    return a
-
-
-def build_unstack(a: Sequence[int], k: int, q: int, d: int = 2) -> BlockSlideMap:
+def build_unstack(a: Sequence[int], k: int, q: int) -> BlockSlideMap:
     """The unstacking map: sends tower atom m of the partition prescribed
-    by the index function a onto the block [m/q, (m+1)/q) x T^{d-1}.
+    by the index function a onto the block [m/q, (m+1)/q) x T^1.
 
     Column c + k*b slides back by a(c) blocks (b -> b - a(c) mod q), so
     the tower level m = (b - a(c)) mod q becomes the block index.
     """
-    a = _validate_index_function(a, k, q)
-    _check_dim(d)
-    parts = [
-        build_rearrange((q - a[c]) % q, c, k, q, d) for c in range(k)
-    ]
-    return BlockSlideMap.compose(parts) if parts else BlockSlideMap.identity(d)
+    a = check_index_function(a, k, q)
+    return BlockSlideMap.compose([build_rearrange((q - a[c]) % q, c, k, q) for c in range(k)])
 
 
-def build_abc_conjugation(
-    a: Sequence[int], k: int, l: int, q: int, d: int = 2
-) -> BlockSlideMap:
+def build_abc_conjugation(a: Sequence[int], k: int, l: int, q: int) -> BlockSlideMap:
     """The stage conjugation map h: grid refinement at parameter k*l
     followed by the inverse of the unstacking map.
 
     Its inverse pulls the tower partition back to the block partition
-    (atom m onto atom m), pulls the fine partition into (kl)^d q columns
+    (atom m onto atom m), pulls the fine partition into (kl)^2 q columns
     back to the product grid at parameter kl, and the map commutes with
     the rotation by 1/q.
     """
-    a = _validate_index_function(a, k, q)
+    a = check_index_function(a, k, q)
     require_int(k, 2, "k")
     require_int(l, 1, "l")
-    refine = build_grid_refine(k * l, q, d)
-    unstack = build_unstack(a, k, q, d)
+    refine = build_grid_refine(k * l, q)
+    unstack = build_unstack(a, k, q)
     return refine.then(unstack.inverse())
 
 
@@ -241,7 +181,7 @@ def build_abc_conjugation(
 # ---------------------------------------------------------------------------
 
 
-def build_two_cycle(k: int, q: int, l: int, d: int = 2) -> BlockSlideMap:
+def build_two_cycle(k: int, q: int, l: int) -> BlockSlideMap:
     """The double swap of top-band strip atoms: on the kq x l strip
     partition, swaps (0, l-1) <-> (1, l-1) and (2, l-1) <-> (3, l-1)
     per block (classes mod k), fixing everything else. Requires k >= 4,
@@ -250,34 +190,33 @@ def build_two_cycle(k: int, q: int, l: int, d: int = 2) -> BlockSlideMap:
     require_int(k, 4, "two-cycle k")
     require_int(q, 1, "q")
     require_int(l, 2, "two-cycle l")
-    _check_dim(d)
-    f = build_interchange(k, q, d)
+    f = build_interchange(k, q)
     band = sigma4_band(k, q, l)
-    down = BlockSlideMap(d, (BlockSlideMove(0, 1, -1, band),))
-    up = BlockSlideMap(d, (BlockSlideMove(0, 1, +1, band),))
+    down = BlockSlideMap((BlockSlideMove(0, 1, -1, band),))
+    up = BlockSlideMap((BlockSlideMove(0, 1, +1, band),))
     return f.then(down).then(f).then(up)
 
 
-def _row_shear(rows: Sequence[int], m: int, k: int, q: int, l2: int, d: int) -> BlockSlideMap:
+def _row_shear(rows: Sequence[int], m: int, k: int, q: int, l2: int) -> BlockSlideMap:
     """x1 += m/(kq) exactly on the listed rows of height 1/l2."""
     if m % (k * q) == 0:
-        return BlockSlideMap.identity(d)
+        return BlockSlideMap()
     values = [Fraction(m, k * q) if r in set(rows) else Fraction(0) for r in range(l2)]
     step = plateau_target(values, 1)
-    return BlockSlideMap(d, (BlockSlideMove(0, 1, +1, step),))
+    return BlockSlideMap((BlockSlideMove(0, 1, +1, step),))
 
 
-def _class_shear(classes: Sequence[int], m: int, k: int, q: int, l2: int, d: int) -> BlockSlideMap:
+def _class_shear(classes: Sequence[int], m: int, k: int, q: int, l2: int) -> BlockSlideMap:
     """x2 += m/l2 exactly on the listed column classes (mod k);
     1/q-periodic in the first coordinate."""
     if m % l2 == 0:
-        return BlockSlideMap.identity(d)
+        return BlockSlideMap()
     values = [Fraction(m, l2) if c in set(classes) else Fraction(0) for c in range(k)]
     step = plateau_target(values, q)
-    return BlockSlideMap(d, (BlockSlideMove(1, 0, +1, step),))
+    return BlockSlideMap((BlockSlideMove(1, 0, +1, step),))
 
 
-def build_transposition(i: int, j: int, k: int, q: int, l: int, d: int = 2) -> BlockSlideMap:
+def build_transposition(i: int, j: int, k: int, q: int, l: int) -> BlockSlideMap:
     """Swap the strip class (i, j) with the pivot class (0, l-1) on the
     kq x l strip partition (blockwise, fixing all other atoms).
 
@@ -296,29 +235,28 @@ def build_transposition(i: int, j: int, k: int, q: int, l: int, d: int = 2) -> B
         raise ParamOutOfRange(f"target ({i}, {j}) outside [0,{k}) x [0,{l})")
     if (i, j) == (0, l - 1):
         raise InvalidTarget("target coincides with the pivot class (0, l-1)")
-    _check_dim(d)
     l2 = 2 * l  # half-height refinement
 
     inner: List[BlockSlideMap] = []
     if j < l - 1:
-        inner.append(_row_shear((2 * j, 2 * j + 1), 1 - i, k, q, l2, d))
-        inner.append(_class_shear((1,), 2 * (l - 1 - j), k, q, l2, d))
+        inner.append(_row_shear((2 * j, 2 * j + 1), 1 - i, k, q, l2))
+        inner.append(_class_shear((1,), 2 * (l - 1 - j), k, q, l2))
     elif i >= 2:  # j == l-1
-        inner.append(_class_shear((i,), -2, k, q, l2, d))
-        inner.append(_row_shear((l2 - 4, l2 - 3), 1 - i, k, q, l2, d))
-        inner.append(_class_shear((1,), 2, k, q, l2, d))
+        inner.append(_class_shear((i,), -2, k, q, l2))
+        inner.append(_row_shear((l2 - 4, l2 - 3), 1 - i, k, q, l2))
+        inner.append(_class_shear((1,), 2, k, q, l2))
     # i == 1, j == l-1: no inner part
     outer = [
-        _row_shear((l2 - 2,), 2, k, q, l2, d),
-        _class_shear((2, 3), 1, k, q, l2, d),
+        _row_shear((l2 - 2,), 2, k, q, l2),
+        _class_shear((2, 3), 1, k, q, l2),
     ]
-    conj = BlockSlideMap.compose(inner + outer) if inner else BlockSlideMap.compose(outer)
-    core = build_two_cycle(k, q, l2, d)
+    conj = BlockSlideMap.compose(inner + outer)
+    core = build_two_cycle(k, q, l2)
     return conj.then(core).then(conj.inverse())
 
 
 def decompose_permutation(
-    perm: "np.ndarray", k: int, q: int, l: int, d: int = 2
+    perm: "np.ndarray", k: int, q: int, l: int
 ) -> Tuple[Tuple[Tuple[int, int], ...], BlockSlideMap]:
     """Realize a rotation-equivariant permutation of the kq x l strip
     atoms as an explicit block-slide map.
@@ -344,10 +282,9 @@ def decompose_permutation(
     maps: List[BlockSlideMap] = []
     for t in targets:
         if t not in cache:
-            cache[t] = build_transposition(t[0], t[1], k, q, l, d)
+            cache[t] = build_transposition(t[0], t[1], k, q, l)
         maps.append(cache[t])
-    composed = BlockSlideMap.compose(maps) if maps else BlockSlideMap.identity(d)
-    return targets, composed
+    return targets, BlockSlideMap.compose(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +327,7 @@ def minimal_quotient_perm(l: int, r: int) -> "np.ndarray":
     return perm
 
 
-def build_minimal_combinatorics(l: int, q: int, r: int, d: int = 2) -> BlockSlideMap:
+def build_minimal_combinatorics(l: int, q: int, r: int) -> BlockSlideMap:
     """Block-slide realization of the stripe-squeezing involution,
     extended 1/(lq)-equivariantly: the strip partition is l^3 q columns
     by l*r rows, with column classes taken mod l^2.
@@ -401,7 +338,6 @@ def build_minimal_combinatorics(l: int, q: int, r: int, d: int = 2) -> BlockSlid
     require_int(l, 2, "l")
     require_int(q, 1, "q")
     require_int(r, 1, "r")
-    _check_dim(d)
     quot = minimal_quotient_perm(l, r)
-    _, composed = decompose_permutation(quot, l * l, l * q, l * r, d)
+    _, composed = decompose_permutation(quot, l * l, l * q, l * r)
     return composed

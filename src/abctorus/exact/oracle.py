@@ -2,8 +2,8 @@
 
 Every exact conjugation (`engine.Conjugation`: a block-slide map or the
 O(1) minimality map) comes with a lattice of boxes. `box_grid()` gives
-(cols, rows), pitches 1/cols on the first coordinate and 1/rows on every
-other one, fine enough that the map translates every box rigidly onto a
+(cols, rows), pitches 1/cols on the first coordinate and 1/rows on the
+second, fine enough that the map translates every box rigidly onto a
 box: for a block-slide map each move's step is constant across every
 box (its breakpoints and period lie on the source axis's pitch) and
 shifts by a whole number of pitches of the target axis. Refining the
@@ -26,7 +26,7 @@ with the rotation by 1/q on its own.
 The corners are integers at the modulus M = lcm(L, box counts), where L
 is the map's denominator lcm, and they go through the map's compiled
 integer rule `_CHUNK_POINTS` at a time, so memory stays
-O(chunk * dim + atoms) however many boxes there are. The time grows
+O(chunk + atoms) however many boxes there are. The time grows
 with boxes x moves, the map's `move_count()`: above
 64 * `_GRID_POINT_BUDGET` box moves `_box_lattice` refuses the walk. It
 is the only lattice budget of the package.
@@ -53,7 +53,7 @@ _CHUNK_POINTS = 1 << 16
 def full_lattice(counts: Sequence[int], start: int = 0,
                  stop: Optional[int] = None) -> "np.ndarray":
     """Indices of the cells of a grid with counts[c] cells along axis c,
-    as an array (dim, n) in row-major order (last coordinate fastest);
+    as an array (len(counts), n) in row-major order (last coordinate fastest);
     `start` and `stop` select the flat indices [start, stop) of that
     order (default: every cell)."""
     stop = prod(counts) if stop is None else stop
@@ -66,8 +66,7 @@ def _box_lattice(m: "Conjugation",
     """(M, counts): boxes per axis of `m`'s box grid refined by the cell
     counts of `parts`, and the modulus at which their corners are
     integers and `m`'s program runs."""
-    cols, rows = m.box_grid()
-    counts = (cols,) + (rows,) * (m.dim - 1)
+    counts = m.box_grid()
     for p in parts:
         counts = tuple(lcm(n, c) for n, c in zip(counts, p.counts))
     boxes, moves = prod(counts), m.move_count()
@@ -92,8 +91,6 @@ def _atom_pairs(m: "Conjugation", part: PartitionSpec,
                 target: PartitionSpec) -> Iterator[Tuple["np.ndarray", "np.ndarray"]]:
     """(source atoms, target atoms) of the box corners and of their images
     under `m`, as two int64 arrays per chunk of `_CHUNK_POINTS` boxes."""
-    if part.dim != m.dim or target.dim != m.dim:
-        raise ParamOutOfRange("partition/map dimension mismatch")
     M, counts = _box_lattice(m, (part, target))
     cm = m.compiled(M)
     for pts in _corners(M, counts):

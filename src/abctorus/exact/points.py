@@ -1,4 +1,4 @@
-"""Exact points on the d-torus.
+"""Exact points on the 2-torus.
 
 A point is a tuple of `fractions.Fraction` coordinates, each reduced to
 the fundamental domain [0, 1). Arithmetic never leaves the rationals.
@@ -51,10 +51,12 @@ def mod1(x: Fraction | int) -> Fraction:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of the d-dimensional torus with exact rational coordinates.
+    """A torus point with exact rational coordinates.
 
     Coordinates are stored reduced to [0, 1); the first coordinate plays
-    the distinguished role (rotations act on it).
+    the distinguished role (rotations act on it). The maps of this
+    package act on the 2-torus and refuse a point with another number of
+    coordinates (`to_lattice`).
     """
 
     coords: Tuple[Fraction, ...]
@@ -95,14 +97,14 @@ def rotate(x: TorusPoint, t: Rat) -> TorusPoint:
     return x.shifted(0, Fraction(t))
 
 
-def to_lattice(x, dim: int, L: int = 1) -> Tuple[List[int], int]:
-    """(ys, M): the point x (a `TorusPoint` or a sequence of rationals)
-    as numerators ys in [0, M) over M = lcm(L, its denominators), the
-    coordinates taken mod 1. A point of another dimension than `dim` is
-    refused with ParamOutOfRange."""
+def to_lattice(x, L: int = 1) -> Tuple[List[int], int]:
+    """(ys, M): the 2-torus point x (a `TorusPoint` or a sequence of two
+    rationals) as numerators ys in [0, M) over M = lcm(L, its
+    denominators), the coordinates taken mod 1. A point with another
+    number of coordinates is refused with ParamOutOfRange."""
     cs = x.coords if isinstance(x, TorusPoint) else as_fractions(x)
-    if len(cs) != dim:
-        raise ParamOutOfRange(f"expected a point of dimension {dim}, got {len(cs)}")
+    if len(cs) != 2:
+        raise ParamOutOfRange(f"expected a point of the 2-torus, got {len(cs)} coordinates")
     M = lcm(L, *(c.denominator for c in cs))
     return [c.numerator * (M // c.denominator) % M for c in cs], M
 

@@ -20,7 +20,8 @@ from math import lcm
 from typing import Sequence, Tuple
 
 from ..errors import ParamOutOfRange
-from .points import mod1
+from ..towers import require_int
+from .points import as_fraction, as_fractions
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,16 @@ class StepFunction:
 
     @staticmethod
     def constant(value: Fraction, period: Fraction = Fraction(1)) -> "StepFunction":
-        return StepFunction(Fraction(period), (Fraction(0),), (Fraction(value),))
+        """The constant `value`; a value or period that is not a finite
+        rational is refused with ParamOutOfRange."""
+        return StepFunction(as_fraction(period), (Fraction(0),), (as_fraction(value),))
 
     @staticmethod
     def from_pieces(period, pairs: Sequence[Tuple[Fraction, Fraction]]) -> "StepFunction":
         """Build from (left endpoint, value) pairs; endpoints must start at 0."""
-        bps = tuple(Fraction(a) for a, _ in pairs)
-        vals = tuple(Fraction(v) for _, v in pairs)
-        return StepFunction(Fraction(period), bps, vals)
+        bps = tuple(as_fraction(a) for a, _ in pairs)
+        vals = tuple(as_fraction(v) for _, v in pairs)
+        return StepFunction(as_fraction(period), bps, vals)
 
     def __call__(self, x) -> Fraction:
         """Exact value at x (any rational; reduced modulo the period)."""
@@ -102,10 +105,8 @@ class StepFunction:
 
 
 def _check_kq(k: int, q: int):
-    if k < 2:
-        raise ParamOutOfRange(f"k must be >= 2, got {k}")
-    if q < 1:
-        raise ParamOutOfRange(f"q must be >= 1, got {q}")
+    require_int(k, 2, "k")
+    require_int(q, 1, "q")
 
 
 def sigma1_interchange(k: int, q: int) -> StepFunction:
@@ -151,8 +152,7 @@ def sigma4_rearrange(k: int, q: int) -> StepFunction:
 def sigma4_band(k: int, q: int, l: int) -> StepFunction:
     """2/(kq) on the top band [ (l-1)/l, 1 ), else 0."""
     _check_kq(k, q)
-    if l < 2:
-        raise ParamOutOfRange(f"l must be >= 2, got {l}")
+    require_int(l, 2, "l")
     return StepFunction.from_pieces(
         1, [(0, 0), (Fraction(l - 1, l), Fraction(2, k * q))]
     )
@@ -163,10 +163,14 @@ def sigma4_band(k: int, q: int, l: int) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 
+def _check_lq(l: int, q: int):
+    require_int(l, 2, "l")
+    require_int(q, 1, "q")
+
+
 def psi1_refine(l: int, q: int) -> StepFunction:
     """(l-i)/(l^2 q) on [i/l, (i+1)/l) for i = 1..l-1, and 0 on [0, 1/l)."""
-    if l < 2 or q < 1:
-        raise ParamOutOfRange("need l >= 2 and q >= 1")
+    _check_lq(l, q)
     pieces = [(Fraction(0), Fraction(0))]
     pieces += [(Fraction(i, l), Fraction(l - i, l * l * q)) for i in range(1, l)]
     return StepFunction.from_pieces(1, pieces)
@@ -175,16 +179,14 @@ def psi1_refine(l: int, q: int) -> StepFunction:
 def psi2_refine(l: int, q: int) -> StepFunction:
     """(i mod l)/l on [i/(l^2 q), (i+1)/(l^2 q)); equals the 1/(lq)-periodic
     sawtooth with l micro-steps of height 1/l."""
-    if l < 2 or q < 1:
-        raise ParamOutOfRange("need l >= 2 and q >= 1")
+    _check_lq(l, q)
     pieces = [(Fraction(j, l * l * q), Fraction(j, l)) for j in range(l)]
     return StepFunction.from_pieces(Fraction(1, l * q), pieces)
 
 
 def psi3_refine(l: int, q: int) -> StepFunction:
     """i/(l^2 q) on [i/l, (i+1)/l) for i = 0..l-1."""
-    if l < 2 or q < 1:
-        raise ParamOutOfRange("need l >= 2 and q >= 1")
+    _check_lq(l, q)
     pieces = [(Fraction(i, l), Fraction(i, l * l * q)) for i in range(l)]
     return StepFunction.from_pieces(1, pieces)
 
@@ -203,8 +205,7 @@ def staircase_profile(n: int) -> Tuple[int, ...]:
     >>> staircase_profile(2)
     (0, 1, 0, 0)
     """
-    if n < 2:
-        raise ParamOutOfRange(f"n must be >= 2, got {n}")
+    require_int(n, 2, "n")
     nn = n * n
     return tuple(max(0, min(p, nn - 2 - p)) for p in range(nn))
 
@@ -216,15 +217,15 @@ def build_trapping_step(n: int, l: int, q: int, r: int, delta: Fraction) -> Step
     where m is the monotone-staircase normalization of the ascent/descent
     profile (peak (floor(n^2/2) - 1) * delta / (l r)).
     """
-    if l < 2 or q < 1 or r < 1:
-        raise ParamOutOfRange("need l >= 2, q >= 1, r >= 1")
-    delta = Fraction(delta)
+    _check_lq(l, q)
+    require_int(r, 1, "r")
+    delta = as_fraction(delta)
     if delta < 0:
         raise ParamOutOfRange("delta must be >= 0")
+    profile = staircase_profile(n)
     nn = n * n
     period = Fraction(1, l**3 * q)
     unit = Fraction(delta, l * r)
-    profile = staircase_profile(n)
     pieces = [(Fraction(p, nn) * period, profile[p] * unit) for p in range(nn)]
     # collapse equal-valued neighbours so the breakpoint list stays minimal
     collapsed = [pieces[0]]
@@ -243,12 +244,12 @@ def build_trapping_step(n: int, l: int, q: int, r: int, delta: Fraction) -> Step
 def plateau_target(beta: Sequence[Fraction], N: int) -> StepFunction:
     """Step function with value beta[i] on [i/(lN), (i+1)/(lN)), repeated
     1/N-periodically (l = len(beta))."""
-    if N < 1:
-        raise ParamOutOfRange(f"N must be >= 1, got {N}")
+    require_int(N, 1, "N")
+    beta = as_fractions(beta)
     l = len(beta)
     if l < 1:
         raise ParamOutOfRange("beta must be non-empty")
-    pieces = [(Fraction(i, l * N), Fraction(b)) for i, b in enumerate(beta)]
+    pieces = [(Fraction(i, l * N), b) for i, b in enumerate(beta)]
     # collapse equal neighbours (keeps StepFunction minimal and hashable-friendly)
     collapsed = [pieces[0]]
     for left, val in pieces[1:]:

@@ -156,13 +156,12 @@ class MinimalConjugation(_ProgramMap):
     point's denominators), and `compiled(M)` on int64 arrays.
     """
 
-    dim = 2
     comb: MinimalCombinatorics
     kappa: StepFunction
     inverted: bool = False
 
     def __call__(self, x: TorusPoint) -> TorusPoint:
-        return from_lattice(*self.on_lattice(*to_lattice(x, self.dim, self._program.L)))
+        return from_lattice(*self.on_lattice(*to_lattice(x, self._program.L)))
 
     def _build_program(self) -> _Program:
         comb = self.comb

@@ -480,7 +480,7 @@ def test_step_to_plateau_needs_unit_fraction_period():
 
 
 def test_empty_map_approximation():
-    am = approximate_blockslide(BlockSlideMap.identity(2), Fraction(1, 100), Fraction(1, 100))
+    am = approximate_blockslide(BlockSlideMap(), Fraction(1, 100), Fraction(1, 100))
     assert am.moves == ()
     assert am.error_measure_bound() == 0
     assert not am.in_error_set(TorusPoint((Fraction(1, 3), Fraction(1, 7))))
@@ -563,7 +563,7 @@ def test_transform_shape_checks():
 
 
 def test_rotation_map_stays_exact():
-    rot = rotation_map(Fraction(2, 5), 2)
+    rot = rotation_map(Fraction(2, 5))
     am = approximate_blockslide(rot, Fraction(1, 100), Fraction(1, 100))
     assert all(mv.is_constant for mv in am.moves)
     assert am.error_measure_bound() == 0

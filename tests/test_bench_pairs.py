@@ -51,6 +51,44 @@ def test_a_failing_run_writes_the_runs_so_far(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_both_sides_run_in_fresh_trees(tmp_path, monkeypatch):
+    # a repository with one committed, modified file, one untracked file
+    # and one ignored file
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(TOOL.parent.parent / "BENCHMARK.json", repo)
+    (repo / ".gitignore").write_text("junk.txt\n")
+    (repo / "a.txt").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=repo, check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "a.txt").write_text("changed\n")
+    (repo / "new.txt").write_text("untracked\n")
+    (repo / "junk.txt").write_text("ignored\n")
+
+    tool = load_tool()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    metrics = {m: {"value": 1.0} for m in tool.METRICS}
+    seen = {}
+
+    def run_side(root, workload, seed, seconds):
+        seen[root] = {p.name: p.read_text() for p in root.glob("*.txt")}
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(tool, "run_side", run_side)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--tag", "t", "--workloads",
+                                      "circle", "--seeds", "1"])
+    tool.main()
+    assert len(seen) == 2 and repo not in seen
+    by_side = {root.name: files for root, files in seen.items()}
+    assert by_side["parent"] == {"a.txt": "committed\n"}
+    assert by_side["change"] == {"a.txt": "changed\n", "new.txt": "untracked\n"}
+
+
 def _runs(parent, change):
     """Synthetic runs of the circle workload: one pair per seed, with the
     given setup_s values, 1.0 for the other metrics, and 20 ops attempted

@@ -40,19 +40,17 @@ def test_map_applies_moves_in_listed_order():
     # move A: x1 += 1/4;  move B: x2 += step(x1) which sees the updated x1
     a = BlockSlideMove(0, 1, +1, StepFunction.constant(F(1, 4)))
     b = BlockSlideMove(1, 0, +1, StepFunction(F(1), (F(0), F(1, 2)), (F(0), F(1, 2))))
-    m = BlockSlideMap(2, (a, b))
+    m = BlockSlideMap((a, b))
     got = m(TorusPoint((F(3, 8), F(0))))
     assert got == TorusPoint((F(5, 8), F(1, 2)))
     # reversed listing reads the original x1 instead
-    m_rev = BlockSlideMap(2, (b, a))
+    m_rev = BlockSlideMap((b, a))
     assert m_rev(TorusPoint((F(3, 8), F(0)))) == TorusPoint((F(5, 8), F(0)))
 
 
 def test_map_inverse_and_then():
-    m1 = rotation_map(F(1, 3), 2)
-    m2 = BlockSlideMap(
-        2, (BlockSlideMove(1, 0, +1, sigma3_interchange(2, 1)),)
-    )
+    m1 = rotation_map(F(1, 3))
+    m2 = BlockSlideMap((BlockSlideMove(1, 0, +1, sigma3_interchange(2, 1)),))
     comp = m1.then(m2)
     x = TorusPoint((F(1, 5), F(4, 5)))
     assert comp(x) == m2(m1(x))
@@ -60,8 +58,8 @@ def test_map_inverse_and_then():
 
 
 def test_compose_order_matches_application_order():
-    m1 = rotation_map(F(1, 4), 2)
-    m2 = rotation_map(F(1, 3), 2)
+    m1 = rotation_map(F(1, 4))
+    m2 = rotation_map(F(1, 3))
     comp = BlockSlideMap.compose([m1, m2])
     assert comp(TorusPoint((F(0), F(0))))[0] == F(7, 12)
 
@@ -69,39 +67,36 @@ def test_compose_order_matches_application_order():
 def test_compose_keeps_the_move_objects_of_a_then_fold():
     # phi^{-m/kq} o f o phi^{m/kq} for m < k, as the one-block slide builds them
     k, q = 4, 3
-    f = build_interchange(k, q, 2)
-    parts = [rotation_map(F(-m, k * q), 2).then(f).then(rotation_map(F(m, k * q), 2))
+    f = build_interchange(k, q)
+    parts = [rotation_map(F(-m, k * q)).then(f).then(rotation_map(F(m, k * q)))
              for m in range(k)]
     folded = reduce(BlockSlideMap.then, parts)
     composed = BlockSlideMap.compose(parts)
-    assert composed.dim == 2
     assert len(composed.moves) == len(folded.moves) == sum(len(p.moves) for p in parts)
     assert all(a is b for a, b in zip(composed.moves, folded.moves))
 
 
 def test_compose_refuses_what_it_cannot_build():
-    with pytest.raises(ParamOutOfRange, match="empty"):
-        BlockSlideMap.compose([])
-    m2, m3 = rotation_map(F(1, 3), 2), rotation_map(F(1, 3), 3)
-    for maps in ([m2, m3], [m3, m2], [m2, m2, m3]):
-        with pytest.raises(ParamOutOfRange, match="dimension mismatch"):
-            BlockSlideMap.compose(maps)
-    with pytest.raises(ParamOutOfRange, match="dimension mismatch"):
-        m2.then(m3)
-    # a map built directly still checks its coordinates
-    with pytest.raises(ParamOutOfRange, match="outside the torus"):
-        BlockSlideMap(2, (BlockSlideMove(2, 0, 1, sigma1_interchange(2, 1)),))
+    # every list of 2-torus maps composes, the empty one to the identity;
+    # a move outside the 2-torus is refused before any map holds it
+    ident = BlockSlideMap.compose([])
+    assert ident.moves == () and ident == BlockSlideMap()
+    x = TorusPoint((F(1, 7), F(2, 7)))
+    assert ident(x) == x
+    for target, source in ((2, 0), (0, 2), (-1, 0), ("0", 1)):
+        with pytest.raises(ParamOutOfRange, match="coordinate 0 or 1"):
+            BlockSlideMove(target, source, 1, sigma1_interchange(2, 1))
 
 
 def test_identity_map():
-    ident = BlockSlideMap.identity(3)
-    x = TorusPoint((F(1, 7), F(2, 7), F(3, 7)))
+    ident = BlockSlideMap()
+    x = TorusPoint((F(1, 7), F(2, 7)))
     assert ident(x) == x
-    assert rotation_map(F(0), 2)(TorusPoint((F(1, 2), F(0)))) == TorusPoint((F(1, 2), F(0)))
+    assert rotation_map(F(0))(TorusPoint((F(1, 2), F(0)))) == TorusPoint((F(1, 2), F(0)))
 
 
 def test_compiled_map_agrees_with_exact_on_lattice():
-    m = build_interchange(4, 3, 2)
+    m = build_interchange(4, 3)
     M = m.denominator_lcm() * 4
     cm = m.compiled(M)
     rng = np.random.default_rng(5)
@@ -114,7 +109,7 @@ def test_compiled_map_agrees_with_exact_on_lattice():
 
 
 def test_compiled_map_requires_compatible_modulus():
-    m = rotation_map(F(1, 3), 2)
+    m = rotation_map(F(1, 3))
     with pytest.raises(ParamOutOfRange):
         m.compiled(4)  # 4 is not a multiple of 3
 
@@ -126,7 +121,7 @@ def test_compiled_map_requires_compatible_modulus():
 )
 @settings(max_examples=60)
 def test_rotation_roundtrip_property(t, x, y):
-    m = rotation_map(t, 2)
+    m = rotation_map(t)
     p = TorusPoint((x, y))
     assert m.inverse()(m(p)) == p
     assert m(p)[1] == p[1]

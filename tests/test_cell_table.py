@@ -54,7 +54,7 @@ def probe_points(m: BlockSlideMap, seed: int, n: int):
     boxes (with the last box's corner among them)."""
     rng = np.random.default_rng(seed)
     counts = tables(m)[0].counts
-    out = [TorusPoint(F(int(v), 2**20) for v in rng.integers(0, 2**20, m.dim))
+    out = [TorusPoint(F(int(v), 2**20) for v in rng.integers(0, 2**20, 2))
            for _ in range(n)]
     out.append(TorusPoint(F(c - 1, c) for c in counts))
     out += [TorusPoint(F(int(rng.integers(0, c)), c) for c in counts) for _ in range(n - 1)]
@@ -78,7 +78,7 @@ def test_table_matches_fraction_chain(name):
 def test_compiled_table_matches_python_ints(name, factor):
     for m in (MAPS[name], MAPS[name].inverse()):
         M = factor * m.denominator_lcm()
-        pts = np.random.default_rng(factor).integers(0, M, size=(m.dim, 40), dtype=np.int64)
+        pts = np.random.default_rng(factor).integers(0, M, size=(2, 40), dtype=np.int64)
         pts[:, 0] = M - 1
         out = m.compiled(M).apply(pts)
         for col, img in zip(pts.T, out.T):
@@ -104,7 +104,7 @@ def test_runs_beyond_the_box_budget_stay_moves():
     # two shears on a 2^9 x 2^8 lattice: 2^17 boxes, over the budget
     step = StepFunction.from_pieces(1, [(0, 0), (F(1, 2**9), F(1, 2**8))])
     back = StepFunction.from_pieces(1, [(0, 0), (F(1, 2**8), F(1, 2**9))])
-    m = BlockSlideMap(2, (BlockSlideMove(1, 0, 1, step), BlockSlideMove(0, 1, 1, back)))
+    m = BlockSlideMap((BlockSlideMove(1, 0, 1, step), BlockSlideMove(0, 1, 1, back)))
     assert 2**9 * 2**8 > _TABLE_BOXES
     assert list(m._program.target) == [1, 0]
     x = TorusPoint((F(3, 2**9), F(5, 7)))
@@ -121,7 +121,7 @@ def test_table_sees_a_changed_step():
     st = mv.step
     changed = BlockSlideMove(mv.target, mv.source, mv.sign, StepFunction(
         st.period, st.breakpoints, tuple(v + F(1, 16) for v in st.values)))
-    m2 = BlockSlideMap(2, m.moves[:i] + (changed,) + m.moves[i + 1:])
+    m2 = BlockSlideMap(m.moves[:i] + (changed,) + m.moves[i + 1:])
     assert [t.counts for t in tables(m2)] == [(192, 16)]
     pts = probe_points(m, seed=5, n=6)
     assert any(m2(x) != m(x) for x in pts)

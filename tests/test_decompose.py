@@ -30,7 +30,7 @@ def apply_star(targets, k: int, l: int) -> "np.ndarray":
     return p
 
 
-def realized_strip_permutation(targets, k: int, q: int, l: int, d: int = 2) -> "np.ndarray":
+def realized_strip_permutation(targets, k: int, q: int, l: int) -> "np.ndarray":
     """Reference: the strip permutation of a pivot-transposition product,
     each distinct transposition verified once with the exact box oracle
     and the induced permutations composed (every gadget maps strip atoms
@@ -41,7 +41,7 @@ def realized_strip_permutation(targets, k: int, q: int, l: int, d: int = 2) -> "
     for t in targets:
         t = (int(t[0]), int(t[1]))
         if t not in cache:
-            cache[t] = induced_atom_permutation(build_transposition(t[0], t[1], k, q, l, d), strips)
+            cache[t] = induced_atom_permutation(build_transposition(t[0], t[1], k, q, l), strips)
         out = chain(out, cache[t])
     return out
 

@@ -599,7 +599,7 @@ def test_float_analytic_path_refuses_non_finite_coordinates(circle2):
     build_grid_refine(4, 3),
     build_abc_conjugation((1, 0), 2, 2, 2),
     # one shear read off x2 alone: its breakpoints set the row pitch
-    BlockSlideMap(2, (BlockSlideMove(0, 1, 1, sigma1_interchange(3, 4)),)),
+    BlockSlideMap((BlockSlideMove(0, 1, 1, sigma1_interchange(3, 4)),)),
     minimal_stage(n=2, l=2, q=3, r=2).conjugation(),
 ], ids=["grid_refine", "abc_conjugation", "single_shear", "minimal"])
 def test_box_grid_translates_boxes_rigidly(h):

@@ -12,7 +12,10 @@ is refused at stage 2 (331,776 atoms, beyond the point budget).
 The stage runners and the parameter record are swept too: the
 translation runner on the 3-move chain `translation_params(h=1,
 levels=2, gamma1=(1,), l_base=4)`, the minimality runner with l <= 3,
-and every `exact.builders.build_*` at k, l, q <= 6 in dimension <= 3.
+and every `exact.builders.build_*` at k, l, q <= 6. So are the exact
+layer's constructors: `rotation_map`, the named `PartitionSpec`s,
+`BlockSlideMove`, `StepFunction.constant` and the named steps of
+`exact.steps`, each with its known leaks as explicit examples.
 
 Nothing is asserted about the value returned; a leaked `TypeError`,
 `ValueError`, `ZeroDivisionError` or the like fails.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -49,6 +53,16 @@ from abctorus.engine import (
 )
 from abctorus.errors import AbcTorusError, ParamOutOfRange
 from abctorus.exact import builders
+from abctorus.exact.blockslide import BlockSlideMove, rotation_map
+from abctorus.exact.partitions import PartitionSpec
+from abctorus.exact.steps import (
+    StepFunction,
+    build_trapping_step,
+    plateau_target,
+    psi1_refine,
+    psi2_refine,
+    psi3_refine,
+)
 from abctorus.minimal import minimal_stage, trapping_exponent
 from abctorus.towers import TowerReal
 
@@ -161,7 +175,6 @@ def test_approximate_blockslide(eps, delta):
 
 
 small = mostly(st.integers(-1, 6))
-dims = mostly(st.integers(0, 3))
 index_functions = mostly(st.lists(mostly(st.integers(-1, 6)), max_size=5))
 
 
@@ -207,18 +220,18 @@ def test_trapping_exponent(n, l, q):
 
 
 BUILDERS = {
-    "build_interchange": st.tuples(small, small, dims),
-    "build_rearrange": st.tuples(small, small, small, small, dims),
-    "build_grid_refine": st.tuples(small, mostly(st.integers(-1, 3)), dims),
-    "build_unstack": st.tuples(index_functions, small, small, dims),
+    "build_interchange": st.tuples(small, small),
+    "build_rearrange": st.tuples(small, small, small, small),
+    "build_grid_refine": st.tuples(small, mostly(st.integers(-1, 3))),
+    "build_unstack": st.tuples(index_functions, small, small),
     "build_abc_conjugation": st.tuples(index_functions, small, mostly(st.integers(-1, 2)),
-                                       small, dims),
-    "build_two_cycle": st.tuples(small, mostly(st.integers(-1, 3)), small, dims),
+                                       small),
+    "build_two_cycle": st.tuples(small, mostly(st.integers(-1, 3)), small),
     "build_transposition": st.tuples(small, small, small, mostly(st.integers(-1, 3)),
-                                     small, dims),
+                                     small),
     "build_minimal_combinatorics": st.tuples(mostly(st.integers(-1, 2)),
                                              mostly(st.integers(-1, 2)),
-                                             mostly(st.integers(-1, 2)), dims),
+                                             mostly(st.integers(-1, 2))),
 }
 
 
@@ -231,7 +244,66 @@ def test_builder(name):
     sweep()
 
 
+STEP = StepFunction.constant(Fraction(1, 3))
+rationals = mostly(st.fractions(-2, 2, max_denominator=64))
+axes = mostly(st.integers(-1, 2))
+# name -> (constructor, argument tuples, the known leaks as explicit examples)
+CONSTRUCTORS = {
+    "rotation_map": (rotation_map, st.tuples(rationals),
+                     [("x",), (float("inf"),), (None,)]),
+    "PartitionSpec.blocks": (PartitionSpec.blocks, st.tuples(small),
+                             [("3",), (None,), (2.5,)]),
+    "PartitionSpec.grid": (PartitionSpec.grid, st.tuples(small, small), [(2.5, 1)]),
+    "PartitionSpec.tower": (PartitionSpec.tower, st.tuples(index_functions, small, small),
+                            [((0,), 1, "3"), (None, 1, 3)]),
+    "PartitionSpec.strips": (PartitionSpec.strips, st.tuples(small, small, small),
+                             [("a", 1, 1)]),
+    "PartitionSpec.grid_min": (PartitionSpec.grid_min, st.tuples(small, small, small),
+                               [(None, 1, 1)]),
+    "BlockSlideMove": (BlockSlideMove,
+                       st.tuples(axes, axes, mostly(st.sampled_from((1, -1))),
+                                 mostly(st.just(STEP))),
+                       [("0", 1, 1, STEP), (0, 1, 1, None), (0, 2, 1, STEP), (0, 1, 1.0, STEP)]),
+    "StepFunction.constant": (StepFunction.constant, st.tuples(rationals), [("x",)]),
+    "build_trapping_step": (build_trapping_step,
+                            st.tuples(small, small, small, small, rationals),
+                            [(2, 4, 3, 2, "x")]),
+    "psi1_refine": (psi1_refine, st.tuples(small, small), [(2.5, 1)]),
+    "psi2_refine": (psi2_refine, st.tuples(small, small), [(2.5, 1)]),
+    "psi3_refine": (psi3_refine, st.tuples(small, small), [(2.5, 1)]),
+    "plateau_target": (plateau_target,
+                       st.tuples(mostly(st.lists(rationals, max_size=4)), small),
+                       [([1], 2.5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructor(name):
+    f, args, examples = CONSTRUCTORS[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(args=args)
+    def sweep(args):
+        returns_or_typed(f, *args)
+    for args in examples:
+        sweep = example(args=args)(sweep)
+    sweep()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructor_refuses_its_known_leaks(name):
+    # each of these leaked a TypeError, ValueError, OverflowError or
+    # AttributeError, or returned a partition with float counts
+    f, _, examples = CONSTRUCTORS[name]
+    for args in examples:
+        with pytest.raises(AbcTorusError):
+            f(*args)
+
+
 NAN = float("nan")
+H1 = MAPS.conjugations_analytic[0]
+POINT3 = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+FLOATS3 = np.full((3, 4), 0.25)
 REFUSED = {
     "defect with no samples": lambda: correspondence_defect(MAPS, 1, "analytic", samples=0),
     "commutation with negative samples": lambda: check_stage_commutation(MAPS, 1, samples=-1),
@@ -241,6 +313,15 @@ REFUSED = {
                                                "exact", power=1.5),
     "fractional stage": lambda: eval_stage_map(MAPS, (0.1, 0.2), "analytic", stage=1.5),
     "3-D point on the 2-torus": lambda: eval_stage_map(MAPS, (0.1, 0.2, 0.3), "analytic"),
+    "3-D points on the 2-torus": lambda: eval_stage_map(MAPS, FLOATS3, "analytic"),
+    "exact 3-D point": lambda: eval_stage_map(MAPS, POINT3, "exact"),
+    "rational 3-D point": lambda: eval_stage_map(MAPS, POINT3, "rational"),
+    "3-D point through H_1": lambda: MAPS.apply_exact(POINT3, 1),
+    "3-D point through h_1": lambda: MAPS.conjugations_exact[0](POINT3),
+    "3-D point through a minimality h": lambda: minimal_stage(2, 2, 1, 1).conjugation()(POINT3),
+    "3-D point through the analytic h_1": lambda: H1((0.1, 0.2, 0.3)),
+    "3-D points through the analytic h_1": lambda: H1.transform(FLOATS3),
+    "rational 3-D point through the analytic h_1": lambda: H1.transform_rational(POINT3),
     "text atom": lambda: stage_partition(MAPS, 1, ["x"]),
     "fractional stage count": lambda: run_circle_scenario(1.5),
     "fractional grid multiplier": lambda: run_minimal_scenario(1, 1.5, 3, 2),

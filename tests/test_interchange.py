@@ -25,7 +25,7 @@ def interchange_reading(k, q, f7_sign, f8_source):
     coordinate of the eighth. `build_interchange` is the reading (+1, 0)."""
     s1, s2, s3 = sigma1_interchange(k, q), sigma2_interchange(k, q), sigma3_interchange(k, q)
     half = StepFunction.constant(F(1, 2))
-    return BlockSlideMap(2, (
+    return BlockSlideMap((
         BlockSlideMove(0, 1, -1, s1),
         BlockSlideMove(1, 0, +1, s3),
         BlockSlideMove(0, 1, +1, s2),
@@ -47,15 +47,15 @@ def expected_pair_swap(k, q):
 
 @pytest.mark.parametrize("k,q", [(2, 1), (2, 2), (3, 2), (4, 1), (4, 3), (6, 3)])
 def test_interchange_swaps_leading_column_pairs(k, q):
-    m = build_interchange(k, q, 2)
-    part = PartitionSpec.blocks(k * q, 2)
+    m = build_interchange(k, q)
+    part = PartitionSpec.blocks(k * q)
     perm = induced_atom_permutation(m, part)
     assert list(perm) == expected_pair_swap(k, q)
 
 
 @pytest.mark.parametrize("k,q", [(2, 1), (2, 2), (4, 3), (6, 3)])
 def test_interchange_commutes_with_block_rotation(k, q):
-    m = build_interchange(k, q, 2)
+    m = build_interchange(k, q)
     assert commutes_with_rotation(m, q)
     assert m.commutes_with_rotation(q)
 
@@ -63,7 +63,7 @@ def test_interchange_commutes_with_block_rotation(k, q):
 def test_interchange_is_rigid_on_columns():
     # On swapped columns the map is a pure horizontal translation by
     # 1/(kq); on the remaining columns it is the pointwise identity.
-    f = build_interchange(4, 1, 2)
+    f = build_interchange(4, 1)
     assert f(TorusPoint((F(1, 8), F(1, 3)))) == TorusPoint((F(3, 8), F(1, 3)))
     assert f(TorusPoint((F(3, 8), F(2, 3)))) == TorusPoint((F(1, 8), F(2, 3)))
     assert f(TorusPoint((F(5, 8), F(9, 10)))) == TorusPoint((F(5, 8), F(9, 10)))
@@ -72,9 +72,9 @@ def test_interchange_is_rigid_on_columns():
 
 def test_interchange_rejects_bad_parameters():
     with pytest.raises(ParamOutOfRange):
-        build_interchange(1, 1, 2)
+        build_interchange(1, 1)
     with pytest.raises(ParamOutOfRange):
-        build_interchange(2, 0, 2)
+        build_interchange(2, 0)
 
 
 def test_published_reading_is_the_builder():
@@ -85,7 +85,7 @@ def test_variant_with_flipped_last_slide_sign_breaks_atoms():
     # The final x1 slide must undo the first one; with the opposite sign
     # the composite shears column atoms apart instead of permuting them.
     m = interchange_reading(4, 3, f7_sign=-1, f8_source=0)
-    part = PartitionSpec.blocks(12, 2)
+    part = PartitionSpec.blocks(12)
     with pytest.raises(NotAtomPermutation):
         induced_atom_permutation(m, part)
 
@@ -96,10 +96,3 @@ def test_variant_reading_its_own_target_is_unconstructible(sign):
     # move that consumes the coordinate it shifts.
     with pytest.raises(ParamOutOfRange):
         interchange_reading(4, 3, f7_sign=sign, f8_source=1)
-
-
-def test_higher_dimension_embedding():
-    # extra coordinates ride along untouched
-    f = build_interchange(2, 1, 3)
-    x = TorusPoint((F(1, 4), F(3, 4), F(1, 7)))
-    assert f(x)[2] == F(1, 7)

@@ -212,7 +212,7 @@ def _non_commuting() -> StageMaps:
     read off x1, which does not commute with the rotation by 1/3."""
     inc = build_stage_circle(circle_params())
     step = StepFunction.from_pieces(1, [(0, 0), (F(1, 2), F(1, 4))])
-    shear = BlockSlideMap(2, (BlockSlideMove(1, 0, 1, step),))
+    shear = BlockSlideMap((BlockSlideMove(1, 0, 1, step),))
     h_an = approximate_blockslide(shear, stage_epsilon(1), stage_delta(1))
     return StageMaps.start("circle", inc.params_before).extend(
         dataclasses.replace(inc, analytic=h_an))
@@ -326,7 +326,7 @@ def test_float_source_atom_is_exact(monkeypatch):
     x = float(F(1, 3))
     assert int(x * 3) == 1 and F(x) < F(1, 3)
     inc = build_stage_circle(circle_params())
-    identity = AnalyticBlockSlide(2, (), BlockSlideMap.identity(2), inc.analytic.eps,
+    identity = AnalyticBlockSlide((), BlockSlideMap(), inc.analytic.eps,
                                   inc.analytic.delta)
     maps = StageMaps.start("circle", inc.params_before).extend(
         dataclasses.replace(inc, analytic=identity))

@@ -133,7 +133,7 @@ class TestMinimalConjugation:
 
     def test_matches_blockslide_realization_with_shear(self):
         st = self.stage()
-        shear = BlockSlideMap(2, (BlockSlideMove(1, 0, 1, st.kappa),))
+        shear = BlockSlideMap((BlockSlideMove(1, 0, 1, st.kappa),))
         bs = build_minimal_combinatorics(st.l, st.q, st.r).then(shear)
         h = st.conjugation()
         for x in random_points(60, seed=6):

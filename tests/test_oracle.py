@@ -33,12 +33,12 @@ _CIRCLE = run_circle_scenario(3)
 
 # (map, source partition, target partition, rotation q)
 CASES = {
-    "interchange": (build_interchange(4, 3, 2), PartitionSpec.blocks(12, 2), None, 3),
-    "grid_refine": (build_grid_refine(2, 3), PartitionSpec.grid(2, 3, 2),
-                    PartitionSpec.blocks(12, 2), 3),
-    "abc_conjugation": (build_abc_conjugation((1, 0), 2, 2, 2, 2),
-                        PartitionSpec.blocks(2, 2),
-                        PartitionSpec.tower((1, 0), 2, 2, 2), 2),
+    "interchange": (build_interchange(4, 3), PartitionSpec.blocks(12), None, 3),
+    "grid_refine": (build_grid_refine(2, 3), PartitionSpec.grid(2, 3),
+                    PartitionSpec.blocks(12), 3),
+    "abc_conjugation": (build_abc_conjugation((1, 0), 2, 2, 2),
+                        PartitionSpec.blocks(2),
+                        PartitionSpec.tower((1, 0), 2, 2), 2),
     "circle_h1": (_CIRCLE.conjugations_exact[0], PartitionSpec.blocks(3), None, 3),
 }
 
@@ -49,7 +49,7 @@ def reference_images(m: BlockSlideMap, n: int) -> dict:
     """lattice index -> (point, image under the Fraction chain), for
     every point of the 1/n lattice."""
     out = {}
-    for idx in product(range(n), repeat=m.dim):
+    for idx in product(range(n), repeat=2):
         x = y = TorusPoint(F(i, n) for i in idx)
         for mv in m.moves:
             y = mv.apply(y)
@@ -118,7 +118,7 @@ def divisors(n: int):
 
 def reference_cost(m: BlockSlideMap, q: int = 1) -> int:
     """Fraction moves the reference makes when the partitions divide L."""
-    return (4 * lcm(m.denominator_lcm(), q)) ** m.dim * max(1, len(m.moves))
+    return (4 * lcm(m.denominator_lcm(), q)) ** 2 * max(1, len(m.moves))
 
 
 @st.composite
@@ -132,11 +132,11 @@ def oracle_inputs(draw):
 
     def partition():
         if draw(st.booleans()):
-            return PartitionSpec(tuple(draw(st.sampled_from(ds)) for _ in range(m.dim)))
+            return PartitionSpec(tuple(draw(st.sampled_from(ds)) for _ in range(2)))
         kq = draw(st.sampled_from(ds))
         k = draw(st.sampled_from(divisors(kq)))
         a = tuple(draw(st.integers(0, kq // k - 1)) for _ in range(k))
-        return PartitionSpec.tower(a, k, kq // k, m.dim)
+        return PartitionSpec.tower(a, k, kq // k)
 
     part = partition()
     target = draw(st.sampled_from([part, partition(), PartitionSpec(part.counts[::-1])]))
@@ -206,8 +206,8 @@ def test_split_across_chunks_is_still_found(monkeypatch):
     # and x2 runs fastest, so 1-box chunks hold one half-row each and no
     # single chunk sees both targets.
     step = StepFunction(F(1), (F(0), F(1, 2)), (F(0), F(1, 2)))
-    m = BlockSlideMap(2, (BlockSlideMove(0, 1, 1, step),))
-    part = PartitionSpec.blocks(2, 2)
+    m = BlockSlideMap((BlockSlideMove(0, 1, 1, step),))
+    part = PartitionSpec.blocks(2)
     M, counts = oracle._box_lattice(m, (part,))
     assert (M, counts) == (2, (2, 2))
     monkeypatch.setattr(oracle, "_CHUNK_POINTS", 1)

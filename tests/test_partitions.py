@@ -16,52 +16,32 @@ def P(*coords):
 
 
 def test_atom_counts():
-    assert PartitionSpec.blocks(5, 2).atom_count == 5
-    assert PartitionSpec.circle(7).atom_count == 7
-    assert PartitionSpec.grid(3, 2, 2).atom_count == 18  # q * l^d
-    assert PartitionSpec.grid(2, 1, 3).atom_count == 8
-    assert PartitionSpec.grid_stage(1, 3, 2, 2).atom_count == 18
-    assert PartitionSpec.tower((0, 1), 2, 3, 2).atom_count == 3
+    assert PartitionSpec.blocks(5).atom_count == 5
+    assert PartitionSpec.grid(3, 2).atom_count == 18  # q * l^2
+    assert PartitionSpec.tower((0, 1), 2, 3).atom_count == 3
     assert PartitionSpec.strips(4, 2, 3).atom_count == 24  # kq * l
     assert PartitionSpec.grid_min(3, 2, 4).atom_count == 54 * 12  # l^3 q * l r
 
 
 def test_blocks_index_uses_first_coordinate():
-    part = PartitionSpec.blocks(4, 2)
+    part = PartitionSpec.blocks(4)
     assert part.atom_index(P(F(1, 8), F(9, 10))) == 0
     assert part.atom_index(P(F(3, 4), F(0))) == 3
 
 
 def test_grid_index_layout():
-    # index = i1 * l^(d-1) + ... + i_d with x1 read at pitch 1/(l q)
-    part = PartitionSpec.grid(2, 3, 2)
+    # index = i1 * l + i2 with x1 read at pitch 1/(l q)
+    part = PartitionSpec.grid(2, 3)
     assert part.atom_index(P(F(0), F(0))) == 0
     assert part.atom_index(P(F(1, 6), F(0))) == 2
     assert part.atom_index(P(F(1, 6), F(1, 2))) == 3
     assert part.atom_index(P(F(5, 6), F(1, 2))) == 11
 
 
-def test_grid_stage_pitches():
-    # stage j: x1 at pitch 1/(l^j q), next d-j coordinates at 1/l,
-    # last j-1 coordinates unconstrained
-    part = PartitionSpec.grid_stage(2, 2, 3, 3)
-    # dims: x1 -> 12 cells, x2 -> 2 cells, x3 free
-    assert part.atom_count == 24
-    a = part.atom_index(P(F(1, 6), F(1, 2), F(9, 10)))
-    b = part.atom_index(P(F(1, 6), F(1, 2), F(1, 10)))
-    assert a == b  # last coordinate free at stage 2 of d = 3
-    # stage 1 pins every coordinate
-    full = PartitionSpec.grid_stage(1, 2, 3, 3)
-    assert full.atom_count == 24
-    c = full.atom_index(P(F(1, 6), F(1, 2), F(9, 10)))
-    d = full.atom_index(P(F(1, 6), F(1, 2), F(1, 10)))
-    assert c != d
-
-
 def test_tower_membership():
     # columns c = a(i) k + i + m k (mod kq) belong to atom m
     a = (1, 0)
-    part = PartitionSpec.tower(a, 2, 3, 2)
+    part = PartitionSpec.tower(a, 2, 3)
     # class 0: a(0) = 1 -> column 1*2+0 = 2 is in atom 0
     assert part.atom_index(P(F(2, 6) + F(1, 12), F(1, 3))) == 0
     # its next block neighbour c = 4 is atom 1
@@ -103,11 +83,8 @@ def _atom_box(part, index):
 
 def test_atom_box_roundtrip():
     for part in [
-        PartitionSpec.blocks(5, 2),
-        PartitionSpec.circle(7),
-        PartitionSpec.grid(2, 3, 2),
-        PartitionSpec.grid_stage(2, 2, 3, 3),
-        PartitionSpec.grid_stage(3, 2, 1, 3),
+        PartitionSpec.blocks(5),
+        PartitionSpec.grid(2, 3),
         PartitionSpec.strips(4, 2, 3),
         PartitionSpec.grid_min(2, 1, 2),
     ]:
@@ -124,32 +101,28 @@ def test_atom_box_roundtrip():
 
 
 def test_single_cell_axes_are_free():
-    # an axis with one cell is the whole circle, whatever built it
-    assert PartitionSpec.blocks(7, 1) == PartitionSpec.circle(7)
+    # an axis with one cell is the whole circle, whatever built it:
     # atom 2 of grid(1, 3, 2) is [2/3, 1) x T^1; blocks(1, 2) is one atom
     for y in (F(0), F(1, 3), F(5, 7)):
-        assert PartitionSpec.grid(1, 3, 2).atom_index(TorusPoint((F(2, 3), y))) == 2
-        assert PartitionSpec.grid(1, 3, 2).atom_index(TorusPoint((F(2, 3) - F(1, 99), y))) == 1
-        assert PartitionSpec.blocks(1, 2).atom_index(TorusPoint((F(8, 9), y))) == 0
+        assert PartitionSpec.grid(1, 3).atom_index(TorusPoint((F(2, 3), y))) == 2
+        assert PartitionSpec.grid(1, 3).atom_index(TorusPoint((F(2, 3) - F(1, 99), y))) == 1
+        assert PartitionSpec.blocks(1).atom_index(TorusPoint((F(8, 9), y))) == 0
 
 
 def test_grid_index_matches_vectorised_indexer():
     for part in [
-        PartitionSpec.blocks(3, 2),
-        PartitionSpec.circle(5),
-        PartitionSpec.grid(2, 2, 2),
-        PartitionSpec.grid_stage(2, 2, 3, 3),
-        PartitionSpec.grid_stage(3, 2, 1, 3),
-        PartitionSpec.tower((1, 0), 2, 2, 2),
+        PartitionSpec.blocks(3),
+        PartitionSpec.grid(2, 2),
+        PartitionSpec.tower((1, 0), 2, 2),
         PartitionSpec.strips(4, 1, 2),
         PartitionSpec.grid_min(2, 1, 2),
     ]:
         M = lcm(*part.counts) * 4
         rng = np.random.default_rng(11)
-        pts = rng.integers(0, M, size=(part.dim, 300), dtype=np.int64)
+        pts = rng.integers(0, M, size=(2, 300), dtype=np.int64)
         fast = part.atom_index_grid(pts, M)
         for col in range(0, 300, 17):
-            x = TorusPoint(tuple(F(int(pts[c, col]), M) for c in range(part.dim)))
+            x = TorusPoint((F(int(pts[0, col]), M), F(int(pts[1, col]), M)))
             assert part.atom_index(x) == fast[col]
 
 
@@ -157,13 +130,8 @@ def test_grid_index_matches_vectorised_indexer():
     "build, error",
     [
         pytest.param(lambda: PartitionSpec.blocks(0), ParamOutOfRange, id="blocks-q0"),
-        pytest.param(lambda: PartitionSpec.blocks(2, 0), ParamOutOfRange, id="blocks-dim0"),
-        pytest.param(lambda: PartitionSpec.circle(0), ParamOutOfRange, id="circle-q0"),
         pytest.param(lambda: PartitionSpec.grid(0, 3), ParamOutOfRange, id="grid-l0"),
         pytest.param(lambda: PartitionSpec.grid(2, 0), ParamOutOfRange, id="grid-q0"),
-        pytest.param(lambda: PartitionSpec.grid_stage(0, 2, 3), ParamOutOfRange, id="grid_stage-j0"),
-        pytest.param(lambda: PartitionSpec.grid_stage(3, 2, 3, 2), ParamOutOfRange, id="grid_stage-j-above-dim"),
-        pytest.param(lambda: PartitionSpec.grid_stage(1, 0, 3), ParamOutOfRange, id="grid_stage-l0"),
         pytest.param(lambda: PartitionSpec.tower((0,), 2, 3), InvalidIndexFunction, id="tower-short-a"),
         pytest.param(lambda: PartitionSpec.tower((0, 3), 2, 3), InvalidIndexFunction, id="tower-a-out-of-range"),
         pytest.param(lambda: PartitionSpec.tower((), 0, 3), ParamOutOfRange, id="tower-k0"),
@@ -171,6 +139,7 @@ def test_grid_index_matches_vectorised_indexer():
         pytest.param(lambda: PartitionSpec.strips(1, 1, 0), ParamOutOfRange, id="strips-l0"),
         pytest.param(lambda: PartitionSpec.grid_min(1, 1, 1), ParamOutOfRange, id="grid_min-l1"),
         pytest.param(lambda: PartitionSpec.grid_min(2, 1, 0), ParamOutOfRange, id="grid_min-r0"),
+        pytest.param(lambda: PartitionSpec((2, 2, 2)), ParamOutOfRange, id="three-axes"),
     ],
 )
 def test_constructors_refuse_bad_input(build, error):

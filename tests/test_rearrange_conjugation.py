@@ -18,7 +18,7 @@ F = Fraction
 
 
 def column_perm(m, kq):
-    return induced_atom_permutation(m, PartitionSpec.blocks(kq, 2))
+    return induced_atom_permutation(m, PartitionSpec.blocks(kq))
 
 
 def test_single_block_shift():
@@ -62,9 +62,9 @@ def test_rearrange_rejects_out_of_range_shift():
     ],
 )
 def test_unstack_aligns_tower_levels_with_blocks(k, q, a):
-    m = build_unstack(a, k, q, 2)
-    tower = PartitionSpec.tower(a, k, q, 2)
-    blocks = PartitionSpec.blocks(q, 2)
+    m = build_unstack(a, k, q)
+    tower = PartitionSpec.tower(a, k, q)
+    blocks = PartitionSpec.blocks(q)
     perm = induced_atom_permutation(m, tower, blocks)
     assert list(perm) == list(range(q))
 
@@ -75,10 +75,10 @@ def test_unstack_direction_matters():
     # sent onto a single block.
     k, q, a = 2, 3, (1, 0)
     forward = BlockSlideMap.compose(
-        [build_rearrange(a[c] % q, c, k, q, 2) for c in range(k)]
+        [build_rearrange(a[c] % q, c, k, q) for c in range(k)]
     )
-    tower = PartitionSpec.tower(a, k, q, 2)
-    blocks = PartitionSpec.blocks(q, 2)
+    tower = PartitionSpec.tower(a, k, q)
+    blocks = PartitionSpec.blocks(q)
     with pytest.raises(NotAtomPermutation):
         induced_atom_permutation(forward, tower, blocks)
 
@@ -88,15 +88,15 @@ def test_conjugation_properties(k, l, q):
     rng = random.Random(20 * k + q)
     for _ in range(5):
         a = tuple(rng.randrange(q) for _ in range(k))
-        h = build_abc_conjugation(a, k, l, q, 2)
-        blocks = PartitionSpec.blocks(q, 2)
-        tower = PartitionSpec.tower(a, k, q, 2)
+        h = build_abc_conjugation(a, k, l, q)
+        blocks = PartitionSpec.blocks(q)
+        tower = PartitionSpec.tower(a, k, q)
         # (i) block m is carried onto tower level m
         p1 = induced_atom_permutation(h, blocks, tower)
         assert list(p1) == list(range(q))
         # (ii) the (lk)-grid is carried bijectively onto the fine columns
-        grid = PartitionSpec.grid(l * k, q, 2)
-        fine = PartitionSpec.blocks((l * k) ** 2 * q, 2)
+        grid = PartitionSpec.grid(l * k, q)
+        fine = PartitionSpec.blocks((l * k) ** 2 * q)
         induced_atom_permutation(h, grid, fine)
         # (iii) equivariance under the block rotation
         assert commutes_with_rotation(h, q)
@@ -107,6 +107,6 @@ def test_conjugation_rejects_bad_index_function():
     from abctorus.errors import InvalidIndexFunction
 
     with pytest.raises(InvalidIndexFunction):
-        build_abc_conjugation((0, 3), 2, 2, 2, 2)  # entry out of [0, q)
+        build_abc_conjugation((0, 3), 2, 2, 2)  # entry out of [0, q)
     with pytest.raises(InvalidIndexFunction):
-        build_abc_conjugation((0,), 2, 2, 2, 2)  # wrong length
+        build_abc_conjugation((0,), 2, 2, 2)  # wrong length

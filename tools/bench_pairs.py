@@ -5,10 +5,12 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD --tag celltable \
         --workloads circle,translation,minimal,ledger --seeds 1-10
 
-`git archive <parent>` is unpacked into a temporary directory, and for
-every workload and seed `perfbench/run.py --trace 0` runs once in that
-directory (the parent side) and once in the repository root (the change
-side), one run at a time, each for the `run_seconds` that
+`git archive <parent>` is unpacked into one temporary directory and the
+working tree's tracked and untracked, non-ignored files are copied into
+a second one, so both sides start from a fresh tree that holds no
+build or test leftovers. For every workload and seed
+`perfbench/run.py --trace 0` runs once in each (the parent side and the
+change side), one run at a time, each for the `run_seconds` that
 `BENCHMARK.json` sets. The side that runs first alternates from seed
 to seed, so a drift of the machine's speed falls on both sides alike.
 
@@ -45,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,16 +65,26 @@ def seed_list(text: str):
 
 
 def unpack(rev: str, into: Path) -> str:
-    """Unpack the committed files of `rev` into `into`; returns the
-    commit's short hash."""
+    """Lay out both sides under `into`: the committed files of `rev` in
+    `into / "parent"`, and the working tree's tracked and untracked,
+    non-ignored files, with their working-tree contents, in
+    `into / "change"`. Returns the commit's short hash."""
     sha = subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     archive = into / "parent.tar"
     with archive.open("wb") as f:
         subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=f)
     with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
+        tar.extractall(into / "parent", filter="data")
     archive.unlink()
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, check=True, capture_output=True).stdout
+    for name in filter(None, map(os.fsdecode, names.split(b"\0"))):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            dst = into / "change" / name
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst)
     return sha
 
 
@@ -170,7 +183,7 @@ def main() -> None:
     runs, failed = [], None
     with tempfile.TemporaryDirectory() as tmp:
         sha = unpack(args.parent, Path(tmp))
-        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
         plan = [(w, seed, side) for w in workloads for i, seed in enumerate(args.seeds)
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
         for w, seed, side in plan:
