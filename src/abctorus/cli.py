@@ -5,7 +5,8 @@
 The scenarios are built at the toy sizes the benchmark uses: two circle
 stages from q0 = 3 with l = 4, one translation stage along
 `translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)`
-(34,688 shears, exact only) and one minimality stage at n = 2, l = 4,
+(a 4-op closed-form conjugation whose block-slide realization has
+34,688 shears, exact only) and one minimality stage at n = 2, l = 4,
 q = 3, r = 2. For every stage the output holds the conjugacy report of
 each model, the commutation report and the correspondence defect of each
 model, each drawn from SAMPLES verifier samples at seed SEED. A report

@@ -5,8 +5,9 @@ The maps under study have the form
     T_n = H_n^{-1} o phi^{alpha_n} o H_n,        H_n = h_n o H_{n-1},
 
 where phi^t rotates the first coordinate by t and each conjugation h_m is
-an exact map (any `Conjugation`: a block-slide map or the O(1)
-minimality evaluator) together with an entire approximation.  Because h_m
+an exact map (any `Conjugation`: a block-slide map, the closed-form
+tower map of the translation stages or the O(1) minimality evaluator)
+together with an entire approximation.  Because h_m
 commutes with phi^{alpha_{m-1}} and alpha advances by
 
     p_{n+1} = s_n k_n l_n q_n p_n + 1,       q_{n+1} = s_n k_n l_n q_n^2,
@@ -49,7 +50,7 @@ from .bounds import TranslationParams
 from .errors import InvalidIndexFunction, ParamOutOfRange, UnsupportedDimension
 from .exact.blockslide import BlockSlideMap, BlockSlideMove
 from .exact.builders import (
-    build_abc_conjugation,
+    TowerConjugation,
     build_grid_refine,
     build_minimal_combinatorics,
 )
@@ -166,8 +167,9 @@ class Conjugation(Protocol):
     """An exact stage conjugation h_n: a rigid permutation of lattice
     boxes of the 2-torus that commutes with the previous rotation.
 
-    Implemented by `BlockSlideMap` and by the minimality-stage
-    conjugation `MinimalConjugation`. Both are one kind of integer
+    Implemented by `BlockSlideMap`, by the translation-stage tower
+    conjugation `TowerConjugation` and by the minimality-stage
+    conjugation `MinimalConjugation`. All are one kind of integer
     program (`exact.blockslide._Program`) at a modulus M, a multiple of
     `denominator_lcm()`, whose one entry point on Python ints is
     `on_lattice(ys, M)`: the program run in place on one point's
@@ -184,11 +186,13 @@ class Conjugation(Protocol):
     box k = x1 // pitch1 % cols * rows + x2 // pitch2 % rows in a table
     of signed per-box offsets replaces it, a table that may repeat along
     an axis. `MinimalConjugation` runs its involution as one such table
-    on the l^2 x l r class grid, repeating with period 1/(l q) along x1,
-    and a `BlockSlideMap` runs each run of moves whose joint lattice has
-    at most 2^16 boxes as one (translation's 34,685 unstacking shears on
-    200 x 2 boxes become one lookup); `move_count()` still counts the
-    moves.
+    on the l^2 x l r class grid, repeating with period 1/(l q) along x1;
+    `TowerConjugation` runs its three refinement shears as moves and its
+    column permutation as one table on the kq x 1 column grid, never
+    building its 34,688-move block-slide realization unless its `moves`
+    are read; and a `BlockSlideMap` runs each run of moves whose joint
+    lattice has at most 2^16 boxes as one. `move_count()` counts a
+    `BlockSlideMap`'s moves and the other two's program ops.
     """
 
     def __call__(self, x: TorusPoint) -> TorusPoint: ...
@@ -233,7 +237,8 @@ class StageIncrement:
     """One built conjugation plus the parameter advance it entails.
 
     exact is the stage conjugation in the exact model (a block-slide map,
-    or the minimality-stage conjugation).  analytic may be None for
+    the translation stage's `TowerConjugation`, or the minimality-stage
+    conjugation).  analytic may be None for
     stages whose entire counterpart was not built (oversized
     realizations); exact-model workflows are unaffected.
     """
@@ -447,28 +452,6 @@ def _capped_analytic(realization: BlockSlideMap, n: int) -> Optional[AnalyticBlo
     return approximate_blockslide(realization, stage_epsilon(n), stage_delta(n))
 
 
-def _section_time(gamma: Tuple[int, int], y1: Fraction, y2: Fraction) -> Fraction:
-    """Time coordinate tau of y under the linear flow along gamma on T^2.
-
-    tau = (y2 + j)/gamma2 for the unique j in [0, gamma2) with
-    y1 - (y2 + j) * gamma1/gamma2 mod 1 in [0, 1/gamma2); equivalently
-    y = (flow for time tau)(w) with w in the fundamental section
-    [0, 1/gamma2) x {0}.  The candidate positions are gamma2 equally
-    spaced points at pitch 1/gamma2 (gcd(gamma1, gamma2) = 1), so
-    exactly one falls inside the half-open window.  By construction
-    tau(y + t*gamma mod 1) = tau(y) + t mod 1.
-    """
-    g1, g2 = gamma
-    width = Fraction(1, g2)
-    for j in range(g2):
-        if (y1 - (y2 + j) * Fraction(g1, g2)) % 1 < width:
-            return (y2 + j) / g2
-    raise InvalidIndexFunction(
-        f"no section window contains the point; gamma={gamma} is not a "
-        "primitive direction"
-    )
-
-
 def translation_index_function(
     gamma: Sequence[int], gamma_next: Sequence[int], k: int, q: int
 ) -> Tuple[int, ...]:
@@ -477,11 +460,20 @@ def translation_index_function(
     a[i] = -o(i) mod q with o(c) = floor(q * tau(P_c)), where
     P_c = (c/(k q)) * gamma_next mod 1 walks the next-stage translation
     direction across the k q tower columns and tau is the flow-time
-    coordinate of the current direction gamma.  The congruence
-    gamma_next = gamma mod q makes o advance by exactly 1 mod q between
-    the same column of consecutive 1/q-blocks, so each residue class
-    meets every index exactly once; both facts are checked before the
-    function returns.  Cost is O(k q gamma_2).
+    coordinate of the current direction gamma: tau(y) = (y2 + j)/gamma2
+    for the one j in [0, gamma2) with y1 - (y2 + j) gamma1/gamma2 mod 1
+    in [0, 1/gamma2), so that y is the flow for time tau of a point of
+    the section [0, 1/gamma2) x {0}, and tau(y + t gamma) = tau(y) + t
+    mod 1.  The congruence gamma_next = gamma mod q makes o advance by
+    exactly 1 mod q between the same column of consecutive 1/q-blocks,
+    so each residue class meets every index exactly once; both facts are
+    checked before the function returns.
+
+    All in integers over N = k q: with Y = c gamma_next mod N, P_c = Y/N,
+    and the window condition reads (R - j N gamma1) mod N gamma2 < N for
+    R = (Y1 gamma2 - Y2 gamma1) mod N gamma2, which holds exactly for
+    j = (R // N) gamma1^-1 mod gamma2.  Then o(c) = q (Y2 + j N) // (N
+    gamma2), O(1) per column.
 
     One-dimensional factors have tau(y) = y, hence o(c) = c // k and a
     identically zero (the circle scenario's trivial combinatorics).
@@ -509,11 +501,13 @@ def translation_index_function(
             f"the congruence gamma' = gamma mod q fails: {gamma_next} vs "
             f"{gamma} mod {q}"
         )
+    (g1, g2), (h1, h2), N = gamma, gamma_next, k * q
+    g1_inv = pow(g1, -1, g2)
     o = []
-    for c in range(k * q):
-        y1 = Fraction(c * gamma_next[0], k * q) % 1
-        y2 = Fraction(c * gamma_next[1], k * q) % 1
-        o.append(int(q * _section_time(gamma, y1, y2)))
+    for c in range(N):
+        y1, y2 = c * h1 % N, c * h2 % N
+        j = (y1 * g2 - y2 * g1) % (N * g2) // N * g1_inv % g2
+        o.append(q * (y2 + j * N) // (N * g2))
     for i in range(k):
         vals = [o[i + a * k] for a in range(q)]
         if sorted(vals) != list(range(q)) or any(
@@ -547,16 +541,19 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
     chain must have been generated with a grid multiplier (l_base) so
     every level carries the l its conjugation consumes.  For a
     two-dimensional factor the stage couples k = s * gamma'_2, computes
-    the index function from the flow-time coordinate, and builds the
-    tower conjugation over the l^2 q-column grid; the advance is the
-    chain's own (q' = m s q^2), whose ratio q'/(k q) = l q is integral
-    by construction.  One-dimensional factors delegate to the circle
+    the index function from the flow-time coordinate, and takes as the
+    exact conjugation the closed-form tower map `TowerConjugation(a, k,
+    l, q)`, a program of 4 ops; the advance is the chain's own
+    (q' = m s q^2), whose ratio q'/(k q) = l q is integral by
+    construction.  One-dimensional factors delegate to the circle
     scenario (k = l, trivial index function) and re-check that the
     chain's advance coincides with the circle advance.
 
-    The entire approximation is built only when the exact realization
-    stays within AUTO_ANALYTIC_MOVE_CAP moves; larger stages carry
-    analytic=None and stay exact-only.
+    The entire approximation is built from the block-slide realization
+    (`build_abc_conjugation`), and only when it stays within
+    AUTO_ANALYTIC_MOVE_CAP moves. The realization is not even built
+    when its `realization_floor()` lower bound exceeds the cap; such
+    stages carry analytic=None and stay exact-only.
     """
     idx = next(
         (
@@ -625,7 +622,7 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
         )
     a = translation_index_function(lv.gamma, nxt.gamma, k, q)
     before = replace(params, a=a)
-    exact = build_abc_conjugation(a, k, l, q)
+    exact = TowerConjugation(a, k, l, q)
     after = AbCParams(n=n + 1, p=nxt.p, q=nxt.q, k=k_fwd, l=l_fwd, s=s_fwd,
                       a=(0,) * k_fwd)
     return StageIncrement(
@@ -633,7 +630,8 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
         params_before=before,
         params_after=after,
         exact=exact,
-        analytic=_capped_analytic(exact, n),
+        analytic=(_capped_analytic(BlockSlideMap(exact.moves), n)
+                  if exact.realization_floor() <= AUTO_ANALYTIC_MOVE_CAP else None),
     )
 
 

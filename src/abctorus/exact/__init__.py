@@ -4,9 +4,10 @@ Everything in this subpackage is exact and uses no floating point.
 Points and step data are `fractions.Fraction`s; block-slide maps also
 run as integer programs of shear moves and cell tables, on Python ints
 and on int64 arrays, with every coordinate a numerator over one common
-modulus (`points.to_lattice` and `points.from_lattice` convert), and
-the minimality conjugation of `abctorus.minimal` runs as the same kind
-of program. Points live on the
+modulus (`points.to_lattice` and `points.from_lattice` convert); the
+closed-form tower conjugation `builders.TowerConjugation` and the
+minimality conjugation of `abctorus.minimal` run as the same kind of
+program. Points live on the
 2-torus with coordinates in [0, 1), step functions are finite
 piecewise-constant functions with rational breakpoints and values, and
 the maps are compositions of shears between the two coordinates

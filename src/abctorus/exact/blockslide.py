@@ -36,14 +36,18 @@ run of two or more moves becomes a `_CellTable`: per box, its image's
 signed offset along each axis in boxes. With n_a boxes along axis a,
 the op finds the box of x with k = x[0] // pitch0 % n0 * n1 +
 x[1] // pitch1 % n1 (row-major over the axes) and adds the offsets of
-box k. Translation's h_1 (3 grid-refinement shears, then 34,685
-unstacking shears on 200 x 2 boxes) runs as 4 ops. A table need not
-cover the torus: one that is periodic along an axis stores one period
-and repeats, which is how the minimality involution runs as one table
-on its l^2 x l r class grid.
+box k. The block-slide realization of translation's h_1 (3
+grid-refinement shears, then 34,685 unstacking shears on 200 x 2 boxes)
+runs as 4 ops; the translation stage itself runs the closed form
+`builders.TowerConjugation`, which emits those 4 ops without building
+the moves. A table need not cover the torus: one that is periodic along
+an axis stores one period and repeats, which is how the minimality
+involution runs as one table on its l^2 x l r class grid and the tower
+column permutation as one table on its kq x 1 column grid.
 
 `on_lattice(ys, M)` is the one integer entry point of a map with a
-program (`_ProgramMap`: a `BlockSlideMap`, or the minimality conjugation
+program (`_ProgramMap`: a `BlockSlideMap`, the closed-form tower
+conjugation `builders.TowerConjugation`, or the minimality conjugation
 of `abctorus.minimal`): it runs the program in place on one point's
 numerators ys over a modulus M, a multiple of L, on Python ints with
 `bisect_right`. `__call__` puts a `TorusPoint` over M = lcm of L and its

@@ -20,7 +20,11 @@ coordinate distinguished). The non-obvious ones:
 - `build_abc_conjugation(a, k, l, q)`: grid refinement for parameter
   k*l followed by the inverse of the unstacking map; sends the block
   partition to the tower partition prescribed by the index function a
-  and commutes with the rotation by p/q.
+  and commutes with the rotation by p/q. `TowerConjugation(a, k, l, q)`
+  is the same map in closed form: the three refinement shears, then the
+  column permutation c + k b -> c + k (b + a(c) mod q) as one cell
+  table, a program of 4 ops where the realization has
+  O(k^2 sum a) moves.
 
 - `build_two_cycle` / `build_transposition` / `decompose_permutation`:
   generators for arbitrary rotation-equivariant permutations of the
@@ -33,15 +37,30 @@ coordinate distinguished). The non-obvious ones:
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InvalidTarget, NotEquivariant, ParamOutOfRange
 from ..towers import require_int
-from .blockslide import BlockSlideMap, BlockSlideMove, rotation_map
-from .partitions import check_index_function
+from .blockslide import (
+    BlockSlideMap,
+    BlockSlideMove,
+    _CellTable,
+    _memo_inverse,
+    _move_pitches,
+    _Program,
+    _ProgramMap,
+    _step_entry,
+    rotation_map,
+)
+from .partitions import check_index_function, tower_level
+from .points import TorusPoint, from_lattice, to_lattice
 from .permutations import is_permutation, star_factorization
 from .steps import (
     StepFunction,
@@ -159,13 +178,17 @@ def build_unstack(a: Sequence[int], k: int, q: int) -> BlockSlideMap:
 
 
 def build_abc_conjugation(a: Sequence[int], k: int, l: int, q: int) -> BlockSlideMap:
-    """The stage conjugation map h: grid refinement at parameter k*l
-    followed by the inverse of the unstacking map.
+    """The stage conjugation map h as a block-slide realization: grid
+    refinement at parameter k*l followed by the inverse of the
+    unstacking map.
 
     Its inverse pulls the tower partition back to the block partition
     (atom m onto atom m), pulls the fine partition into (kl)^2 q columns
     back to the product grid at parameter kl, and the map commutes with
-    the rotation by 1/q.
+    the rotation by 1/q. The unstacking alone takes O(k^2 sum a) moves
+    (34,685 on the translation workload), so the translation stage runs
+    the closed form `TowerConjugation` and builds this map only for the
+    analytic model and for tests.
     """
     a = check_index_function(a, k, q)
     require_int(k, 2, "k")
@@ -173,6 +196,87 @@ def build_abc_conjugation(a: Sequence[int], k: int, l: int, q: int) -> BlockSlid
     refine = build_grid_refine(k * l, q)
     unstack = build_unstack(a, k, q)
     return refine.then(unstack.inverse())
+
+
+@dataclass(frozen=True)
+class TowerConjugation(_ProgramMap):
+    """The map of `build_abc_conjugation(a, k, l, q)` in closed form.
+
+    A program of 4 ops on the realization's 1/L lattice: the three
+    `build_grid_refine(k l, q)` shears as moves, then the inverse
+    unstacking as one cell table on the kq x 1 column grid (pitches
+    1/(kq) and 1), which sends column c + k b to c + k (b + a(c) mod q),
+    the column whose tower level (`partitions.tower_level`) is b. The
+    inverse program runs the inverse table first, then the inverse
+    shears. Pointwise, L and `box_grid()` equal to the realization
+    (checked in tests), which `moves` builds on first read, for the
+    analytic model and for tests; the integer program never reads it.
+    """
+
+    a: Tuple[int, ...]
+    k: int
+    l: int
+    q: int
+    inverted: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", check_index_function(self.a, self.k, self.q))
+        require_int(self.k, 2, "k")
+        require_int(self.l, 1, "l")
+
+    def __call__(self, x: TorusPoint) -> TorusPoint:
+        return from_lattice(*self.on_lattice(*to_lattice(x, self._program.L)))
+
+    @cached_property
+    def _refine(self) -> BlockSlideMap:
+        return build_grid_refine(self.k * self.l, self.q)
+
+    def _build_program(self) -> _Program:
+        k, q, refine = self.k, self.q, self._refine.moves
+        L = lcm(k * q, *(mv.step.denominator_lcm() for mv in refine))
+        entries = tuple(_step_entry(mv.step, mv.sign, L) for mv in refine)
+        cols = np.arange(k * q)
+        unstack = cols % k + k * tower_level(cols, np.array(self.a, dtype=np.int64), k, q)
+        table = _CellTable.from_image((L // (k * q), L), (k * q, 1), unstack).inverse()
+        pitches = tuple(map(gcd, table.pitches, *(
+            _move_pitches(L, mv.target, mv.source, e) for mv, e in zip(refine, entries))))
+        prog = _Program(L, pitches, array("i", [mv.target for mv in refine] + [-1]),
+                        array("i", [mv.source for mv in refine] + [0]),
+                        array("i", range(4)), entries + (table,))
+        return prog.inverse() if self.inverted else prog
+
+    def inverse(self) -> "TowerConjugation":
+        return _memo_inverse(self, lambda: replace(self, inverted=not self.inverted))
+
+    @cached_property
+    def moves(self) -> Tuple[BlockSlideMove, ...]:
+        """The moves of the block-slide realization, this map's inverse's
+        when `inverted`, built on first read."""
+        m = build_abc_conjugation(self.a, self.k, self.l, self.q)
+        return (m.inverse() if self.inverted else m).moves
+
+    def realization_floor(self) -> int:
+        """A lower bound on len(moves) that builds nothing: the three
+        refinement shears, and for each block column c slides
+        (`build_unstack` slides it (q - a(c)) mod q blocks) the k - 1
+        eight-shear interchanges and the closing rotation of
+        `build_rearrange`."""
+        q = self.q
+        return 3 + sum((q - v) % q for v in self.a) * (8 * (self.k - 1) + 1)
+
+    def move_count(self) -> int:
+        """The three shears and the one column lookup."""
+        return 4
+
+    def commutes_with_rotation(self, q: int) -> bool:
+        """Structural commutation with the rotation by 1/q of x1: the
+        refinement's structural verdict, and q divides this map's q. The
+        rotation by 1/q moves column c + k b to c + k (b + 1), and the
+        column op shifts a column by a(c) blocks, which depends on c
+        alone."""
+        if q < 1:
+            raise ParamOutOfRange(f"q must be >= 1, got {q}")
+        return self.q % q == 0 and self._refine.commutes_with_rotation(q)
 
 
 # ---------------------------------------------------------------------------

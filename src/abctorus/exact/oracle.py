@@ -1,7 +1,7 @@
 """Exact verification oracles: the one box-lattice walk.
 
-Every exact conjugation (`engine.Conjugation`: a block-slide map or the
-O(1) minimality map) comes with a lattice of boxes. `box_grid()` gives
+Every exact conjugation (`engine.Conjugation`: a block-slide map, the
+closed-form tower map or the O(1) minimality map) comes with a lattice of boxes. `box_grid()` gives
 (cols, rows), pitches 1/cols on the first coordinate and 1/rows on the
 second, fine enough that the map translates every box rigidly onto a
 box: for a block-slide map each move's step is constant across every

@@ -58,6 +58,13 @@ def check_index_function(a: Sequence[int], k: int, q: int) -> Tuple[int, ...]:
     return a
 
 
+def tower_level(col, a, k: int, q: int):
+    """The tower level m = (b - a(c)) mod q of column col = c + k b (c < k)
+    of the kq-column grid, the atom of R_{a,k,q} that holds it. `col` and
+    `a` are an int and a tuple, or int64 arrays."""
+    return (col // k - a[col % k]) % q
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     counts: Tuple[int, int]
@@ -67,6 +74,8 @@ class PartitionSpec:
         if len(self.counts) != 2:
             raise ParamOutOfRange(
                 f"a partition of the 2-torus has two cell counts, got {self.counts!r}")
+        for n in self.counts:
+            require_int(n, 1, "cell count")
 
     # -- constructors -------------------------------------------------------
 
@@ -132,7 +141,7 @@ class PartitionSpec:
         idx = ys[0] * counts[0] // M
         if self.a is not None:
             k = len(self.a)
-            return (idx // k - a[idx % k]) % (counts[0] // k)
+            return tower_level(idx, a, k, counts[0] // k)
         rows = counts[1]
         if rows > 1:
             idx = idx * rows + ys[1] * rows // M

@@ -54,22 +54,18 @@ class TorusPoint:
     """A torus point with exact rational coordinates.
 
     Coordinates are stored reduced to [0, 1); the first coordinate plays
-    the distinguished role (rotations act on it). The maps of this
-    package act on the 2-torus and refuse a point with another number of
-    coordinates (`to_lattice`).
+    the distinguished role (rotations act on it). A point of the 2-torus
+    has exactly two coordinates; any other number is refused with
+    ParamOutOfRange.
     """
 
-    coords: Tuple[Fraction, ...]
+    coords: Tuple[Fraction, Fraction]
 
     def __init__(self, coords: Iterable[Rat]):
         cs = tuple(mod1(c) for c in as_fractions(coords))
-        if not cs:
-            raise ParamOutOfRange("a torus point needs at least one coordinate")
+        if len(cs) != 2:
+            raise ParamOutOfRange(f"a point of the 2-torus has two coordinates, got {len(cs)}")
         object.__setattr__(self, "coords", cs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]

@@ -121,10 +121,6 @@ class MinimalCombinatorics:
     def __call__(self, x: TorusPoint) -> TorusPoint:
         if not isinstance(x, TorusPoint):
             x = TorusPoint(x)
-        if len(x.coords) != 2:
-            raise ParamOutOfRange(
-                f"expected a 2-torus point, got dimension {len(x.coords)}"
-            )
         cols, rows = self.cols, self.rows
         col = int(x[0] * cols)
         row = int(x[1] * rows)

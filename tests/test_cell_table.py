@@ -23,7 +23,7 @@ from abctorus.exact.blockslide import (
     BlockSlideMove,
     _CellTable,
 )
-from abctorus.exact.builders import build_minimal_combinatorics
+from abctorus.exact.builders import build_abc_conjugation, build_minimal_combinatorics
 from abctorus.exact.points import TorusPoint
 from abctorus.exact.steps import StepFunction
 
@@ -41,7 +41,9 @@ MAPS = {
     # the stripe-squeezing involution of run_minimal_scenario(l=4, q=3, r=2):
     # 3,708 moves on 192 x 16 boxes
     "minimal_combinatorics": build_minimal_combinatorics(4, 3, 2),
-    "translation_h1": _TRANSLATION.conjugations_exact[0],
+    # the block-slide realization of translation's h_1 (the stage itself
+    # runs the closed form)
+    "translation_h1": build_abc_conjugation(_TRANSLATION.records[0].a, 100, 10, 2),
 }
 
 

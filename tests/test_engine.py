@@ -74,15 +74,16 @@ def minimal1() -> StageMaps:
 
 @pytest.fixture(scope="module")
 def translation_small() -> StageMaps:
-    # from q = 1 the index function is trivial: three shears, analytic built
+    # from q = 1 the index function is trivial: a three-shear realization,
+    # so the analytic model is built
     chain = translation_params(h=2, levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2)
     return run_translation_scenario(chain)
 
 
 @pytest.fixture(scope="module")
 def translation_oversized() -> StageMaps:
-    # from q = 2 the index function is non-trivial: 34,688 shears, above
-    # AUTO_ANALYTIC_MOVE_CAP, so the stage stays exact-only
+    # from q = 2 the index function is non-trivial: a 34,688-shear
+    # realization, above AUTO_ANALYTIC_MOVE_CAP, so the stage stays exact-only
     chain = translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
     return run_translation_scenario(chain, 1)
 
@@ -398,10 +399,11 @@ class TestCorrespondence:
             correspondence_defect(translation_oversized, 1, "exact")
 
     def test_exact_defect_beyond_the_work_budget_is_refused(self, translation_small):
-        # 250,000 x 500 boxes fit the box count, but through 3 moves they
-        # are 375,000,000 box moves; the walk used to take 15.9 s
+        # 250,000 x 500 boxes fit the box count, but through the 4 ops of
+        # the tower conjugation they are 500,000,000 box moves; the walk
+        # used to take 15.9 s
         start = time.perf_counter()
-        with pytest.raises(ParamOutOfRange, match="125,000,000 boxes.* 3 moves"):
+        with pytest.raises(ParamOutOfRange, match="125,000,000 boxes.* 4 moves"):
             correspondence_defect(translation_small, 1, "exact")
         assert time.perf_counter() - start < 0.1
 
@@ -420,7 +422,7 @@ def _cloud_diameter(cloud) -> Fraction:
     """Sup-metric torus diameter of a sample cloud."""
     def gap(a, b):
         return min(abs(a - b), 1 - abs(a - b))
-    return max((max(gap(a[c], b[c]) for c in range(a.dim))
+    return max((max(gap(u, v) for u, v in zip(a, b))
                 for i, a in enumerate(cloud) for b in cloud[i + 1:]), default=F(0))
 
 
@@ -507,6 +509,7 @@ class TestScenarioRunners:
     def test_translation_end_to_end(self, translation_small):
         maps = translation_small
         assert maps.scenario == "translation" and maps.stage_count == 1
+        assert maps.conjugations_analytic[0] is not None
         assert (maps.records[1].p, maps.records[1].q) == (101, 100)
         rep = verify_cyclic_permutation(maps, 1, "exact", samples=8, seed=1)
         assert rep.hits == rep.samples == 8

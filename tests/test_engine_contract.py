@@ -13,7 +13,7 @@ The stage runners and the parameter record are swept too: the
 translation runner on the 3-move chain `translation_params(h=1,
 levels=2, gamma1=(1,), l_base=4)`, the minimality runner with l <= 3,
 and every `exact.builders.build_*` at k, l, q <= 6. So are the exact
-layer's constructors: `rotation_map`, the named `PartitionSpec`s,
+layer's constructors: `rotation_map`, `PartitionSpec` and its named constructors,
 `BlockSlideMove`, `StepFunction.constant` and the named steps of
 `exact.steps`, each with its known leaks as explicit examples.
 
@@ -251,6 +251,8 @@ axes = mostly(st.integers(-1, 2))
 CONSTRUCTORS = {
     "rotation_map": (rotation_map, st.tuples(rationals),
                      [("x",), (float("inf"),), (None,)]),
+    "PartitionSpec": (PartitionSpec, st.tuples(st.tuples(small, small)),
+                      [((2.5, 1),), ((0, 1),)]),
     "PartitionSpec.blocks": (PartitionSpec.blocks, st.tuples(small),
                              [("3",), (None,), (2.5,)]),
     "PartitionSpec.grid": (PartitionSpec.grid, st.tuples(small, small), [(2.5, 1)]),

@@ -140,6 +140,8 @@ def test_grid_index_matches_vectorised_indexer():
         pytest.param(lambda: PartitionSpec.grid_min(1, 1, 1), ParamOutOfRange, id="grid_min-l1"),
         pytest.param(lambda: PartitionSpec.grid_min(2, 1, 0), ParamOutOfRange, id="grid_min-r0"),
         pytest.param(lambda: PartitionSpec((2, 2, 2)), ParamOutOfRange, id="three-axes"),
+        pytest.param(lambda: PartitionSpec((2.5, 1)), ParamOutOfRange, id="float-count"),
+        pytest.param(lambda: PartitionSpec((0, 1)), ParamOutOfRange, id="zero-count"),
     ],
 )
 def test_constructors_refuse_bad_input(build, error):

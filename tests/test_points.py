@@ -19,7 +19,6 @@ def test_point_coords_are_reduced():
     p = TorusPoint((Fraction(3, 2), Fraction(-1, 3)))
     assert p[0] == Fraction(1, 2)
     assert p[1] == Fraction(2, 3)
-    assert p.dim == 2
 
 
 def test_rotate_moves_first_coordinate_only():
@@ -34,14 +33,20 @@ def test_rotate_wraps():
 
 
 def test_shifted_single_axis():
-    p = TorusPoint((Fraction(0), Fraction(1, 2), Fraction(1, 3)))
-    q = p.shifted(2, Fraction(5, 6))
-    assert q == TorusPoint((Fraction(0), Fraction(1, 2), Fraction(1, 6)))
+    p = TorusPoint((Fraction(1, 2), Fraction(1, 3)))
+    q = p.shifted(1, Fraction(5, 6))
+    assert q == TorusPoint((Fraction(1, 2), Fraction(1, 6)))
 
 
 def test_empty_point_is_refused_with_a_typed_error():
-    with pytest.raises(ParamOutOfRange, match="at least one coordinate"):
+    with pytest.raises(ParamOutOfRange, match="two coordinates"):
         TorusPoint(())
+
+
+@pytest.mark.parametrize("coords", [(Fraction(1, 3),), (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))])
+def test_point_needs_exactly_two_coordinates(coords):
+    with pytest.raises(ParamOutOfRange, match="two coordinates, got"):
+        TorusPoint(coords)
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=64)
