@@ -57,21 +57,22 @@ Liouville-type gap recipes
     stored certificates alone, strictly and soundly (ties report False).
 
 Translation-vector parameters
-    ``translation_params`` searches for integer data attached to a vector
-    ``gamma_n`` on the h-torus — numerators ``p_n``, denominators ``q_n``,
-    multipliers ``r_n, s_n, m_n`` — satisfying the eight arithmetic and
-    geometric compatibility items (1)-(8) that let a translation flow be
-    approximated by periodic flows; ``verify_translation_params`` re-checks
-    every item from scratch and cites the violated item on failure.  The
-    geometric items (7)-(8) are implemented for ``h <= 2`` (where the
-    fundamental-domain diameter and boundary measure are explicit) and
-    flagged as unchecked for ``h > 2``.
+    ``translation_params`` searches for integer data attached to a
+    direction ``gamma_n = (gamma_1, gamma_2)`` on the two-torus —
+    numerators ``p_n``, denominators ``q_n``, multipliers ``r_n, s_n,
+    m_n`` — satisfying the eight arithmetic and geometric compatibility
+    items (1)-(8) that let a translation flow be approximated by periodic
+    flows; ``verify_translation_params`` re-checks every item from scratch
+    and cites the violated item on failure.  The translation factor is
+    two-dimensional: the quotient flow's fundamental domain is a segment
+    of length 1/gamma_2 with a two-point boundary, which is what items
+    (7)-(8) measure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
@@ -79,7 +80,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import mpmath
 from mpmath import mp
 
-from .errors import LinkFailed, ParamOutOfRange, SearchExhausted
+from .errors import LinkFailed, ParamOutOfRange, SearchExhausted, UnsupportedDimension
 from .towers import WORK_PREC, TowerReal, exact_mpf, require_int, require_real, tower_max
 
 Number = Union[int, float, Fraction, TowerReal]
@@ -872,7 +873,7 @@ def _nearest_coprime_numerator(alpha: Fraction, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Translation-vector parameters on the h-torus.
+# Translation-vector parameters on the two-torus.
 # ---------------------------------------------------------------------------
 
 
@@ -880,75 +881,69 @@ def _nearest_coprime_numerator(alpha: Fraction, q: int) -> int:
 class TranslationLevel:
     """Integer data of one approximation level for a translation vector.
 
-    ``gamma`` is the (primitive) integer direction vector; the level's
-    rotation parameter is alpha_n = (p/q) * gamma.  ``r`` divides the
-    previous level's last component out of q (absent at level 1); ``s``
-    and ``m`` are the multipliers producing the next level (absent at the
-    last level).  ``d`` and ``sigma`` are the fundamental-domain diameter
-    and boundary size of the quotient flow, tracked for h <= 2 only.
+    ``gamma`` = (gamma_1, gamma_2) is the (primitive) integer direction
+    vector; the level's rotation parameter is alpha_n = (p/q) * gamma.
+    ``r`` divides the previous level's gamma_2 out of q (absent at level
+    1); ``s`` and ``m`` are the multipliers producing the next level
+    (absent at the last level).  ``d`` = 1/gamma_2 is the diameter of the
+    quotient flow's fundamental domain, a segment with a two-point
+    boundary.
 
     ``l`` is the optional grid multiplier a conjugation builder consumes
     at this level.  When present it divides m (the chain was generated
     with the builder-friendly multiplier, see ``translation_params``);
     chains generated without it carry l = None and remain valid parameter
     sets, but cannot feed the stage-map builder, whose column count
-    s * gamma'^(h) must divide m * q.
+    s * gamma'_2 must divide m * q.
     """
 
-    gamma: Tuple[int, ...]
+    gamma: Tuple[int, int]
     p: int
     q: int
     r: Optional[int] = None
     s: Optional[int] = None
     m: Optional[int] = None
-    d: Optional[Fraction] = None
-    sigma: Optional[int] = None
     l: Optional[int] = None
 
     def __post_init__(self):
-        if not self.gamma or any((not isinstance(g, int)) or g < 1 for g in self.gamma):
-            raise ParamOutOfRange("gamma must be a tuple of positive integers")
-        if not isinstance(self.q, int) or self.q < 1:
-            raise ParamOutOfRange(f"q must be a positive integer, got {self.q}")
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ParamOutOfRange(f"p must be a positive integer, got {self.p}")
+        if not isinstance(self.gamma, tuple) or len(self.gamma) != 2:
+            raise ParamOutOfRange(f"gamma must be two positive integers, got {self.gamma!r}")
+        for g in self.gamma:
+            require_int(g, 1, "every component of gamma")
+        require_int(self.p, 1, "p")
+        require_int(self.q, 1, "q")
 
     @property
     def alpha(self) -> Tuple[Fraction, ...]:
         return tuple(Fraction(self.p * g, self.q) for g in self.gamma)
 
+    @property
+    def d(self) -> Fraction:
+        return Fraction(1, self.gamma[1])
+
 
 @dataclass(frozen=True)
 class TranslationParams:
-    """A chain of translation-approximation levels with its h and notes."""
+    """A chain of translation-approximation levels."""
 
-    h: int
     levels: Tuple[TranslationLevel, ...]
-    notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ParamOutOfRange(f"torus dimension h must be >= 1, got {self.h}")
         if not self.levels:
             raise ParamOutOfRange("need at least one level")
-        for lv in self.levels:
-            if len(lv.gamma) != self.h:
-                raise ParamOutOfRange("every gamma must have h components")
+        if not all(isinstance(lv, TranslationLevel) for lv in self.levels):
+            raise ParamOutOfRange("every level must be a TranslationLevel")
 
 
 def verify_translation_params(tp: TranslationParams) -> Tuple[str, ...]:
     """Re-check items (1)-(8) from scratch; returns violation messages.
 
-    An empty tuple means every implemented item holds.  Messages cite the
-    item number, the level, and the failing quantity.  Items (7)-(8) are
-    checked for h <= 2 (where the quotient geometry is explicit: for h = 2
-    the fundamental domain is a segment of length 1/gamma^(h) with a
-    two-point boundary, sigma = 2; for h = 1 it is a point, sigma = 0 and
-    both items hold vacuously); for h > 2 they are skipped — the notes of a
-    generated parameter set record this.
+    An empty tuple means every item holds.  Messages cite the item
+    number, the level, and the failing quantity.  Items (7)-(8) use the
+    quotient geometry of the two-torus: the fundamental domain is a
+    segment of length d = 1/gamma_2 with a two-point boundary, sigma = 2.
     """
     bad: List[str] = []
-    h = tp.h
     levels = tp.levels
     for n, lv in enumerate(levels, start=1):
         if math.gcd(*lv.gamma) != 1:
@@ -957,20 +952,21 @@ def verify_translation_params(tp: TranslationParams) -> Tuple[str, ...]:
             bad.append(f"item (2): level {n}: gcd({lv.p}, {lv.q}) != 1")
         if n >= 2:
             prev = levels[n - 2]
-            if lv.r is None or lv.q != lv.r * prev.gamma[-1]:
+            if lv.r is None or lv.q != lv.r * prev.gamma[1]:
                 bad.append(
-                    f"item (3): level {n}: q = {lv.q} is not r * {prev.gamma[-1]}"
+                    f"item (3): level {n}: q = {lv.q} is not r * {prev.gamma[1]}"
                     f" with r = {lv.r}"
                 )
+    sigma = 2  # boundary points of the fundamental domain
     for n in range(1, len(levels)):
         cur, nxt = levels[n - 1], levels[n]
         s_n, m_n = cur.s, cur.m
-        if s_n is None or nxt.gamma[-1] != s_n * cur.gamma[-1]:
+        if s_n is None or nxt.gamma[1] != s_n * cur.gamma[1]:
             bad.append(
-                f"item (4): level {n}: gamma^(h) advance "
-                f"{cur.gamma[-1]} -> {nxt.gamma[-1]} is not by s = {s_n}"
+                f"item (4): level {n}: gamma_2 advance "
+                f"{cur.gamma[1]} -> {nxt.gamma[1]} is not by s = {s_n}"
             )
-        for i in range(h):
+        for i in range(2):
             if (nxt.gamma[i] - cur.gamma[i]) % cur.q != 0:
                 bad.append(
                     f"item (5): level {n}: component {i}: "
@@ -985,36 +981,18 @@ def verify_translation_params(tp: TranslationParams) -> Tuple[str, ...]:
                     f"item (6): level {n}: p/q step {_fmt(step)} != "
                     f"1/(m s q^2) = 1/{m_n * s_n * cur.q ** 2}"
                 )
-        if h <= 2:
-            sigma = cur.sigma
-            expected_sigma = 0 if h == 1 else 2
-            if sigma != expected_sigma:
-                bad.append(
-                    f"item (7): level {n}: sigma = {sigma}, expected {expected_sigma}"
-                )
-                continue
-            d_next = nxt.d
-            expected_d = Fraction(0) if h == 1 else Fraction(1, nxt.gamma[-1])
-            if d_next != expected_d:
-                bad.append(
-                    f"item (7): level {n + 1}: diameter {d_next} != {_fmt(expected_d)}"
-                )
-            elif sigma > 0 and not d_next < Fraction(1, 2 ** n * cur.gamma[-1] * sigma):
-                bad.append(
-                    f"item (7): level {n}: diameter {d_next} not < "
-                    f"1/(2^{n} gamma^(h) sigma)"
-                )
-            if sigma > 0:
-                drift = max(
-                    abs(Fraction(nxt.gamma[i], nxt.gamma[-1])
-                        - Fraction(cur.gamma[i], cur.gamma[-1]))
-                    for i in range(h - 1)
-                )
-                if not drift < Fraction(1, 2 ** n * sigma * cur.q):
-                    bad.append(
-                        f"item (8): level {n}: direction drift {_fmt(drift)} not < "
-                        f"1/(2^{n} sigma q) = {_fmt(Fraction(1, 2 ** n * sigma * cur.q))}"
-                    )
+        if not nxt.d < Fraction(1, 2 ** n * cur.gamma[1] * sigma):
+            bad.append(
+                f"item (7): level {n}: diameter {nxt.d} not < "
+                f"1/(2^{n} gamma_2 sigma)"
+            )
+        drift = abs(Fraction(nxt.gamma[0], nxt.gamma[1])
+                    - Fraction(cur.gamma[0], cur.gamma[1]))
+        if not drift < Fraction(1, 2 ** n * sigma * cur.q):
+            bad.append(
+                f"item (8): level {n}: direction drift {_fmt(drift)} not < "
+                f"1/(2^{n} sigma q) = {_fmt(Fraction(1, 2 ** n * sigma * cur.q))}"
+            )
     return tuple(bad)
 
 
@@ -1033,117 +1011,73 @@ def translation_params(
 ) -> TranslationParams:
     """Search integer parameters satisfying items (1)-(8) for `levels` levels.
 
-    The step n -> n+1 works as follows.  The congruence of item (5) for the
-    last component forces s = 1 mod q/gcd(q, gamma^(h)); item (7) needs
-    s > 2^(n+1) and item (8) becomes feasible once s gamma^(h) > 2^n q^2,
-    so s starts at the smallest admissible value above both.  The other
-    components advance by gamma - gamma' = -e q with e chosen to round
-    (s-1) gamma^(i) / q to the nearest integer, which keeps the direction
-    drift of item (8) inside its window; if the resulting vector is not
-    primitive (item (1)) the rounding is perturbed within the window, and
-    when no perturbation works s is escalated (staying in its congruence
-    class).  The multiplier m = gamma^(h) then determines the next level:
+    The translation factor is two-dimensional: `h` is the factor's
+    dimension, and any value but 2 is refused with UnsupportedDimension.
+    gamma1 defaults to (1, 6).
+
+    The step n -> n+1 works as follows.  The congruence of item (5) for
+    gamma_2 forces s = 1 mod q/gcd(q, gamma_2); item (7) needs s > 2^(n+1)
+    and item (8) becomes feasible once s gamma_2 > 2^n q^2, so s starts at
+    the smallest admissible value above both.  gamma_1 advances by
+    gamma'_1 - gamma_1 = e q with e chosen to round (s-1) gamma_1 / q to
+    the nearest integer, which keeps the direction drift of item (8)
+    inside its window; if the resulting vector is not primitive (item
+    (1)) the rounding is perturbed within the window, and when no
+    perturbation works s is escalated (staying in its congruence class).
+    The multiplier m = gamma_2 then determines the next level:
     q' = m s q^2, p' = m s q p + 1 (coprime automatically), r' = s q^2.
 
     `l_base` switches the chain to the builder-friendly multiplier: each
-    level stores the grid size l = l_base * s and uses m = gamma^(h) * l
-    (h >= 2) or m = l^2 (h = 1, where the scenario couples the column
-    count to l).  The multiplier may be chosen freely as long as it grows,
-    so this only rescales q'; its point is the divisibility
-    s * gamma'^(h) * q | q', which lets the stage builder nest the next
-    fine partition inside the level's tower columns.  l_base must be even
-    (grid builders need even l), and >= 4 when h = 1.
+    level stores the grid size l = l_base * s and uses m = gamma_2 * l.
+    The multiplier may be chosen freely as long as it grows, so this only
+    rescales q'; its point is the divisibility s * gamma'_2 * q | q', which
+    lets the stage builder nest the next fine partition inside the level's
+    tower columns.  l_base must be even (grid builders need even l).
 
-    For h = 1 everything degenerates (gamma = (1,), sigma = 0, d = 0); for
-    h > 2 the geometric items (7)-(8) are not searched or checked and the
-    returned notes say so.  Raises SearchExhausted if no admissible vector
-    appears within `MAX_ESCALATIONS` escalations of s.
+    Raises SearchExhausted if no admissible vector appears within
+    `MAX_ESCALATIONS` escalations of s.
     """
-    require_int(h, 1, "torus dimension h")
+    if h != 2:
+        raise UnsupportedDimension(
+            f"the translation factor is two-dimensional, got h = {h!r}"
+        )
     require_int(levels, 1, "level count")
-    require_int(p1, 1, "p1")
-    require_int(q1, 1, "q1")
-    if l_base is not None:
-        if not isinstance(l_base, int) or l_base < 2 or l_base % 2:
-            raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
-        if h == 1 and l_base < 4:
-            raise ParamOutOfRange(
-                f"h = 1 delegates to the circle scenario, which needs "
-                f"l_base >= 4, got {l_base}"
-            )
+    if l_base is not None and (not isinstance(l_base, int) or l_base < 2 or l_base % 2):
+        raise ParamOutOfRange(f"l_base must be even and >= 2, got {l_base}")
     if gamma1 is None:
-        gamma1 = (1,) if h == 1 else tuple(range(1, h)) + (2 * h + 2,)
+        gamma1 = (1, 6)
     if not isinstance(gamma1, (tuple, list)):
         raise ParamOutOfRange(f"gamma1 must be a tuple of integers, got {gamma1!r}")
-    gamma1 = tuple(gamma1)
-    for g in gamma1:
-        require_int(g, 1, "every component of gamma1")
-    if len(gamma1) != h:
-        raise ParamOutOfRange(f"gamma1 must have {h} components")
+    chain = [TranslationLevel(gamma=tuple(gamma1), p=p1, q=q1)]
     if math.gcd(*gamma1) != 1:
-        raise ParamOutOfRange(f"gamma1 = {gamma1} is not primitive")
+        raise ParamOutOfRange(f"gamma1 = {tuple(gamma1)} is not primitive")
     if gcd(p1, q1) != 1:
         raise ParamOutOfRange(f"p1/q1 = {p1}/{q1} is not reduced")
 
-    sigma = 0 if h == 1 else (2 if h == 2 else None)
-    d1 = (Fraction(0) if h == 1 else
-          (Fraction(1, gamma1[-1]) if h == 2 else None))
-    rows: List[dict] = [dict(gamma=gamma1, p=p1, q=q1, r=None,
-                             s=None, m=None, d=d1, sigma=sigma, l=None)]
     for n in range(1, levels):
-        cur = rows[-1]
-        gamma, p, q = cur["gamma"], cur["p"], cur["q"]
-        gh = gamma[-1]
-        if h == 1:
-            # gamma = (1,) forever: item (4) forces s = 1, the geometric
-            # items are vacuous, and only the p/q recursion remains
-            s, gamma_next = 1, (1,)
+        cur = chain[-1]
+        gamma, p, q = cur.gamma, cur.p, cur.q
+        g2 = gamma[1]
+        mod = q // gcd(q, g2)
+        s = _next_in_class(max(2 ** (n + 1), 2 ** n * q * q // g2) + 1, mod)
+        for _ in range(MAX_ESCALATIONS):
+            gamma_next = _advance_gamma(gamma, q, s, n)
+            if gamma_next is not None:
+                break
+            s = _next_in_class(2 * s, mod)
         else:
-            mod = q // gcd(q, gh)
-            floor_s = max(2 ** (n + 1), 1)
-            if h == 2:
-                floor_s = max(floor_s, (2 ** n * q * q) // gh)
-            s = _next_in_class(floor_s + 1, mod)
-            found = None
-            for _ in range(MAX_ESCALATIONS):
-                cand = _advance_gamma(gamma, q, s, n)
-                if cand is not None:
-                    found = (s, cand)
-                    break
-                s = _next_in_class(2 * s, mod)
-            if found is None:
-                raise SearchExhausted(
-                    f"level {n}: no primitive advance of gamma within the "
-                    f"item-(8) window after {MAX_ESCALATIONS} escalations of s "
-                    f"(items (1)/(8))"
-                )
-            s, gamma_next = found
-        if l_base is None:
-            l_n, m = None, gh
-        else:
-            l_n = l_base * s
-            m = l_n * l_n if h == 1 else gh * l_n
+            raise SearchExhausted(
+                f"level {n}: no primitive advance of gamma within the "
+                f"item-(8) window after {MAX_ESCALATIONS} escalations of s "
+                f"(items (1)/(8))"
+            )
+        l_n = None if l_base is None else l_base * s
+        m = g2 if l_n is None else g2 * l_n
         q_next = m * s * q * q
-        p_next = m * s * q * p + 1
-        cur["s"], cur["m"], cur["l"] = s, m, l_n
-        rows.append(dict(
-            gamma=gamma_next, p=p_next, q=q_next, r=q_next // gh,
-            s=None, m=None,
-            d=(Fraction(0) if h == 1 else
-               (Fraction(1, gamma_next[-1]) if h == 2 else None)),
-            sigma=sigma, l=None,
-        ))
-    notes: Tuple[str, ...] = ()
-    if h > 2:
-        notes = (
-            f"h = {h}: the geometric items (7)-(8) are not implemented for "
-            f"h > 2 and were neither searched nor checked",
-        )
-    tp = TranslationParams(
-        h=h,
-        levels=tuple(TranslationLevel(**row) for row in rows),
-        notes=notes,
-    )
+        chain[-1] = replace(cur, s=s, m=m, l=l_n)
+        chain.append(TranslationLevel(gamma=gamma_next, p=m * s * q * p + 1,
+                                      q=q_next, r=q_next // g2))
+    tp = TranslationParams(levels=tuple(chain))
     bad = verify_translation_params(tp)
     if bad:  # pragma: no cover - the search only commits verified data
         raise SearchExhausted("; ".join(bad))
@@ -1158,45 +1092,29 @@ def _next_in_class(lower: int, mod: int) -> int:
     return 1 + mod * max(k, 1)
 
 
-def _advance_gamma(gamma: Tuple[int, ...], q: int, s: int,
-                   n: int) -> Optional[Tuple[int, ...]]:
-    """Advance all components (h = len(gamma) >= 2) for multiplier s, or
+def _advance_gamma(gamma: Tuple[int, int], q: int, s: int,
+                   n: int) -> Optional[Tuple[int, int]]:
+    """The next direction (gamma_1 + e q, s gamma_2) for multiplier s, or
     None if no primitive choice fits the item-(8) drift window."""
-    h = len(gamma)
-    gh = gamma[-1]
-    gh_next = s * gh
-    # centre of the rounding for each free component
-    centers = [((s - 1) * gamma[i]) for i in range(h - 1)]
-    base_e = [round(c / q) for c in centers]
-    # window for item (8): |e q - (s-1) gamma^(i)| < s gamma^(h) / (2^(n+1) q)
-    # (h = 2: the drift |gamma'^(1)/gamma'^(h) - gamma^(1)/gamma^(h)| is
-    # |e q - (s-1) gamma^(1)| / (s gamma^(h)), so this window is item (8)
-    # itself; for h > 2 the same window is used to stay conservative)
-    window_num = s * gh  # compare (eq - c) * 2^(n+1) * q < s gh
+    g1, g2 = gamma
+    center = (s - 1) * g1
+    base = round(center / q)
+    # item (8): the drift |gamma'_1/gamma'_2 - gamma_1/gamma_2| is
+    # |e q - (s-1) gamma_1| / (s gamma_2), so the window
+    # |e q - (s-1) gamma_1| 2^(n+1) q < s gamma_2 is item (8) itself
+    window = s * g2
     offsets = [0]
     spread = 1
-    while True:
-        fits = abs(spread * q) * (2 ** (n + 1)) * q < window_num
-        if not fits:
-            break
+    while spread * q * 2 ** (n + 1) * q < window:
         offsets.extend((spread, -spread))
         spread += 1
-    for off0 in offsets:
-        e = list(base_e)
-        e[0] = base_e[0] + off0
-        ok = True
-        for i in range(h - 1):
-            if abs(e[i] * q - centers[i]) * (2 ** (n + 1)) * q >= window_num:
-                ok = False
-                break
-        if not ok:
+    for off in offsets:
+        e = base + off
+        if abs(e * q - center) * 2 ** (n + 1) * q >= window:
             continue
-        cand = tuple(gamma[i] + e[i] * q for i in range(h - 1)) + (gh_next,)
-        if any(c < 1 for c in cand):
-            continue
-        if math.gcd(*cand) != 1:
-            continue
-        return cand
+        cand = (g1 + e * q, s * g2)
+        if cand[0] >= 1 and math.gcd(*cand) == 1:
+            return cand
     return None
 
 

@@ -3,8 +3,9 @@
     abctorus run {circle,translation,minimal}
 
 The scenarios are built at the toy sizes the benchmark uses: two circle
-stages from q0 = 3 with l = 4, one translation stage along
-`translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)`
+stages from q0 = 3 with l = 4, one translation stage of the flow along
+gamma = (1, 4) on T^2, built along
+`translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)`
 (a 4-op closed-form conjugation whose block-slide realization has
 34,688 shears, exact only) and one minimality stage at n = 2, l = 4,
 q = 3, r = 2. For every stage the output holds the conjugacy report of
@@ -32,7 +33,7 @@ from .errors import AbcTorusError
 SCENARIOS = {
     "circle": lambda: engine.run_circle_scenario(2, q0=3, l=4),
     "translation": lambda: engine.run_translation_scenario(
-        translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1),
+        translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1),
     "minimal": lambda: engine.run_minimal_scenario(n=2, l=4, q=3, r=2, stages=1),
 }
 SAMPLES = 64

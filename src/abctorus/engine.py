@@ -18,6 +18,11 @@ F_{q_n} = H_n^{-1} T_{q_n} cyclically with step p_n.  Everything here is
 finite and verifiable — the exact model in rational arithmetic and the
 analytic model up to the collar sets of its entire steps.
 
+The translation scenario follows a `bounds.translation_params` chain
+on T^2: its factor is the flow along a two-dimensional direction
+gamma = (gamma1, gamma2), and each stage's index function is read off
+that direction's flow-time coordinate.
+
 Stage schedules pair eps_n = 1/(3*2^{n+1}) and delta_n = 1/2^{n+1} with
 the amplitude 2^{2n+5} l_n^2 (`analytic.stage_epsilon`, `stage_delta` and
 `stage_amplitude`).
@@ -47,7 +52,7 @@ from .analytic import (
     step_to_plateau,
 )
 from .bounds import TranslationParams
-from .errors import InvalidIndexFunction, ParamOutOfRange, UnsupportedDimension
+from .errors import InvalidIndexFunction, ParamOutOfRange
 from .exact.blockslide import BlockSlideMap, BlockSlideMove
 from .exact.builders import (
     TowerConjugation,
@@ -460,42 +465,33 @@ def translation_index_function(
     a[i] = -o(i) mod q with o(c) = floor(q * tau(P_c)), where
     P_c = (c/(k q)) * gamma_next mod 1 walks the next-stage translation
     direction across the k q tower columns and tau is the flow-time
-    coordinate of the current direction gamma: tau(y) = (y2 + j)/gamma2
-    for the one j in [0, gamma2) with y1 - (y2 + j) gamma1/gamma2 mod 1
-    in [0, 1/gamma2), so that y is the flow for time tau of a point of
-    the section [0, 1/gamma2) x {0}, and tau(y + t gamma) = tau(y) + t
-    mod 1.  The congruence gamma_next = gamma mod q makes o advance by
-    exactly 1 mod q between the same column of consecutive 1/q-blocks,
-    so each residue class meets every index exactly once; both facts are
-    checked before the function returns.
+    coordinate of the current direction gamma = (gamma1, gamma2):
+    tau(y) = (y2 + j)/gamma2 for the one j in [0, gamma2) with
+    y1 - (y2 + j) gamma1/gamma2 mod 1 in [0, 1/gamma2), so that y is the
+    flow for time tau of a point of the section [0, 1/gamma2) x {0}, and
+    tau(y + t gamma) = tau(y) + t mod 1.  The congruence gamma_next =
+    gamma mod q makes o advance by exactly 1 mod q between the same
+    column of consecutive 1/q-blocks, so each residue class meets every
+    index exactly once; both facts are checked before the function
+    returns.
 
     All in integers over N = k q: with Y = c gamma_next mod N, P_c = Y/N,
     and the window condition reads (R - j N gamma1) mod N gamma2 < N for
     R = (Y1 gamma2 - Y2 gamma1) mod N gamma2, which holds exactly for
     j = (R // N) gamma1^-1 mod gamma2.  Then o(c) = q (Y2 + j N) // (N
-    gamma2), O(1) per column.
-
-    One-dimensional factors have tau(y) = y, hence o(c) = c // k and a
-    identically zero (the circle scenario's trivial combinatorics).
+    gamma2), O(1) per column.  Both directions must be two positive
+    coprime integers, and k and q positive integers; anything else is
+    refused with ParamOutOfRange.
     """
-    gamma = tuple(int(g) for g in gamma)
-    gamma_next = tuple(int(g) for g in gamma_next)
-    if k < 1 or q < 1:
-        raise ParamOutOfRange(f"need k >= 1 and q >= 1, got k={k}, q={q}")
-    if len(gamma_next) != len(gamma):
-        raise ParamOutOfRange(
-            f"direction lengths differ: {len(gamma)} vs {len(gamma_next)}"
-        )
-    if len(gamma) == 1:
-        return (0,) * k
-    if len(gamma) != 2:
-        raise UnsupportedDimension(
-            f"index functions are implemented for 1- and 2-dimensional "
-            f"translation factors, got h={len(gamma)}"
-        )
+    require_int(k, 1, "k")
+    require_int(q, 1, "q")
     for g in (gamma, gamma_next):
-        if g[1] < 1 or g[0] < 1 or gcd(g[0], g[1]) != 1:
-            raise ParamOutOfRange(f"direction {g} must be positive and primitive")
+        if not isinstance(g, (tuple, list)) or len(g) != 2:
+            raise ParamOutOfRange(f"direction {g!r} must be two positive integers")
+        for c in g:
+            require_int(c, 1, "every direction component")
+        if gcd(*g) != 1:
+            raise ParamOutOfRange(f"direction {g} must be primitive")
     if any((gn - g) % q for gn, g in zip(gamma_next, gamma)):
         raise InvalidIndexFunction(
             f"the congruence gamma' = gamma mod q fails: {gamma_next} vs "
@@ -519,35 +515,18 @@ def translation_index_function(
     return tuple((-o[i]) % q for i in range(k))
 
 
-def _chain_k(chain: TranslationParams, i: int) -> int:
-    """k of the stage built from chain level i: l for a one-dimensional
-    factor, s * gamma'_2 for a two-dimensional one, with gamma' the next
-    level's direction."""
-    lv = chain.levels[i]
-    if chain.h == 1:
-        return lv.l
-    if chain.h != 2:
-        raise UnsupportedDimension(
-            f"stage maps are implemented for 1- and 2-dimensional "
-            f"translation factors, got h={chain.h}"
-        )
-    return lv.s * chain.levels[i + 1].gamma[-1]
-
-
 def build_stage_translation(params: AbCParams, chain: TranslationParams) -> StageIncrement:
     """One stage of the translation-factor scenario along a parameter chain.
 
     The record must match a non-final chain level by (p, q), and the
     chain must have been generated with a grid multiplier (l_base) so
-    every level carries the l its conjugation consumes.  For a
-    two-dimensional factor the stage couples k = s * gamma'_2, computes
-    the index function from the flow-time coordinate, and takes as the
-    exact conjugation the closed-form tower map `TowerConjugation(a, k,
-    l, q)`, a program of 4 ops; the advance is the chain's own
-    (q' = m s q^2), whose ratio q'/(k q) = l q is integral by
-    construction.  One-dimensional factors delegate to the circle
-    scenario (k = l, trivial index function) and re-check that the
-    chain's advance coincides with the circle advance.
+    every level carries the l its conjugation consumes.  The stage
+    couples k = s * gamma'_2, with gamma' the next level's direction,
+    computes the index function from the flow-time coordinate, and takes
+    as the exact conjugation the closed-form tower map
+    `TowerConjugation(a, k, l, q)`, a program of 4 ops; the advance is
+    the chain's own (q' = m s q^2), whose ratio q'/(k q) = l q is
+    integral by construction.
 
     The entire approximation is built from the block-slide realization
     (`build_abc_conjugation`), and only when it stays within
@@ -574,35 +553,15 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
             "chain level carries no grid multiplier; generate the chain "
             "with l_base set to feed the stage builder"
         )
-    k = _chain_k(chain, idx)
-    if chain.h == 1:
-        if params.k != k or params.l != lv.l or params.s != lv.s:
-            raise ParamOutOfRange(
-                f"one-dimensional factors couple k = l = {lv.l}, s = {lv.s}; "
-                f"got k={params.k}, l={params.l}, s={params.s}"
-            )
-        inc = build_stage_circle(params)
-        if (inc.params_after.p, inc.params_after.q) != (nxt.p, nxt.q):
-            raise ParamOutOfRange(
-                f"chain advance ({nxt.p}, {nxt.q}) does not match the circle "
-                f"advance ({inc.params_after.p}, {inc.params_after.q})"
-            )
-        return StageIncrement(
-            scenario="translation",
-            params_before=inc.params_before,
-            params_after=inc.params_after,
-            exact=inc.exact,
-            analytic=inc.analytic,
-        )
     n, q = params.n, params.q
     l, s = lv.l, lv.s
+    k = s * nxt.gamma[1]
     if params.k != k or params.l != l or params.s != s:
         raise ParamOutOfRange(
             f"record multipliers (k={params.k}, l={params.l}, s={params.s}) "
             f"do not match the chain level (k={k}, l={l}, s={s})"
         )
-    ratio, rem = divmod(nxt.q, k * q)
-    if rem:
+    if nxt.q % (k * q):
         raise ParamOutOfRange(
             f"k q = {k * q} does not divide the next denominator {nxt.q}"
         )
@@ -611,7 +570,7 @@ def build_stage_translation(params: AbCParams, chain: TranslationParams) -> Stag
     # its record against the chain); the terminal record keeps this
     # stage's multipliers as information only
     if idx + 2 < len(chain.levels) and nxt.l is not None:
-        k_fwd = _chain_k(chain, idx + 1)
+        k_fwd = nxt.s * chain.levels[idx + 2].gamma[1]
         l_fwd, s_fwd = nxt.l, nxt.s
     else:
         k_fwd, l_fwd, s_fwd = k, l, s
@@ -655,7 +614,7 @@ def run_translation_scenario(
         raise ParamOutOfRange(
             "chain carries no grid multipliers; generate it with l_base set"
         )
-    k1 = _chain_k(chain, 0)
+    k1 = lv1.s * chain.levels[1].gamma[1]
     start = AbCParams(n=1, p=lv1.p, q=lv1.q, k=k1, l=lv1.l, s=lv1.s, a=(0,) * k1)
     maps = StageMaps.start("translation", start)
     for _ in range(stages):
@@ -925,7 +884,10 @@ def verify_cyclic_permutation(
         rng = np.random.default_rng(seed)
         draws = []
         for _ in range(samples):
-            i = int(rng.integers(0, q))
+            # numpy draws below 2^63 only; beyond, q.bit_length() + 64
+            # random bits reduced mod q (bias below 2^-64)
+            i = (int(rng.integers(0, q)) if q < 2**63 else
+                 int.from_bytes(rng.bytes(q.bit_length() // 8 + 9), "little") % q)
             u = 2 * int(rng.integers(0, 2**16)) + 1
             v = 2 * int(rng.integers(0, 2**16)) + 1
             draws.append((i, u, v))

@@ -63,4 +63,4 @@ class SearchExhausted(AbcTorusError):
 
 
 class UnsupportedDimension(AbcTorusError):
-    """The requested operation is only implemented for a lower dimension."""
+    """The requested operation is not implemented for this dimension."""

@@ -90,11 +90,16 @@ def _corners(M: int, counts: Tuple[int, ...]):
 def _atom_pairs(m: "Conjugation", part: PartitionSpec,
                 target: PartitionSpec) -> Iterator[Tuple["np.ndarray", "np.ndarray"]]:
     """(source atoms, target atoms) of the box corners and of their images
-    under `m`, as two int64 arrays per chunk of `_CHUNK_POINTS` boxes."""
+    under `m`, as two int64 arrays per chunk of `_CHUNK_POINTS` boxes.
+
+    The budget is checked here, before the iterator is returned, so a
+    caller that takes the pairs before allocating per-atom arrays is
+    refused first; every atom is a union of boxes, so the budget bounds
+    the atom count too."""
     M, counts = _box_lattice(m, (part, target))
     cm = m.compiled(M)
-    for pts in _corners(M, counts):
-        yield part.atom_index_grid(pts, M), target.atom_index_grid(cm.apply(pts), M)
+    return ((part.atom_index_grid(pts, M), target.atom_index_grid(cm.apply(pts), M))
+            for pts in _corners(M, counts))
 
 
 def induced_atom_permutation(
@@ -115,10 +120,11 @@ def induced_atom_permutation(
         raise NotAtomPermutation(
             f"atom counts differ: {part.atom_count} vs {target.atom_count}"
         )
+    pairs = _atom_pairs(m, part, target)
     n = part.atom_count
     perm = np.full(n, -1, dtype=np.int64)  # first target seen per source atom
     split = np.zeros(n, dtype=bool)
-    for src, dst in _atom_pairs(m, part, target):
+    for src, dst in pairs:
         fresh = perm[src] < 0
         perm[src[fresh]] = dst[fresh]
         split[src[perm[src] != dst]] = True
@@ -139,9 +145,10 @@ def misplaced_boxes(m: "Conjugation", part: PartitionSpec,
     i whose image under `m` lies outside `target`'s atom i, and `boxes`
     is the number of boxes of the whole lattice, each of measure
     1/boxes."""
+    pairs = _atom_pairs(m, part, target)
     misplaced = np.zeros(part.atom_count, dtype=np.int64)
     boxes = 0
-    for src, dst in _atom_pairs(m, part, target):
+    for src, dst in pairs:
         misplaced += np.bincount(src[src != dst], minlength=misplaced.size)
         boxes += src.size
     return misplaced, boxes

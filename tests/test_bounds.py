@@ -23,6 +23,7 @@ from abctorus.bounds import (
     LiouvilleLevel,
     LiouvilleRecipe,
     StageBounds,
+    TranslationLevel,
     TranslationParams,
     check_amplitude,
     check_q_condition,
@@ -38,10 +39,12 @@ from abctorus.bounds import (
     translation_params,
     verify_translation_params,
 )
+from abctorus.engine import advance_params, circle_params
 from abctorus.errors import (
     LinkFailed,
     ParamOutOfRange,
     SearchExhausted,
+    UnsupportedDimension,
 )
 from abctorus.towers import TowerReal, tower
 
@@ -497,14 +500,14 @@ class TestLiouvilleVerify:
 
 @pytest.fixture(scope="module")
 def tp_h2():
-    return translation_params(h=2, levels=3, gamma1=(1, 6), p1=1, q1=2)
+    return translation_params(levels=3, gamma1=(1, 6), p1=1, q1=2)
 
 
 class TestTranslationParams:
     def test_frozen_level_chain(self, tp_h2):
         lv1, lv2, lv3 = tp_h2.levels
         assert (lv1.gamma, lv1.p, lv1.q) == ((1, 6), 1, 2)
-        assert (lv1.s, lv1.m, lv1.d, lv1.sigma) == (5, 6, F(1, 6), 2)
+        assert (lv1.s, lv1.m, lv1.d) == (5, 6, F(1, 6))
         assert (lv2.gamma, lv2.p, lv2.q, lv2.r) == ((7, 30), 61, 120, 20)
         assert (lv2.s, lv2.m) == (3845, 30)
         assert (lv3.gamma, lv3.p, lv3.q, lv3.r) == (
@@ -539,50 +542,54 @@ class TestTranslationParams:
         assert abs(F(26887, 115350) - F(7, 30)) == F(14, 57675) < F(1, 4 * 2 * 120)
 
     def test_h1_degenerate(self):
-        tp = translation_params(h=1, levels=4)
-        assert [lv.q for lv in tp.levels] == [2, 4, 16, 256]
-        assert all(lv.gamma == (1,) for lv in tp.levels)
-        assert all(lv.sigma == 0 and lv.d == 0 for lv in tp.levels)
-        assert verify_translation_params(tp) == ()
+        # a one-dimensional factor is the circle scenario's, built by
+        # engine.run_circle_scenario; translation_params no longer makes one
+        with pytest.raises(UnsupportedDimension, match="two-dimensional"):
+            translation_params(h=1, levels=4)
 
     def test_h3_arithmetic_only(self):
-        tp = translation_params(h=3, levels=3)
-        assert [lv.gamma for lv in tp.levels] == [
-            (1, 2, 8), (7, 10, 40), (10727, 15370, 61320)]
-        assert tp.notes and "(7)-(8)" in tp.notes[0]
-        assert verify_translation_params(tp) == ()
-        assert all(lv.d is None and lv.sigma is None for lv in tp.levels)
+        # the h = 3 chain was an arithmetic search that no stage builder
+        # could realize; it is refused before any search runs
+        with pytest.raises(UnsupportedDimension, match="h = 3"):
+            translation_params(h=3, levels=3)
+
+    @pytest.mark.parametrize("gamma", [(1,), (1, 2, 8), (0, 1), (1, "2"), (1, True), [1, 2]])
+    def test_level_refuses_a_direction_that_is_not_two_positive_ints(self, gamma):
+        with pytest.raises(ParamOutOfRange):
+            TranslationLevel(gamma=gamma, p=1, q=2)
 
     def test_mutation_gamma_cites_items(self, tp_h2):
         lv2 = tp_h2.levels[1]
         bad = dataclasses.replace(lv2, gamma=(lv2.gamma[0] + 1, lv2.gamma[1]))
-        mut = TranslationParams(h=2, levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
+        mut = TranslationParams(levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
         msgs = verify_translation_params(mut)
         cited = {m.split(":")[0] for m in msgs}
         assert "item (1)" in cited and "item (5)" in cited and "item (8)" in cited
 
     def test_mutation_r_cites_item3(self, tp_h2):
         bad = dataclasses.replace(tp_h2.levels[1], r=21)
-        mut = TranslationParams(h=2, levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
+        mut = TranslationParams(levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
         assert any(m.startswith("item (3)") for m in verify_translation_params(mut))
 
     def test_mutation_p_cites_items_2_and_6(self, tp_h2):
         bad = dataclasses.replace(tp_h2.levels[1], p=62)
-        mut = TranslationParams(h=2, levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
+        mut = TranslationParams(levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
         msgs = verify_translation_params(mut)
         assert any(m.startswith("item (2)") for m in msgs)
         assert any(m.startswith("item (6)") for m in msgs)
 
     def test_mutation_s_cites_items_4_and_6(self, tp_h2):
         bad = dataclasses.replace(tp_h2.levels[0], s=7)
-        mut = TranslationParams(h=2, levels=(bad, tp_h2.levels[1], tp_h2.levels[2]))
+        mut = TranslationParams(levels=(bad, tp_h2.levels[1], tp_h2.levels[2]))
         msgs = verify_translation_params(mut)
         assert any(m.startswith("item (4)") for m in msgs)
         assert any(m.startswith("item (6)") for m in msgs)
 
     def test_mutation_d_cites_item7(self, tp_h2):
-        bad = dataclasses.replace(tp_h2.levels[2], d=F(1, 100))
-        mut = TranslationParams(h=2, levels=(tp_h2.levels[0], tp_h2.levels[1], bad))
+        # level 2's diameter 1/12 is not below 1/(2 * 6 * 2) = 1/24
+        bad = dataclasses.replace(tp_h2.levels[1], gamma=(7, 12))
+        assert bad.d == F(1, 12)
+        mut = TranslationParams(levels=(tp_h2.levels[0], bad, tp_h2.levels[2]))
         assert any(m.startswith("item (7)") for m in verify_translation_params(mut))
 
     def test_search_exhaustion(self, monkeypatch):
@@ -590,20 +597,20 @@ class TestTranslationParams:
         # failure at s = 1921), so a budget of one attempt must exhaust
         monkeypatch.setattr(bounds, "MAX_ESCALATIONS", 1)
         with pytest.raises(SearchExhausted) as exc:
-            translation_params(h=2, levels=3, gamma1=(1, 6))
+            translation_params(levels=3, gamma1=(1, 6))
         assert "item" in str(exc.value)
 
     def test_domain_errors(self):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(UnsupportedDimension):
             translation_params(h=0, levels=2)
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=0)
+            translation_params(levels=0)
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=2, gamma1=(2, 4))
+            translation_params(levels=2, gamma1=(2, 4))
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=2, gamma1=(1, 2, 3))
+            translation_params(levels=2, gamma1=(1, 2, 3))
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=2, p1=2, q1=4)
+            translation_params(levels=2, p1=2, q1=4)
 
 
 # ---------------------------------------------------------------------------
@@ -614,22 +621,22 @@ class TestTranslationParams:
 class TestTranslationGridMultiplier:
     """translation_params(l_base=...) threads a per-level grid multiplier
     l = l_base * s through the chain so that the conjugation builder's
-    column count k * q = s * gamma'^(h) * q divides q' = m * s * q^2
+    column count k * q = s * gamma'_2 * q divides q' = m * s * q^2
     (the quotient is l * q / s = l_base * q, an integer)."""
 
     def test_h2_toy_chain_frozen(self):
-        tp = translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2,
+        tp = translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2,
                                 l_base=2)
         lv1, lv2 = tp.levels
         assert (lv1.gamma, lv1.p, lv1.q) == ((1, 4), 1, 2)
         assert (lv1.s, lv1.l, lv1.m) == (5, 10, 40)
-        assert lv1.d == F(1, 4) and lv1.sigma == 2
+        assert lv1.d == F(1, 4)
         assert (lv2.gamma, lv2.p, lv2.q, lv2.r) == ((7, 20), 401, 800, 200)
         assert lv2.l is None and lv2.m is None
         assert verify_translation_params(tp) == ()
 
     def test_h2_divisibility(self):
-        tp = translation_params(h=2, levels=3, gamma1=(1, 6), p1=1, q1=2,
+        tp = translation_params(levels=3, gamma1=(1, 6), p1=1, q1=2,
                                 l_base=4)
         for before, after in zip(tp.levels, tp.levels[1:]):
             k = before.s * after.gamma[-1]
@@ -639,28 +646,27 @@ class TestTranslationGridMultiplier:
             assert before.m % before.l == 0
 
     def test_h1_replicates_circle_recursion(self):
-        # with m = l^2 and s = 1 the advance collapses to the circle
-        # scheme's q' = (l q)^2 * ... i.e. (1,3) -> (49,144) at l_base=4
-        tp = translation_params(h=1, levels=3, gamma1=(1,), p1=1, q1=3,
-                                l_base=4)
-        lv1, lv2, lv3 = tp.levels
-        assert (lv1.p, lv1.q, lv1.s, lv1.l, lv1.m) == (1, 3, 1, 4, 16)
-        assert (lv2.p, lv2.q) == (49, 144)
-        assert (lv3.p, lv3.q) == (112897, 331776)
-        assert verify_translation_params(tp) == ()
+        # the circle recursion that the h = 1 chain replicated at
+        # l_base = 4 is the circle scenario's own advance with k = l = 4,
+        # s = 1: (1, 3) -> (49, 144) -> (112897, 331776)
+        rec = circle_params(q0=3, l=4)
+        chain = [rec]
+        for _ in range(2):
+            chain.append(advance_params(chain[-1]))
+        assert [(r.p, r.q) for r in chain] == [(1, 3), (49, 144), (112897, 331776)]
+        with pytest.raises(UnsupportedDimension):
+            translation_params(h=1, levels=3, gamma1=(1,), p1=1, q1=3, l_base=4)
 
     def test_default_chain_unchanged_without_l_base(self):
-        tp = translation_params(h=2, levels=2, gamma1=(1, 6), p1=1, q1=2)
+        tp = translation_params(levels=2, gamma1=(1, 6), p1=1, q1=2)
         lv1 = tp.levels[0]
         assert lv1.l is None and (lv1.s, lv1.m) == (5, 6)
 
     def test_l_base_validation(self):
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=2, l_base=3)
+            translation_params(levels=2, l_base=3)
         with pytest.raises(ParamOutOfRange):
-            translation_params(h=2, levels=2, l_base=0)
-        with pytest.raises(ParamOutOfRange):
-            translation_params(h=1, levels=2, gamma1=(1,), q1=3, l_base=2)
+            translation_params(levels=2, l_base=0)
 
 
 # ---------------------------------------------------------------------------

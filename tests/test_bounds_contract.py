@@ -70,12 +70,12 @@ def test_liouville_generate(levels, k_target):
 
 
 @settings(max_examples=150, deadline=None)
-@given(h=mostly(st.integers(0, 3)), levels=mostly(st.integers(0, 4)),
+@given(levels=mostly(st.integers(0, 4)),
        gamma1=st.one_of(st.none(), mostly(st.lists(mostly(st.integers(-1, 12)), max_size=4))),
        p1=mostly(st.integers(0, 5)), q1=mostly(st.integers(0, 8)),
        l_base=st.one_of(st.none(), mostly(st.integers(0, 8))))
-def test_translation_params(h, levels, gamma1, p1, q1, l_base):
-    returns_or_typed(translation_params, h=h, levels=levels, gamma1=gamma1, p1=p1, q1=q1,
+def test_translation_params(levels, gamma1, p1, q1, l_base):
+    returns_or_typed(translation_params, levels=levels, gamma1=gamma1, p1=p1, q1=q1,
                      l_base=l_base)
 
 

@@ -33,7 +33,7 @@ F = Fraction
 
 _CIRCLE = run_circle_scenario(2)
 _TRANSLATION = run_translation_scenario(
-    translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1)
+    translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1)
 
 MAPS = {
     "circle_h1": _CIRCLE.conjugations_exact[0],

@@ -19,13 +19,13 @@ Frozen values were computed independently before implementation:
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
+from abctorus import engine
 from abctorus.analytic import stage_delta, stage_epsilon
 from abctorus.bounds import translation_params
 from abctorus.engine import (
@@ -48,6 +48,7 @@ from abctorus.engine import (
     verify_cyclic_permutation,
 )
 from abctorus.errors import ParamOutOfRange, UnsupportedDimension
+from abctorus.exact import oracle
 from abctorus.exact.blockslide import BlockSlideMap, BlockSlideMove
 from abctorus.exact.builders import build_abc_conjugation, build_grid_refine
 from abctorus.exact.points import TorusPoint
@@ -76,7 +77,7 @@ def minimal1() -> StageMaps:
 def translation_small() -> StageMaps:
     # from q = 1 the index function is trivial: a three-shear realization,
     # so the analytic model is built
-    chain = translation_params(h=2, levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2)
+    chain = translation_params(levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2)
     return run_translation_scenario(chain)
 
 
@@ -84,8 +85,12 @@ def translation_small() -> StageMaps:
 def translation_oversized() -> StageMaps:
     # from q = 2 the index function is non-trivial: a 34,688-shear
     # realization, above AUTO_ANALYTIC_MOVE_CAP, so the stage stays exact-only
-    chain = translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
+    chain = translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
     return run_translation_scenario(chain, 1)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a refused call reached the lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +253,23 @@ class TestConjugacy:
         assert rep.passed
         assert rep.hits == 297
 
-    def test_every_atom_has_a_point_budget(self, circle2):
+    def test_every_atom_has_a_point_budget(self, circle2, monkeypatch):
         # stage 2 would visit 331,776 x 9 points; stage 1's 144 x 9 run in
-        # test_exact_stage1_every_atom
-        t = time.perf_counter()
+        # test_exact_stage1_every_atom. The refusal comes before any
+        # point is placed on the lattice.
+        monkeypatch.setattr(engine, "_atom_lattice", _must_not_run)
         with pytest.raises(ParamOutOfRange, match="budget of 2000000"):
             verify_cyclic_permutation(circle2, 2, "exact")
-        assert time.perf_counter() - t < 0.1
+
+    @pytest.mark.parametrize("stage", [4, 6])
+    def test_atoms_beyond_int64_are_drawn(self, stage):
+        # q_4 is about 5.0e25, beyond numpy's int64 draws
+        maps = run_circle_scenario(stage)
+        assert maps.records[stage].q >= 2**63
+        rep = verify_cyclic_permutation(maps, stage, "exact", samples=16, seed=0)
+        assert rep.hits == rep.samples == 16
+        rep = verify_cyclic_permutation(maps, stage, "analytic", samples=16, seed=0)
+        assert rep.samples == 16
 
     def test_rejections(self, circle2):
         with pytest.raises(ParamOutOfRange):
@@ -398,14 +413,21 @@ class TestCorrespondence:
         with pytest.raises(ParamOutOfRange, match="budget"):
             correspondence_defect(translation_oversized, 1, "exact")
 
-    def test_exact_defect_beyond_the_work_budget_is_refused(self, translation_small):
+    def test_exact_defect_beyond_the_work_budget_is_refused(self, translation_small,
+                                                            monkeypatch):
         # 250,000 x 500 boxes fit the box count, but through the 4 ops of
         # the tower conjugation they are 500,000,000 box moves; the walk
-        # used to take 15.9 s
-        start = time.perf_counter()
+        # used to take 15.9 s. It is refused before any box corner is made.
+        monkeypatch.setattr(oracle, "_corners", _must_not_run)
         with pytest.raises(ParamOutOfRange, match="125,000,000 boxes.* 4 moves"):
             correspondence_defect(translation_small, 1, "exact")
-        assert time.perf_counter() - start < 0.1
+
+    def test_exact_defect_is_refused_before_per_atom_arrays(self):
+        # the per-atom counts of q_3 = 1,761,205,026,816 atoms (12.8 TiB)
+        # used to be allocated before the box budget was checked, and the
+        # allocation raised MemoryError
+        with pytest.raises(ParamOutOfRange, match="budget"):
+            correspondence_defect(run_circle_scenario(4), 4, "exact")
 
     def test_analytic_defect_needs_an_analytic_model(self, translation_oversized):
         assert translation_oversized.conjugations_analytic[0] is None
@@ -538,14 +560,16 @@ class TestScenarioRunners:
     def test_translation_index_function_beyond_budget_is_refused(self):
         # the record after stage 1 would carry an index function of
         # 384,041 x 11,521,230 entries
-        chain = translation_params(h=2, levels=3, gamma1=(1, 6), l_base=2)
+        chain = translation_params(levels=3, gamma1=(1, 6), l_base=2)
         with pytest.raises(ParamOutOfRange, match="budget"):
             run_translation_scenario(chain, 1)
 
     def test_translation_needs_a_one_or_two_dimensional_factor(self):
-        chain = translation_params(h=3, levels=2, l_base=2)
-        with pytest.raises(UnsupportedDimension):
-            run_translation_scenario(chain, 1)
+        # the one-dimensional factor is built by run_circle_scenario; the
+        # translation chain takes only a two-dimensional one
+        for h in (1, 3):
+            with pytest.raises(UnsupportedDimension):
+                translation_params(h=h, levels=2, l_base=2)
 
     def test_minimal_end_to_end(self, minimal1):
         maps = minimal1

@@ -10,12 +10,14 @@ verifier samples, 64 Monte Carlo samples and 3 partition atoms. The verifiers ru
 is refused at stage 2 (331,776 atoms, beyond the point budget).
 
 The stage runners and the parameter record are swept too: the
-translation runner on the 3-move chain `translation_params(h=1,
-levels=2, gamma1=(1,), l_base=4)`, the minimality runner with l <= 3,
-and every `exact.builders.build_*` at k, l, q <= 6. So are the exact
-layer's constructors: `rotation_map`, `PartitionSpec` and its named constructors,
-`BlockSlideMove`, `StepFunction.constant` and the named steps of
-`exact.steps`, each with its known leaks as explicit examples.
+translation runner on the chain `translation_params(levels=2,
+gamma1=(1, 2), p1=1, q1=1, l_base=2)` (a 4-op `TowerConjugation` with a
+3-move realization), `translation_index_function` at k, q <= 6, the
+minimality runner with l <= 3, and every `exact.builders.build_*` at
+k, l, q <= 6. So are the exact layer's constructors: `rotation_map`,
+`PartitionSpec` and its named constructors, `BlockSlideMove`,
+`StepFunction.constant` and the named steps of `exact.steps`, each with
+its known leaks as explicit examples.
 
 Nothing is asserted about the value returned; a leaked `TypeError`,
 `ValueError`, `ZeroDivisionError` or the like fails.
@@ -49,6 +51,7 @@ from abctorus.engine import (
     run_minimal_scenario,
     run_translation_scenario,
     stage_partition,
+    translation_index_function,
     verify_cyclic_permutation,
 )
 from abctorus.errors import AbcTorusError, ParamOutOfRange
@@ -67,7 +70,7 @@ from abctorus.minimal import minimal_stage, trapping_exponent
 from abctorus.towers import TowerReal
 
 MAPS = run_circle_scenario(2)
-CHAIN = translation_params(h=1, levels=2, gamma1=(1,), p1=1, q1=2, l_base=4)
+CHAIN = translation_params(levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2)
 
 
 def returns_or_typed(f, *args, **kwargs) -> None:
@@ -189,6 +192,20 @@ def test_abc_params(n, p, q, k, l, s, a):
 @given(chain=mostly(st.just(CHAIN)), stages=st.one_of(st.none(), mostly(st.integers(-1, 2))))
 def test_run_translation_scenario(chain, stages):
     returns_or_typed(run_translation_scenario, chain, stages)
+
+
+directions = mostly(st.lists(mostly(st.integers(-1, 6)), max_size=3).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=directions, gamma_next=directions, k=small, q=small)
+@example(gamma=(1, 2), gamma_next=(1, 2), k="3", q=1)
+@example(gamma=(1, 2), gamma_next=(1, 2), k=2.5, q=1)
+@example(gamma=(1, 2), gamma_next=(1, 2), k=2, q=None)
+@example(gamma=(1, "a"), gamma_next=(1, 2), k=2, q=1)
+@example(gamma=None, gamma_next=(1, 2), k=2, q=1)
+def test_translation_index_function(gamma, gamma_next, k, q):
+    returns_or_typed(translation_index_function, gamma, gamma_next, k, q)
 
 
 @settings(max_examples=80, deadline=None)

@@ -201,10 +201,10 @@ CIRCLE = run_circle_scenario(3)
 MINIMAL = run_minimal_scenario(n=2, l=4, q=3, r=2)
 # from q = 1 the index function is trivial and the analytic model is built
 TRANSLATION_SMALL = run_translation_scenario(
-    translation_params(h=2, levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2))
+    translation_params(levels=2, gamma1=(1, 2), p1=1, q1=1, l_base=2))
 # perfbench's translation stack: 34,688 shears, exact only
 TRANSLATION = run_translation_scenario(
-    translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1)
+    translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2), 1)
 
 
 def _non_commuting() -> StageMaps:

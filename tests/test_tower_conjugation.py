@@ -28,7 +28,7 @@ from abctorus.exact.builders import TowerConjugation, build_abc_conjugation
 from abctorus.exact.points import TorusPoint
 
 F = Fraction
-CHAIN = translation_params(h=2, levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
+CHAIN = translation_params(levels=2, gamma1=(1, 4), p1=1, q1=2, l_base=2)
 
 
 def workload_a():
